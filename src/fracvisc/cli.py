@@ -12,6 +12,7 @@ parallelism (default 1).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,16 +23,15 @@ import numpy as np
 from fracvisc.config import ConfigError, ExperimentConfig, parse_config_file, parse_config
 from fracvisc.dual import build_drift, dual_solve, duality_residual, gronwall_check, lp_dual_datum
 from fracvisc.hamiltonians import LagrangianSpec, legendre_transform, make_hamiltonian
-from fracvisc.hj import ProblemSpec, Trajectory, hopf_lax_oracle, monotone_reference, viscous_solve
+from fracvisc.hj import ProblemSpec, Trajectory, ZeroForcing, hopf_lax_oracle, monotone_reference, viscous_solve
 from fracvisc.rates import (
     ResolutionRule,
     SweepPlan,
-    fit_rate,
+    fit_entry,
     format_float,
     one_sided_check,
     emit_report,
     run_sweep,
-    target_exponent,
 )
 from fracvisc.torus import (
     Field,
@@ -107,16 +107,7 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     s = cfg.s_list[0]
     eps = cfg.epsilon_list[0]
     n = cfg.n_points or _RULE.n_for(s, eps)
-    grid = TorusGrid(cfg.dim, n)
-    problem = ProblemSpec(
-        grid=grid,
-        s=s,
-        epsilon=eps,
-        hamiltonian=cfg.hamiltonian(),
-        u0=cfg.u0.build(grid),
-        forcing=cfg.forcing(),
-        T=cfg.T,
-    )
+    problem = cfg.problem(s, eps, TorusGrid(cfg.dim, n))
     _log(f"solve: s={s:g} eps={eps:g} n={n} T={cfg.T:g}")
     traj = viscous_solve(problem, dt_cfl=cfg.dt_cfl, snapshot_times=cfg.snapshot_times())
     os.makedirs(out_dir, exist_ok=True)
@@ -170,8 +161,6 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
     if not qs:
         raise ConfigError("dual-check needs at least one finite p > 1 in p_list")
     s = cfg.s_list[0]
-    ham = cfg.hamiltonian()
-    forcing = cfg.forcing()
     times = cfg.snapshot_times()
     eps_sorted = sorted(cfg.epsilon_list, reverse=True)
     pairs = list(zip(eps_sorted[:-1], eps_sorted[1:]))
@@ -179,20 +168,16 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
     checks = []
     worst_ratio = 0.0
     worst_residual = 0.0
+    traj_prev = None  # the previous pair's eta solve, this pair's eps solve when the grid matches
     for eps, eta in pairs:
         n = cfg.n_points or max(_RULE.n_for(s, eps), _RULE.n_for(s, eta))
         grid = TorusGrid(cfg.dim, n)
-        u0 = cfg.u0.build(grid)
-
-        def problem(viscosity: float) -> ProblemSpec:
-            return ProblemSpec(
-                grid=grid, s=s, epsilon=viscosity, hamiltonian=ham,
-                u0=u0, forcing=forcing, T=cfg.T,
-            )
-
         _log(f"dual-check: pair eps={eps:g} eta={eta:g} on n={n}")
-        traj_eps = viscous_solve(problem(eps), dt_cfl=cfg.dt_cfl, snapshot_times=times)
-        traj_eta = viscous_solve(problem(eta), dt_cfl=cfg.dt_cfl, snapshot_times=times)
+        if traj_prev is not None and traj_prev.problem.epsilon == eps and traj_prev.problem.grid == grid:
+            traj_eps = traj_prev
+        else:
+            traj_eps = viscous_solve(cfg.problem(s, eps, grid), dt_cfl=cfg.dt_cfl, snapshot_times=times)
+        traj_eta = traj_prev = viscous_solve(cfg.problem(s, eta, grid), dt_cfl=cfg.dt_cfl, snapshot_times=times)
         drift = build_drift(traj_eps, traj_eta, mollify_scale=cfg.mollify_scale)
         w_tau = Field(grid, traj_eps.snapshots[-1].values - traj_eta.snapshots[-1].values)
         for q in qs:
@@ -247,14 +232,7 @@ def _export_trajectory_dual(dual, out_dir: str, eps: float, eta: float) -> None:
 def _cmd_one_sided(cfg: ExperimentConfig, out_dir: str) -> int:
     if 0.5 not in cfg.s_list:
         raise ConfigError("one-sided requires s_list to contain 0.5")
-    plan = _build_plan(cfg)
-    plan = SweepPlan(
-        dim=plan.dim, s_values=(0.5,), epsilons=plan.epsilons, p_values=plan.p_values,
-        hamiltonian=plan.hamiltonian, u0=plan.u0, forcing=plan.forcing, T=plan.T,
-        snapshot_times=plan.snapshot_times, reference=plan.reference,
-        fine_factor=plan.fine_factor, dt_cfl=plan.dt_cfl, n_points=plan.n_points,
-    )
-    result = run_sweep(plan)
+    result = run_sweep(dataclasses.replace(_build_plan(cfg), s_values=(0.5,)))
     report = one_sided_check(result)
     os.makedirs(out_dir, exist_ok=True)
     payload = {
@@ -296,28 +274,7 @@ def _cmd_report(out_dir: str) -> int:
             s = float(svals[0])
             p = math.inf if svals[1] == "inf" else float(svals[1])
             slices.setdefault((s, p), []).append((float(svals[2]), float(svals[3])))
-    fits = {}
-    for (s, p), pts in sorted(slices.items()):
-        eps = np.array([e for e, _ in pts])
-        err = np.array([x for _, x in pts])
-        key = f"s={s:g},p={'inf' if math.isinf(p) else f'{p:g}'}"
-        if eps.size < 3 or np.any(err <= 0):
-            fits[key] = {"status": "insufficient data", "n_points": int(eps.size)}
-            continue
-        fit = fit_rate(eps, err)
-        target = target_exponent(s, p)
-        entry = {
-            "model": fit.preferred,
-            "exponent": fit.exponent,
-            "prefactor": fit.prefactor,
-            "residual_power": fit.residual_power,
-            "residual_power_log": fit.residual_power_log,
-            "target": target,
-        }
-        if target is not None:
-            allow_log = s == 0.5 and math.isinf(p)
-            entry["passed"] = bool(fit.accepted_exponent(allow_log) >= target - 0.1)
-        fits[key] = entry
+    fits = dict(fit_entry(s, p, *np.array(pts).T) for (s, p), pts in sorted(slices.items()))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump({"fits": fits, "source": "rates.csv"}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -358,13 +315,13 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
     x = grid.nodes()[0]
     u0 = Field(grid, np.cos(x))
     heat = ProblemSpec(grid=grid, s=1.0, epsilon=1.0, hamiltonian=zero_h,
-                       u0=u0, forcing=_zero_forcing(), T=0.5)
+                       u0=u0, forcing=ZeroForcing(), T=0.5)
     traj = viscous_solve(heat, snapshot_times=(0.0, 0.5))
     exact = math.exp(-0.5) * np.cos(x)
     check("fractional heat decay", float(np.max(np.abs(traj.snapshots[-1].values - exact))), 1e-10)
 
     quad = ProblemSpec(grid=grid, s=0.5, epsilon=0.05, hamiltonian=ham,
-                       u0=u0, forcing=_zero_forcing(), T=0.5)
+                       u0=u0, forcing=ZeroForcing(), T=0.5)
     oracle = hopf_lax_oracle(quad, 0.5)
     visc = viscous_solve(quad, snapshot_times=(0.0, 0.5))
     gap = float(np.max(np.abs(oracle.values - visc.snapshots[-1].values)))
@@ -376,12 +333,6 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
 
     _log(f"selftest: {'OK' if failures == 0 else f'{failures} failure(s)'}")
     return 0 if failures == 0 else 1
-
-
-def _zero_forcing():
-    from fracvisc.hj import ZeroForcing
-
-    return ZeroForcing()
 
 
 # ---------------------------------------------------------------------------

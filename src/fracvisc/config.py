@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 from fracvisc.hamiltonians import HamiltonianSpec, make_hamiltonian
-from fracvisc.hj import ConstantForcing, CosWaveForcing, ZeroForcing
+from fracvisc.hj import ConstantForcing, CosWaveForcing, ProblemSpec, ZeroForcing
 from fracvisc.rates import InitialData, make_initial_data
+from fracvisc.torus import TorusGrid
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_file"]
 
@@ -62,6 +63,11 @@ class ExperimentConfig:
 
     def forcing(self):
         return _parse_forcing(self.forcing_spec)
+
+    def problem(self, s: float, eps: float, grid: TorusGrid) -> ProblemSpec:
+        """The configured Cauchy problem at order s and viscosity eps on grid."""
+        return ProblemSpec(grid=grid, s=s, epsilon=eps, hamiltonian=self.hamiltonian(),
+                           u0=self.u0.build(grid), forcing=self.forcing(), T=self.T)
 
     def snapshot_times(self) -> tuple[float, ...]:
         import numpy as np
@@ -158,19 +164,17 @@ def _parse_u0(text: str, key: str, line: int | None) -> InitialData:
     _fail(f"unknown initial data {text!r}; use cos, cos2d, bump or coeffs:...", key, line)
 
 
-def _parse_forcing(text: str):
+def _parse_forcing(text: str, line: int | None = None):
     if text == "zero":
         return ZeroForcing()
     if text.startswith("const:"):
-        return ConstantForcing(float(text[len("const:") :]))
+        return ConstantForcing(_parse_float(text[len("const:") :], "forcing", line))
     if text.startswith("cos_wave:"):
         parts = text[len("cos_wave:") :].split(",")
         if len(parts) != 2:
-            raise ConfigError("cos_wave forcing needs amp,omega", key="forcing")
-        return CosWaveForcing(float(parts[0]), float(parts[1]))
-    raise ConfigError(
-        f"unknown forcing {text!r}; use zero, const:c or cos_wave:amp,omega", key="forcing"
-    )
+            _fail("cos_wave forcing needs amp,omega", "forcing", line)
+        return CosWaveForcing(*(_parse_float(part, "forcing", line) for part in parts))
+    _fail(f"unknown forcing {text!r}; use zero, const:c or cos_wave:amp,omega", "forcing", line)
 
 
 def _parse_hamiltonian(text: str, key: str, line: int | None, dim: int) -> tuple[str, tuple[float, ...]]:
@@ -222,10 +226,7 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     epsilon_list = _parse_epsilons(values["epsilon_list"], "epsilon_list", ln["epsilon_list"])
     kind, params = _parse_hamiltonian(values["hamiltonian"], "hamiltonian", ln["hamiltonian"], dim)
     u0 = _parse_u0(values["u0"], "u0", ln["u0"])
-    try:
-        _parse_forcing(values["forcing"])
-    except ConfigError as exc:
-        raise ConfigError(str(exc), key="forcing", line=ln["forcing"]) from None
+    _parse_forcing(values["forcing"], ln["forcing"])
     T = _parse_float(values["T"], "T", ln["T"])
     if T <= 0:
         _fail("T must be positive", "T", ln["T"])

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fracvisc.hj import ProblemSpec, Trajectory, _RealSpectral
-from fracvisc.torus import Field, TorusGrid, frac_laplacian, lp_norm
+from fracvisc.hj import Trajectory, clean_snapshot_times
+from fracvisc.torus import Field, TorusGrid, frac_laplacian, ifrk4_march, lp_norm
 
 __all__ = [
     "DriftField",
@@ -66,27 +66,28 @@ class DriftField:
 
     @property
     def sup_speed(self) -> float:
-        if self.grid.dim == 1:
-            mag2 = self.values[..., 0] ** 2
-        else:
-            mag2 = self.values[..., 0] ** 2 + self.values[..., 1] ** 2
-        return float(np.sqrt(np.max(mag2)))
+        return float(np.sqrt(np.max(np.sum(self.values**2, axis=-1))))
 
     @property
     def div_minus_sup(self) -> np.ndarray:
         return np.maximum(0.0, -self.div_values).max(axis=tuple(range(1, self.div_values.ndim)))
 
-    def interpolate(self, t: float) -> np.ndarray:
-        """Drift values at time t, linear interpolation between samples."""
+    def interpolate(self, t: float, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+        """Drift values at time t, linear interpolation between samples.
+
+        The result is written to out; out and work are shaped like one
+        sample and allocated when not given.
+        """
+        out = np.empty(self.values.shape[1:]) if out is None else out
         times = self.times
-        if t <= times[0]:
-            return self.values[0]
-        if t >= times[-1]:
-            return self.values[-1]
+        if t <= times[0] or t >= times[-1]:
+            np.copyto(out, self.values[0 if t <= times[0] else -1])
+            return out
         i = int(np.searchsorted(times, t) - 1)
-        t0, t1 = times[i], times[i + 1]
-        lam = (t - t0) / (t1 - t0)
-        return (1.0 - lam) * self.values[i] + lam * self.values[i + 1]
+        lam = (t - times[i]) / (times[i + 1] - times[i])
+        work = np.empty_like(out) if work is None else work
+        np.multiply(1.0 - lam, self.values[i], out=out)
+        return np.add(out, np.multiply(lam, self.values[i + 1], out=work), out=out)
 
 
 def build_drift(
@@ -136,35 +137,34 @@ def build_drift(
         raise ValueError("trajectories must share snapshot times")
     grid = pa.grid
     ham = pa.hamiltonian
-    rs = _RealSpectral(grid)
-    keep = rs.keep
+    sp = grid.spectral
     nodes, weights = np.polynomial.legendre.leggauss(zeta_nodes)
     zetas = 0.5 * (nodes + 1.0)
     wts = 0.5 * weights
 
     moll = None
     if mollify_scale > 0.0:
-        moll = np.exp(-0.5 * rs.k2 * mollify_scale * mollify_scale)
+        moll = np.exp(-0.5 * sp.k2 * mollify_scale * mollify_scale)
 
     n_t = traj_eps.times.size
     values = np.empty((n_t,) + grid.shape + (grid.dim,))
     div_values = np.empty((n_t,) + grid.shape)
     for i in range(n_t):
-        ga = _dealiased_gradient(rs, traj_eps.snapshots[i].values)
-        gb = _dealiased_gradient(rs, traj_eta.snapshots[i].values)
+        ga, gb = (np.moveaxis(sp.gradient(sp.fwd(tr.snapshots[i].values)), 0, -1)
+                  for tr in (traj_eps, traj_eta))
         b = np.zeros(grid.shape + (grid.dim,))
         for z, w in zip(zetas, wts):
             b -= w * ham.grad(z * ga + (1.0 - z) * gb)
         div = np.zeros(grid.shape)
         for ax in range(grid.dim):
-            bh = rs.fwd(b[..., ax])
-            bh[~keep] = 0.0
+            bh = sp.fwd(b[..., ax])
+            sp.truncate(bh)
             if moll is not None:
                 bh *= moll
-                values[i, ..., ax] = rs.inv(bh)
+                values[i, ..., ax] = sp.inv(bh)
             else:
                 values[i, ..., ax] = b[..., ax]
-            div += rs.inv(1j * rs.kms[ax] * bh)
+            div += sp.inv(sp.ik[ax] * bh)
         div_values[i] = div
     return DriftField(
         grid=grid,
@@ -177,13 +177,6 @@ def build_drift(
         zeta_nodes=zeta_nodes,
         mollify_scale=mollify_scale,
     )
-
-
-def _dealiased_gradient(rs: _RealSpectral, values: np.ndarray) -> np.ndarray:
-    uh = rs.fwd(values)
-    uh[~rs.keep] = 0.0
-    comps = [rs.inv(1j * km * uh) for km in rs.kms]
-    return comps[0][..., np.newaxis] if rs.grid.dim == 1 else np.stack(comps, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -247,78 +240,60 @@ def dual_solve(
         tsnap = drift.times[drift.times <= tau * (1.0 + 1e-12)]
         tsnap = np.append(tsnap, tau) if tsnap[-1] < tau * (1.0 - 1e-12) else tsnap
     else:
-        tsnap = np.asarray(sorted(set(float(t) for t in snapshot_times)))
-        if tsnap[0] < 0.0 or tsnap[-1] > tau * (1.0 + 1e-12):
-            raise ValueError(f"dual snapshot times must lie in [0, tau={tau}]")
+        tsnap = clean_snapshot_times(snapshot_times, tau)
     sigmas = np.sort(tau - tsnap)  # reversed-time landing points, ascending
 
-    rs = _RealSpectral(grid)
-    keep = rs.keep
-    lam = eta * rs.symbol(drift.s)
-    if spectral_damping is not None:
-        amp, order = spectral_damping
-        if amp < 0.0 or not isinstance(order, int) or order < 1:
-            raise ValueError(f"spectral_damping must be (amp >= 0, integer order >= 1), got {spectral_damping}")
-        lam = lam + rs.damping_rate(amp, order)
-    h = grid.spacing
-    dim = grid.dim
-
+    sp = grid.spectral
     speed = max(1.0, drift.sup_speed)
-    dt0 = dt_cfl * h / speed
+    dt0 = dt_cfl * grid.spacing / speed
 
-    def nonlinear(rh: np.ndarray, sigma: float) -> np.ndarray:
-        rho = rs.inv(np.where(keep, rh, 0.0))
-        b = drift.interpolate(tau - sigma)
-        nh = np.zeros_like(rh)
-        for ax in range(dim):
-            fh = rs.fwd(b[..., ax] * rho)
-            nh -= 1j * rs.kms[ax] * fh
-        nh[~keep] = 0.0
-        return nh
+    def lost(sigma: float) -> RuntimeError:
+        return RuntimeError(f"dual solve lost finiteness at sigma={sigma:.6g}")
 
-    factor_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    # the nonlinear term's buffers: the dealiased rho in both spaces, the
+    # drift at the stage time and one flux component in both spaces
+    rh_d = np.empty(sp.k2.shape, dtype=np.complex128)
+    rho = np.empty(grid.shape)
+    b = np.empty(grid.shape + (grid.dim,))
+    b_work = np.empty_like(b)
+    flux = np.empty(grid.shape)
+    fh = np.empty_like(rh_d)
 
-    def factors(dt: float) -> tuple[np.ndarray, np.ndarray]:
-        got = factor_cache.get(dt)
-        if got is None:
-            e1 = np.exp(lam * (-0.5 * dt))
-            got = (e1, e1 * e1)
-            factor_cache[dt] = got
-        return got
+    def nonlinear(rh: np.ndarray, sigma: float, nh: np.ndarray) -> None:
+        """-div(b rho) of the dealiased rho, dealiased, into nh."""
+        np.copyto(rh_d, rh)
+        sp.truncate(rh_d)
+        sp.inv(rh_d, out=rho)
+        drift.interpolate(tau - sigma, out=b, work=b_work)
+        nh[...] = 0.0
+        for ax, ik in enumerate(sp.ik):
+            np.multiply(b[..., ax], rho, out=flux)
+            sp.fwd(flux, out=fh)
+            np.multiply(ik, fh, out=fh)
+            np.subtract(nh, fh, out=nh)
+        sp.truncate(nh)
 
-    rh = rs.fwd(alpha.values)
-    mass0 = float(rh.flat[0].real) / grid.n_total
-    sigma = 0.0
-    n_steps = 0
     out: dict[float, Field] = {}
     min_value = float(np.min(alpha.values))
 
-    sref = max(tau, 1.0)
-    for target in sigmas:
-        while sigma < target - 1e-13 * sref:
-            dt = dt0
-            if sigma + dt >= target - 1e-13 * sref:
-                dt = target - sigma
-            e1, e2 = factors(dt)
-            k1 = nonlinear(rh, sigma)
-            k2 = nonlinear(e1 * (rh + (0.5 * dt) * k1), sigma + 0.5 * dt)
-            k3 = nonlinear(e1 * rh + (0.5 * dt) * k2, sigma + 0.5 * dt)
-            k4 = nonlinear(e2 * rh + dt * (e1 * k3), sigma + dt)
-            rh = e2 * rh + (dt / 6.0) * (e2 * k1 + 2.0 * (e1 * (k2 + k3)) + k4)
-            sigma += dt
-            n_steps += 1
-            if n_steps % 64 == 0 and not np.all(np.isfinite(rh)):
-                raise RuntimeError(f"dual solve lost finiteness at sigma={sigma:.6g}")
-        sigma = target
-        vals = rs.inv(rh)
+    def land(rh: np.ndarray, sigma: float) -> None:
+        nonlocal min_value
+        vals = sp.inv(rh)
         if not np.all(np.isfinite(vals)):
-            raise RuntimeError(f"dual solve lost finiteness at sigma={sigma:.6g}")
+            raise lost(sigma)
         min_value = min(min_value, float(np.min(vals)))
-        out[tau - target] = Field(grid, vals)
+        out[tau - sigma] = Field(grid, vals)
+
+    rh = sp.fwd(alpha.values)
+    mass0 = float(rh.flat[0].real) / grid.n_total
+    n_steps = ifrk4_march(
+        grid, eta, drift.s, spectral_damping, rh, nonlinear,
+        dt_rule=lambda _: dt0, landings=sigmas, t_ref=max(tau, 1.0), land=land, nonfinite=lost,
+    )
 
     times = np.asarray(sorted(out.keys()))
     snapshots = tuple(out[t] for t in times)
-    mass_end = float(np.fft.rfftn(snapshots[0].values).flat[0].real) / grid.n_total
+    mass_end = float(sp.fwd(snapshots[0].values).flat[0].real) / grid.n_total
     mass_scale = max(abs(mass0), 1e-300)
     mass_drift = abs(mass_end - mass0) / mass_scale
     if mass_drift > 1e-12:

@@ -47,18 +47,28 @@ class HamiltonianSpec:
             raise ValueError(f"momentum must have trailing axis of length {self.dim}")
         return arr
 
-    def value(self, p: np.ndarray) -> np.ndarray:
-        """H(p) for p of shape (..., dim); returns shape (...)."""
+    def value(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """H(p) for p of shape (..., dim); returns shape (...).
+
+        Sums over components run on the views p[..., j] in the order j = 0, 1,
+        so a strided p costs no copy.  out, when given, receives the result;
+        for dim == 1 the quadratic kinds then allocate nothing.
+        """
         q = self._as_points(p)
-        if self.kind == "quadratic":
-            return 0.5 * np.sum(q * q, axis=-1)
-        if self.kind == "anisotropic_quadratic":
-            m = np.asarray(self.params)
-            return 0.5 * np.sum(m * q * q, axis=-1)
+        out = np.empty(q.shape[:-1]) if out is None else out
+        ones = (1.0,) * self.dim
         if self.kind == "log_cosh_regularized":
-            c = self.params[0]
-            return np.sum(np.cosh(q) - 1.0, axis=-1) + 0.5 * c * np.sum(q * q, axis=-1)
-        return np.zeros(q.shape[:-1], dtype=np.float64)
+            np.cosh(q[..., 0], out=out)
+            out -= 1.0
+            for j in range(1, self.dim):
+                out += np.cosh(q[..., j]) - 1.0
+            out += 0.5 * self.params[0] * _weighted_squares(q, ones)
+        elif self.kind == "zero":
+            out[...] = 0.0
+        else:
+            _weighted_squares(q, self.params if self.kind == "anisotropic_quadratic" else ones, out)
+            out *= 0.5
+        return out
 
     def grad(self, p: np.ndarray) -> np.ndarray:
         """D_p H(p), shape (..., dim)."""
@@ -108,6 +118,15 @@ class HamiltonianSpec:
     @property
     def is_zero(self) -> bool:
         return self.kind == "zero"
+
+
+def _weighted_squares(q: np.ndarray, weights, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j m_j q_j q_j over the last axis of q, in the order j = 0, 1."""
+    out = np.multiply(weights[0], q[..., 0], out=out)
+    out *= q[..., 0]
+    for j in range(1, q.shape[-1]):
+        out += weights[j] * q[..., j] * q[..., j]
+    return out
 
 
 def make_hamiltonian(

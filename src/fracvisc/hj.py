@@ -23,12 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from fracvisc.hamiltonians import HamiltonianSpec, LagrangianSpec, legendre_batch
-from fracvisc.torus import TWO_PI, Field, TorusGrid, refine, second_difference_max, subsample
+from fracvisc.torus import (TWO_PI, Field, TorusGrid, eval_modes, ifrk4_march, mode_table, refine,
+                            second_difference_max, subsample)
 
 __all__ = [
     "ZeroForcing",
     "ConstantForcing",
     "CosWaveForcing",
+    "clean_snapshot_times",
     "ProblemSpec",
     "Trajectory",
     "BlowUpError",
@@ -110,8 +112,7 @@ class CosWaveForcing:
         self.omega = float(omega)
 
     def value(self, grid: TorusGrid, t: float) -> np.ndarray:
-        x1 = grid.nodes()[0]
-        return self.amp * np.cos(x1 - self.omega * t)
+        return self.amp * np.cos(grid.x1 - self.omega * t)
 
     def semiconcavity(self, t: float) -> float:
         # largest eigenvalue of D^2 f is amp (attained where the cosine is -1)
@@ -186,88 +187,6 @@ class Trajectory:
         return self.snapshots[i]
 
 
-# ---------------------------------------------------------------------------
-# rfft helpers (internal layout: real FFT over the last axis)
-# ---------------------------------------------------------------------------
-
-
-class _RealSpectral:
-    """Precomputed wavevector meshes and masks in rfftn layout."""
-
-    def __init__(self, grid: TorusGrid):
-        n = grid.n_points
-        kfull = np.fft.fftfreq(n, d=1.0 / n).astype(np.float64)
-        khalf = np.arange(n // 2 + 1, dtype=np.float64)
-        if grid.dim == 1:
-            self.kms = [khalf]
-            k2 = khalf**2
-        else:
-            kx, ky = np.meshgrid(kfull, khalf, indexing="ij")
-            self.kms = [kx, ky]
-            k2 = kx**2 + ky**2
-        self.k2 = k2
-        cutoff = n // 3
-        keep = np.ones(k2.shape, dtype=bool)
-        for km in self.kms:
-            keep &= np.abs(km) <= cutoff
-        self.keep = keep
-        # Parseval weights: modes with conjugate partner folded away count twice
-        w = np.full(k2.shape, 2.0)
-        if grid.dim == 1:
-            w[0] = 1.0
-            w[-1] = 1.0
-        else:
-            w[:, 0] = 1.0
-            w[:, -1] = 1.0
-        self.parseval_w = w
-        self.shape = grid.shape
-        self.grid = grid
-
-    def symbol(self, s: float) -> np.ndarray:
-        sym = self.k2**s
-        sym.flat[0] = 0.0
-        return sym
-
-    def damping_rate(self, amp: float, order: int) -> np.ndarray:
-        """Smooth near-cutoff damping rate amp * k_c * (|k|/k_c)^(2*order).
-
-        Sharp spectral truncation of a steep front excites a standing wave
-        packet just below the cutoff wherever the transport speed vanishes;
-        squaring inside the Hamiltonian then rectifies the packet into an
-        O(1) spurious forcing that no grid refinement removes.  A smooth
-        high-order roll-off kills the packet band while leaving physically
-        resolved modes (|k| < 0.3 k_c say) untouched to far below round-off.
-        """
-        kc = float(self.grid.n_points // 3)
-        return amp * kc * (self.k2 / (kc * kc)) ** order
-
-    def fwd(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values)
-
-    def inv(self, coeff: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(coeff, s=self.shape, axes=tuple(range(len(self.shape))))
-
-    def tail_fraction(self, coeff: np.ndarray) -> float:
-        e = self.parseval_w * np.abs(coeff) ** 2
-        total = float(np.sum(e))
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(e[~self.keep])) / total
-
-    def hessian_max_eig(self, coeff: np.ndarray) -> float:
-        if self.grid.dim == 1:
-            k = self.kms[0]
-            uxx = self.inv(-(k * k) * coeff)
-            return float(np.max(uxx))
-        kx, ky = self.kms
-        uxx = self.inv(-(kx * kx) * coeff)
-        uyy = self.inv(-(ky * ky) * coeff)
-        uxy = self.inv(-(kx * ky) * coeff)
-        half_tr = 0.5 * (uxx + uyy)
-        disc = np.sqrt(0.25 * (uxx - uyy) ** 2 + uxy**2)
-        return float(np.max(half_tr + disc))
-
-
 def _quantize_speed(speed: float) -> float:
     """Round speeds up onto a geometric ladder so dt changes rarely."""
     if speed <= 1.0:
@@ -275,7 +194,8 @@ def _quantize_speed(speed: float) -> float:
     return 1.05 ** math.ceil(math.log(speed) / math.log(1.05))
 
 
-def _clean_snapshot_times(snapshot_times, T: float) -> np.ndarray:
+def clean_snapshot_times(snapshot_times, T: float) -> np.ndarray:
+    """Sorted distinct snapshot times in [0, T] (16 even ones for None), the last clamped to T."""
     if snapshot_times is None:
         times = np.linspace(0.0, T, 16)
     else:
@@ -283,7 +203,7 @@ def _clean_snapshot_times(snapshot_times, T: float) -> np.ndarray:
     if times.size == 0:
         raise ValueError("snapshot_times must be non-empty")
     if times[0] < 0.0 or times[-1] > T * (1.0 + 1e-12):
-        raise ValueError(f"snapshot times must lie in [0, T={T}]")
+        raise ValueError(f"snapshot times must lie in [0, {T}]")
     times[-1] = min(times[-1], T)
     return times
 
@@ -310,7 +230,7 @@ def viscous_solve(
     when more than 1e-6 of the spectral energy sits beyond the 2/3 cutoff.
 
     spectral_damping = (amp, order) adds the smooth near-cutoff damping of
-    _RealSpectral.damping_rate to the integrating factor.  It is essential
+    RealSpectral.damping_rate to the integrating factor.  It is essential
     for weak high-frequency dissipation (s <= 1/2 with small epsilon): the
     sharp 2/3 truncation otherwise excites a grid-scale wave packet at
     stagnation points once a front forms, and the packet rectifies through
@@ -330,17 +250,9 @@ def viscous_solve(
     grid = problem.grid
     ham = problem.hamiltonian
     forcing = problem.forcing
-    times = _clean_snapshot_times(snapshot_times, problem.T)
-    rs = _RealSpectral(grid)
-    lam = problem.epsilon * rs.symbol(problem.s)
-    if spectral_damping is not None:
-        amp, order = spectral_damping
-        if amp < 0.0 or not isinstance(order, int) or order < 1:
-            raise ValueError(f"spectral_damping must be (amp >= 0, integer order >= 1), got {spectral_damping}")
-        lam = lam + rs.damping_rate(amp, order)
+    times = clean_snapshot_times(snapshot_times, problem.T)
+    sp = grid.spectral
     h = grid.spacing
-    keep = rs.keep
-    dim = grid.dim
 
     f_static = None
     if getattr(forcing, "is_zero", False):
@@ -348,78 +260,59 @@ def viscous_solve(
     elif isinstance(forcing, ConstantForcing):
         f_static = forcing.c
 
-    def nonlinear(uh: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-        """Dealiased transform of f - H(Du); also returns sup |Du|."""
-        du = [rs.inv(1j * km * np.where(keep, uh, 0.0)) for km in rs.kms]
-        if dim == 1:
-            p = du[0][..., np.newaxis]
-            gsup2 = np.max(du[0] ** 2)
-        else:
-            p = np.stack(du, axis=-1)
-            gsup2 = np.max(du[0] ** 2 + du[1] ** 2)
-        nl = -ham.value(p)
+    # the nonlinear term's buffers; p is the dealiased gradient Du viewed
+    # with the component axis last, as HamiltonianSpec.value takes it
+    du = np.empty((grid.dim,) + grid.shape)
+    p = np.moveaxis(du, 0, -1)
+    dh = np.empty(sp.k2.shape, dtype=np.complex128)
+    nl = np.empty(grid.shape)
+
+    def gradient(uh: np.ndarray) -> float:
+        """Dealiased Du of uh into du; returns sup |Du| over the nodes."""
+        sp.gradient(uh, out=du, work=dh)
+        np.multiply(du[0], du[0], out=nl)
+        for g in du[1:]:
+            np.add(nl, g * g, out=nl)
+        return math.sqrt(float(nl.max()))
+
+    def nonlinear(uh: np.ndarray, t: float, out: np.ndarray) -> float:
+        """Dealiased transform of f - H(Du) into out; returns sup |Du|."""
+        gsup = gradient(uh)
+        ham.value(p, out=nl)
+        np.negative(nl, out=nl)
         if f_static is None:
-            nl += forcing.value(grid, t)
+            np.add(nl, forcing.value(grid, t), out=nl)
         elif f_static != 0.0:
-            nl += f_static
-        nh = rs.fwd(nl)
-        nh[~keep] = 0.0
-        return nh, float(math.sqrt(gsup2))
+            np.add(nl, f_static, out=nl)
+        sp.fwd(nl, out=out)
+        sp.truncate(out)
+        return gsup
 
-    factor_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    def dt_rule(gsup: float) -> float:
+        return dt_cfl * h / _quantize_speed(ham.grad_sup(gsup))
 
-    def factors(dt: float) -> tuple[np.ndarray, np.ndarray]:
-        got = factor_cache.get(dt)
-        if got is None:
-            e_half = np.exp(lam * (-0.5 * dt))
-            got = (e_half, e_half * e_half)
-            if len(factor_cache) > 64:
-                factor_cache.clear()
-            factor_cache[dt] = got
-        return got
-
-    uh = rs.fwd(problem.u0.values)
-    t = 0.0
-    n_steps = 0
     snaps: list[Field] = []
     k_prof: list[float] = []
     g_prof: list[float] = []
 
     def record(uh: np.ndarray, t: float) -> None:
-        vals = rs.inv(uh)
+        vals = sp.inv(uh)
         sup = float(np.max(np.abs(vals)))
         if not np.isfinite(sup) or sup > 1e6:
             raise BlowUpError(t, f"sup|u| = {sup:.3e}")
-        frac = rs.tail_fraction(uh)
+        frac = sp.tail_fraction(uh)
         if frac > 1e-6:
             raise TailGuardError(t, frac)
-        uh_d = np.where(keep, uh, 0.0)
-        du = [rs.inv(1j * km * uh_d) for km in rs.kms]
-        g2 = du[0] ** 2 if dim == 1 else du[0] ** 2 + du[1] ** 2
         snap = Field(grid, vals)
         snaps.append(snap)
         k_prof.append(second_difference_max(snap, curvature_scale))
-        g_prof.append(float(math.sqrt(np.max(g2))))
+        g_prof.append(gradient(uh))
 
-    tref = max(problem.T, 1.0)
-    for target in times:
-        while t < target - 1e-13 * tref:
-            k1, gsup = nonlinear(uh, t)
-            speed = _quantize_speed(ham.grad_sup(gsup))
-            dt = dt_cfl * h / speed
-            if t + dt >= target - 1e-13 * tref:
-                dt = target - t
-            e1, e2 = factors(dt)
-            k2, _ = nonlinear(e1 * (uh + (0.5 * dt) * k1), t + 0.5 * dt)
-            k3, _ = nonlinear(e1 * uh + (0.5 * dt) * k2, t + 0.5 * dt)
-            k4, _ = nonlinear(e2 * uh + dt * (e1 * k3), t + dt)
-            uh = e2 * uh + (dt / 6.0) * (e2 * k1 + 2.0 * (e1 * (k2 + k3)) + k4)
-            t += dt
-            n_steps += 1
-            if n_steps % 64 == 0 and not np.all(np.isfinite(uh)):
-                raise BlowUpError(t, "non-finite spectral coefficients")
-        t = target
-        record(uh, t)
+    n_steps = ifrk4_march(
+        grid, problem.epsilon, problem.s, spectral_damping, sp.fwd(problem.u0.values), nonlinear,
+        dt_rule=dt_rule, landings=times, t_ref=max(problem.T, 1.0), land=record,
+        nonfinite=lambda t: BlowUpError(t, "non-finite spectral coefficients"),
+    )
 
     return Trajectory(
         problem=problem,
@@ -435,46 +328,6 @@ def viscous_solve(
 # ---------------------------------------------------------------------------
 # Hopf-Lax oracle (eps = 0, f = 0, convex H)
 # ---------------------------------------------------------------------------
-
-
-def _u0_mode_table(u0: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Significant modes (kvecs, coefficients) of the trig interpolant of u0."""
-    grid = u0.grid
-    coeff = (np.fft.fftn(u0.values) / grid.n_total).reshape(-1)
-    scale = np.max(np.abs(coeff))
-    sig = np.abs(coeff) > 1e-14 * max(scale, 1e-300)
-    kvecs = np.stack([km.reshape(-1)[sig] for km in grid.k_mesh], axis=-1).astype(np.float64)
-    return kvecs, coeff[sig]
-
-
-def _u0_eval(kvecs: np.ndarray, cvals: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Evaluate the u0 interpolant at pts of shape (..., dim)."""
-    phase = pts.reshape(-1, pts.shape[-1]) @ kvecs.T
-    return (np.exp(1j * phase) @ cvals).real.reshape(pts.shape[:-1])
-
-
-def _grad_sup(u0: Field) -> float:
-    grid = u0.grid
-    coeff = np.fft.fftn(u0.values)
-    g2 = np.zeros(grid.shape)
-    for km in grid.k_mesh:
-        g2 += np.fft.ifftn(1j * km * coeff).real ** 2
-    return float(np.sqrt(np.max(g2)))
-
-
-def _scan_spacing(u0: Field) -> float:
-    """Conservative offset spacing: a quarter of the finest u0 oscillation."""
-    grid = u0.grid
-    coeff = np.fft.fftn(u0.values) / grid.n_total
-    scale = np.max(np.abs(coeff))
-    kmax = 1.0
-    if scale > 0.0:
-        sig = np.abs(coeff) > 1e-12 * scale
-        for km in grid.k_mesh:
-            got = np.abs(km[sig])
-            if got.size:
-                kmax = max(kmax, float(np.max(got)))
-    return math.pi / (4.0 * kmax)
 
 
 def _golden_refine(obj, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -515,6 +368,49 @@ def _require_oracle_applicable(problem: ProblemSpec) -> None:
         raise ValueError("hopf_lax_oracle requires zero forcing")
 
 
+def _offset_scan(problem: ProblemSpec, t: float) -> tuple[LagrangianSpec, float, np.ndarray]:
+    """Lagrangian, scan spacing and candidate offsets of the oracle at time t.
+
+    The spacing is a quarter of the finest oscillation of u0; the scan radius
+    t * sup |D_p H(Du0)| + 2pi covers every candidate minimizer plus one period.
+    """
+    grid = problem.u0.grid
+    coeff = np.fft.fftn(problem.u0.values)
+    sig = np.abs(coeff) > 1e-12 * np.max(np.abs(coeff))
+    g2 = np.zeros(grid.shape)
+    kmax = 1.0
+    for km in grid.k_mesh:
+        g2 += np.fft.ifftn(1j * km * coeff).real ** 2
+        if np.any(sig):
+            kmax = max(kmax, float(np.max(np.abs(km[sig]))))
+    radius = t * problem.hamiltonian.grad_sup(float(np.sqrt(np.max(g2)))) + TWO_PI
+    delta = math.pi / (4.0 * kmax)
+    m = int(math.ceil(2.0 * radius / delta)) + 1
+    return LagrangianSpec(problem.hamiltonian, tol=1e-12), delta, np.linspace(-radius, radius, m)
+
+
+def _minimize_1d(problem: ProblemSpec, t: float, xs: np.ndarray, kvecs: np.ndarray,
+                 cvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizing offsets d and values min_d [u0(x - d) + t L(d / t)] at the points xs (1-D)."""
+    lag, delta, offsets = _offset_scan(problem, t)
+    lvals = t * legendre_batch(lag, (offsets / t)[:, np.newaxis])
+
+    # coarse scan in manageable chunks of evaluation points
+    best_d = np.empty(xs.size)
+    chunk = max(1, int(2e6) // offsets.size)
+    for i0 in range(0, xs.size, chunk):
+        x = xs[i0 : i0 + chunk]
+        vals = eval_modes(kvecs, cvals, (x[:, None] - offsets[None, :])[..., np.newaxis])
+        vals = vals + lvals[None, :]
+        best_d[i0 : i0 + chunk] = offsets[np.argmin(vals, axis=1)]
+
+    def objective(d: np.ndarray) -> np.ndarray:
+        u0v = eval_modes(kvecs, cvals, (xs - d)[..., np.newaxis])
+        return u0v + t * legendre_batch(lag, (d / t)[..., np.newaxis])
+
+    return _golden_refine(objective, best_d - delta, best_d + delta, 1e-10)
+
+
 def hopf_lax_oracle(problem: ProblemSpec, t: float, x_points: np.ndarray | None = None):
     """Inviscid solution u(x, t) = min_y [ u0(y) + t L((x - y)/t) ].
 
@@ -539,44 +435,20 @@ def hopf_lax_oracle(problem: ProblemSpec, t: float, x_points: np.ndarray | None 
         pts = np.asarray(x_points, dtype=np.float64)
         if grid.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
             pts = pts[..., np.newaxis]
-    kvecs, cvals = _u0_mode_table(problem.u0)
+    kvecs, cvals = mode_table(problem.u0, 1e-14)
     if t == 0.0 or problem.hamiltonian.is_zero:
-        vals = _u0_eval(kvecs, cvals, pts)
+        vals = eval_modes(kvecs, cvals, pts)
         return finish(vals if x_points is None else None, vals)
-
-    ham = problem.hamiltonian
-    lag = LagrangianSpec(ham, tol=1e-12)
-    radius = t * ham.grad_sup(_grad_sup(problem.u0)) + TWO_PI
-    delta = _scan_spacing(problem.u0)
-    m = int(math.ceil(2.0 * radius / delta)) + 1
-    offsets = np.linspace(-radius, radius, m)
 
     flat_pts = pts.reshape(-1, grid.dim)
     npts = flat_pts.shape[0]
-
     if grid.dim == 1:
-        lvals = t * legendre_batch(lag, (offsets / t)[:, np.newaxis])
-
-        # coarse scan in manageable chunks of evaluation points
-        best_d = np.empty(npts)
-        chunk = max(1, int(2e6) // m)
-        for i0 in range(0, npts, chunk):
-            xs = flat_pts[i0 : i0 + chunk, 0]
-            vals = _u0_eval(kvecs, cvals, (xs[:, None] - offsets[None, :])[..., np.newaxis])
-            vals = vals + lvals[None, :]
-            best_d[i0 : i0 + chunk] = offsets[np.argmin(vals, axis=1)]
-
-        xs = flat_pts[:, 0]
-
-        def objective(d: np.ndarray) -> np.ndarray:
-            u0v = _u0_eval(kvecs, cvals, (xs - d)[..., np.newaxis])
-            return u0v + t * legendre_batch(lag, (d / t)[..., np.newaxis])
-
-        dstar, vals = _golden_refine(objective, best_d - delta, best_d + delta, 1e-10)
+        _, vals = _minimize_1d(problem, t, flat_pts[:, 0], kvecs, cvals)
         out = vals.reshape(pts.shape[:-1])
         return finish(out if x_points is None else None, out)
 
     # dim == 2: coarse scan over an offset lattice, then coordinate descent
+    lag, delta, offsets = _offset_scan(problem, t)
     d1, d2 = np.meshgrid(offsets, offsets, indexing="ij")
     dlat = np.stack([d1.reshape(-1), d2.reshape(-1)], axis=-1)
     lvals = t * legendre_batch(lag, dlat / t)
@@ -584,7 +456,7 @@ def hopf_lax_oracle(problem: ProblemSpec, t: float, x_points: np.ndarray | None 
     chunk = max(1, int(4e6) // dlat.shape[0])
     for i0 in range(0, npts, chunk):
         xs = flat_pts[i0 : i0 + chunk]
-        vals = _u0_eval(kvecs, cvals, xs[:, None, :] - dlat[None, :, :]) + lvals[None, :]
+        vals = eval_modes(kvecs, cvals, xs[:, None, :] - dlat[None, :, :]) + lvals[None, :]
         best[i0 : i0 + chunk] = dlat[np.argmin(vals, axis=1)]
 
     cur = best
@@ -594,7 +466,7 @@ def hopf_lax_oracle(problem: ProblemSpec, t: float, x_points: np.ndarray | None 
             dd = np.empty((d.size, 2))
             dd[:, axis] = d
             dd[:, 1 - axis] = other
-            return _u0_eval(kvecs, cvals, flat_pts - dd) + t * legendre_batch(lag, dd / t)
+            return eval_modes(kvecs, cvals, flat_pts - dd) + t * legendre_batch(lag, dd / t)
 
         return obj
 
@@ -622,23 +494,8 @@ def hopf_lax_minimizers(problem: ProblemSpec, t: float, x_points: np.ndarray) ->
         raise ValueError("minimizer extraction is provided for dim == 1 only")
     if t <= 0.0 or problem.hamiltonian.is_zero:
         return np.zeros(np.asarray(x_points, dtype=np.float64).shape)
-    ham = problem.hamiltonian
-    lag = LagrangianSpec(ham, tol=1e-12)
-    kvecs, cvals = _u0_mode_table(problem.u0)
-    radius = t * ham.grad_sup(_grad_sup(problem.u0)) + TWO_PI
-    delta = _scan_spacing(problem.u0)
-    m = int(math.ceil(2.0 * radius / delta)) + 1
-    offsets = np.linspace(-radius, radius, m)
-    lvals = t * legendre_batch(lag, (offsets / t)[:, np.newaxis])
-    xs = np.asarray(x_points, dtype=np.float64).reshape(-1)
-    vals = _u0_eval(kvecs, cvals, (xs[:, None] - offsets[None, :])[..., np.newaxis]) + lvals[None, :]
-    best_d = offsets[np.argmin(vals, axis=1)]
-
-    def objective(d: np.ndarray) -> np.ndarray:
-        u0v = _u0_eval(kvecs, cvals, (xs - d)[..., np.newaxis])
-        return u0v + t * legendre_batch(lag, (d / t)[..., np.newaxis])
-
-    dstar, _ = _golden_refine(objective, best_d - delta, best_d + delta, 1e-10)
+    kvecs, cvals = mode_table(problem.u0, 1e-14)
+    dstar, _ = _minimize_1d(problem, t, np.asarray(x_points, dtype=np.float64).reshape(-1), kvecs, cvals)
     return dstar.reshape(np.asarray(x_points).shape)
 
 
@@ -667,7 +524,7 @@ def monotone_reference(
     grid = problem.grid
     ham = problem.hamiltonian
     forcing = problem.forcing
-    times = _clean_snapshot_times(snapshot_times, problem.T)
+    times = clean_snapshot_times(snapshot_times, problem.T)
 
     fine = refine(problem.u0, fine_factor)
     fgrid = fine.grid

@@ -32,8 +32,8 @@ from fracvisc.hj import (
     BlowUpError,
     ProblemSpec,
     TailGuardError,
-    Trajectory,
     ZeroForcing,
+    clean_snapshot_times,
     hopf_lax_oracle,
     monotone_reference,
     viscous_solve,
@@ -55,6 +55,7 @@ __all__ = [
     "OneSidedReport",
     "one_sided_check",
     "emit_report",
+    "fit_entry",
     "format_float",
 ]
 
@@ -198,16 +199,16 @@ class SweepPlan:
             raise ValueError(f"reference must be 'hopf_lax' or 'monotone', got {self.reference!r}")
         if self.reference == "hopf_lax" and not getattr(self.forcing, "is_zero", False):
             raise ValueError("the hopf_lax reference requires zero forcing")
-        if not self.snapshot_times:
-            object.__setattr__(
-                self, "snapshot_times", tuple(np.linspace(0.0, self.T, 16).tolist())
-            )
-        tsnap = tuple(sorted(set(float(t) for t in self.snapshot_times)))
-        if tsnap[0] < 0.0 or tsnap[-1] > self.T * (1 + 1e-12):
-            raise ValueError("snapshot times must lie in [0, T]")
-        object.__setattr__(self, "snapshot_times", tsnap)
+        tsnap = clean_snapshot_times(self.snapshot_times or None, self.T)
+        object.__setattr__(self, "snapshot_times", tuple(tsnap.tolist()))
         if self.n_points is not None and (self.n_points < 8 or self.n_points & (self.n_points - 1)):
             raise ValueError("explicit n_points must be a power of two >= 8")
+
+    def problem(self, s: float, eps: float, n: int) -> ProblemSpec:
+        """The Cauchy problem of one cell (eps = 0 for the reference) on n points per axis."""
+        grid = TorusGrid(self.dim, n)
+        return ProblemSpec(grid=grid, s=s, epsilon=eps, hamiltonian=self.hamiltonian,
+                           u0=self.u0.build(grid), forcing=self.forcing, T=self.T)
 
     def n_for(self, s: float, eps: float) -> int:
         if self.n_points is not None:
@@ -263,16 +264,7 @@ class SweepResult:
 def _cell_worker(args: tuple) -> tuple[float, float, object]:
     """Solve one sweep cell and measure its errors (picklable worker)."""
     (plan, s, eps, n_cell, eval_n, ref_values) = args
-    grid = TorusGrid(plan.dim, n_cell)
-    problem = ProblemSpec(
-        grid=grid,
-        s=s,
-        epsilon=eps,
-        hamiltonian=plan.hamiltonian,
-        u0=plan.u0.build(grid),
-        forcing=plan.forcing,
-        T=plan.T,
-    )
+    problem = plan.problem(s, eps, n_cell)
     try:
         traj = viscous_solve(problem, dt_cfl=plan.dt_cfl, snapshot_times=plan.snapshot_times)
     except (BlowUpError, TailGuardError) as exc:
@@ -313,16 +305,7 @@ def _cell_worker(args: tuple) -> tuple[float, float, object]:
 
 def _reference_values(plan: SweepPlan, s: float, eval_n: int) -> list[np.ndarray]:
     """Inviscid reference snapshots on the evaluation grid."""
-    grid = TorusGrid(plan.dim, eval_n)
-    problem = ProblemSpec(
-        grid=grid,
-        s=s,
-        epsilon=0.0,
-        hamiltonian=plan.hamiltonian,
-        u0=plan.u0.build(grid),
-        forcing=plan.forcing,
-        T=plan.T,
-    )
+    problem = plan.problem(s, 0.0, eval_n)
     if plan.reference == "hopf_lax":
         return [hopf_lax_oracle(problem, t).values for t in plan.snapshot_times]
     traj = monotone_reference(problem, plan.fine_factor, snapshot_times=plan.snapshot_times)
@@ -532,6 +515,29 @@ def _p_label(p: float) -> str:
     return "inf" if math.isinf(p) else f"{p:g}"
 
 
+def fit_entry(s: float, p: float, eps: np.ndarray, err: np.ndarray) -> tuple[str, dict]:
+    """report.json key and entry of one (s, p) slice: both rate fits, target and verdict."""
+    key = f"s={s:g},p={_p_label(p)}"
+    if eps.size < 3 or np.any(err <= 0):
+        return key, {"status": "insufficient data", "n_points": int(eps.size)}
+    fit = fit_rate(eps, err)
+    target = target_exponent(s, p)
+    entry = {
+        "model": fit.preferred,
+        "exponent": fit.exponent,
+        "prefactor": fit.prefactor,
+        "residual_power": fit.residual_power,
+        "prefactor_log": fit.prefactor_log,
+        "residual_power_log": fit.residual_power_log,
+        "n_points": fit.n_used,
+        "target": target,
+    }
+    if target is not None:
+        allow_log = s == 0.5 and math.isinf(p)
+        entry["passed"] = bool(fit.accepted_exponent(allow_log) >= target - 0.1)
+    return key, entry
+
+
 def emit_report(
     result: SweepResult,
     out_dir: str,
@@ -564,30 +570,7 @@ def emit_report(
     with open(os.path.join(out_dir, "rates.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    fits = {}
-    for s in plan.s_values:
-        for p in plan.p_values:
-            eps, err = result.errors_for(s, p)
-            key = f"s={s:g},p={_p_label(p)}"
-            if eps.size < 3 or np.any(err <= 0):
-                fits[key] = {"status": "insufficient data", "n_points": int(eps.size)}
-                continue
-            fit = fit_rate(eps, err)
-            target = target_exponent(s, p)
-            allow_log = s == 0.5 and math.isinf(p)
-            entry = {
-                "model": fit.preferred,
-                "exponent": fit.exponent,
-                "prefactor": fit.prefactor,
-                "residual_power": fit.residual_power,
-                "prefactor_log": fit.prefactor_log,
-                "residual_power_log": fit.residual_power_log,
-                "n_points": fit.n_used,
-                "target": target,
-            }
-            if target is not None:
-                entry["passed"] = bool(fit.accepted_exponent(allow_log) >= target - 0.1)
-            fits[key] = entry
+    fits = dict(fit_entry(s, p, *result.errors_for(s, p)) for s in plan.s_values for p in plan.p_values)
 
     report = {
         "fits": fits,

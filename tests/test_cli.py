@@ -89,6 +89,14 @@ def test_parse_config_value_errors():
         parse_config("just words\n")
 
 
+@pytest.mark.parametrize("value", ["const:abc", "cos_wave:1,x", "const:nan", "cos_wave:inf,1"])
+def test_bad_forcing_value_names_key_and_line(tmp_path, value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"T = 1.0\nforcing = {value}\n")
+    assert exc.value.key == "forcing" and exc.value.line == 2
+    assert main(["solve", "--config", write_cfg(tmp_path, f"forcing = {value}\n")]) == 2
+
+
 def test_parse_config_comments_and_echo_roundtrip():
     text = "# experiment\nT = 1.25  # short horizon\n\nseed = 7\n"
     cfg = parse_config(text)
@@ -205,6 +213,24 @@ snapshot_count = 16
     assert chk["mass_drift"] <= 1e-12
     rho_files = [n for n in os.listdir(out) if n.startswith("rho_")]
     assert len(rho_files) == 16
+
+
+def test_cli_dual_check_solves_each_viscosity_once(tmp_path, monkeypatch):
+    import fracvisc.cli as cli
+
+    solved = []
+    solve = cli.viscous_solve
+
+    def counting_solve(problem, **kwargs):
+        solved.append(problem.epsilon)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(cli, "viscous_solve", counting_solve)
+    cfg = write_cfg(tmp_path, BASE.replace("n_points = 256", "n_points = 64")
+                    + "epsilon_list = 0.2,0.1,0.05\nhamiltonian = quadratic\np_list = 2\nT = 0.5\n")
+    assert main(["dual-check", "--config", cfg, "--output", str(tmp_path / "d")]) == 0
+    # the pairs (0.2, 0.1) and (0.1, 0.05) share the 0.1 solve on one grid
+    assert solved == [0.2, 0.1, 0.05]
 
 
 def test_cli_dual_check_needs_pair_and_finite_p(tmp_path):

@@ -58,11 +58,14 @@ def test_forcing_providers():
     assert np.all(cf.value(g, 0.1) == 2.5) and cf.semiconcavity(3.0) == 0.0
     wf = CosWaveForcing(amp=0.3, omega=2.0)
     x = g.nodes()[0]
-    assert np.allclose(wf.value(g, 0.5), 0.3 * np.cos(x - 1.0))
+    # bitwise the direct formula on freshly built nodes, at every call
+    for t in (0.5, 0.0, 0.5, 1.7):
+        assert np.array_equal(wf.value(g, t), 0.3 * np.cos(x - 2.0 * t))
     assert wf.semiconcavity(0.5) == pytest.approx(0.3)
     g2 = TorusGrid(2, 16)
     v2 = wf.value(g2, 0.0)
     assert v2.shape == g2.shape
+    assert np.array_equal(wf.value(g2, 0.3), 0.3 * np.cos(g2.nodes()[0] - 2.0 * 0.3))
     # the wave varies along the first axis only
     assert np.allclose(v2, v2[:, :1]) and not np.allclose(v2, v2[:1, :])
 
