@@ -25,7 +25,7 @@ from fracvisc.torus import (
 from fracvisc.hamiltonians import HamiltonianSpec, make_hamiltonian, ham_eval, LagrangianSpec, legendre_transform
 from fracvisc.hj import (ZeroForcing, ConstantForcing, CosWaveForcing, ProblemSpec, Trajectory, viscous_solve,
                          hopf_lax_oracle, monotone_reference, semiconcavity_profile)
-from fracvisc.dual import DriftField, DualSolution, build_drift, dual_solve, gronwall_check, duality_residual
+from fracvisc.dual import DriftField, DualSolution, DualBatch, build_drift, dual_solve, gronwall_check, duality_residual
 from fracvisc.rates import SweepPlan, RateFit, run_sweep, fit_rate, one_sided_check, emit_report
 
 __version__ = "0.1.0"

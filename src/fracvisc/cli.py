@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from fracvisc.config import ConfigError, ExperimentConfig, parse_config_file, parse_config
-from fracvisc.dual import build_drift, dual_solve, duality_residual, gronwall_check, lp_dual_datum
+from fracvisc.dual import DualSolution, build_drift, dual_solve, duality_residual, gronwall_check, lp_dual_datum
 from fracvisc.hamiltonians import LagrangianSpec, legendre_transform, make_hamiltonian
 from fracvisc.hj import ProblemSpec, Trajectory, ZeroForcing, hopf_lax_oracle, monotone_reference, viscous_solve
 from fracvisc.rates import (
@@ -89,7 +89,7 @@ def _snapshot_csv(field: Field, path: str) -> None:
                     fh.write(f"{i},{j},{format_float(vals[i, j])}\n")
 
 
-def _export_trajectory(traj: Trajectory, out_dir: str, prefix: str, tag: str) -> list[str]:
+def _export_trajectory(traj: Trajectory | DualSolution, out_dir: str, prefix: str, tag: str) -> list[str]:
     names = []
     for t, snap in zip(traj.times, traj.snapshots):
         name = f"{prefix}_{tag}_t{t:g}.csv"
@@ -131,13 +131,21 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
+def _threads() -> int:
+    """Sweep workers from FRACVISC_THREADS (default 1)."""
+    raw = os.environ.get("FRACVISC_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"FRACVISC_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def _cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     plan = _build_plan(cfg)
     _log(
         f"sweep: s={list(plan.s_values)} eps ladder of {len(plan.epsilons)} "
         f"entries, reference={plan.reference}"
     )
-    result = run_sweep(plan)
+    result = run_sweep(plan, threads=_threads())
     for s, eps, reason in result.failures:
         _log(f"sweep: cell (s={s:g}, eps={eps:g}) failed: {reason}")
     one_sided = None
@@ -180,15 +188,18 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
         traj_eta = traj_prev = viscous_solve(cfg.problem(s, eta, grid), dt_cfl=cfg.dt_cfl, snapshot_times=times)
         drift = build_drift(traj_eps, traj_eta, mollify_scale=cfg.mollify_scale)
         w_tau = Field(grid, traj_eps.snapshots[-1].values - traj_eta.snapshots[-1].values)
+        data = []  # (q, terminal datum) for every q whose datum exists
         for q in qs:
-            try:
-                alpha = lp_dual_datum(w_tau, q, "positive")
-            except ValueError:
+            for part in ("positive", "negative"):
                 try:
-                    alpha = lp_dual_datum(w_tau, q, "negative")
+                    data.append((q, lp_dual_datum(w_tau, q, part)))
+                    break
                 except ValueError:
-                    continue
-            dual = dual_solve(drift, eta, alpha, cfg.T, dt_cfl=cfg.dt_cfl)
+                    pass
+        if not data:
+            continue
+        duals = dual_solve(drift, eta, [alpha for _, alpha in data], cfg.T, dt_cfl=cfg.dt_cfl)
+        for (q, _), dual in zip(data, duals):
             rep = gronwall_check(dual, drift, q)
             residual = duality_residual(dual, traj_eps, traj_eta)
             worst_ratio = max(worst_ratio, rep.max_ratio)
@@ -223,16 +234,14 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def _export_trajectory_dual(dual, out_dir: str, eps: float, eta: float) -> None:
-    for t, snap in zip(dual.times, dual.snapshots):
-        name = f"rho_eps{eps:g}_eta{eta:g}_t{t:g}.csv"
-        _snapshot_csv(snap, os.path.join(out_dir, name))
+def _export_trajectory_dual(dual: DualSolution, out_dir: str, eps: float, eta: float) -> None:
+    _export_trajectory(dual, out_dir, "rho", f"eps{eps:g}_eta{eta:g}")
 
 
 def _cmd_one_sided(cfg: ExperimentConfig, out_dir: str) -> int:
     if 0.5 not in cfg.s_list:
         raise ConfigError("one-sided requires s_list to contain 0.5")
-    result = run_sweep(dataclasses.replace(_build_plan(cfg), s_values=(0.5,)))
+    result = run_sweep(dataclasses.replace(_build_plan(cfg), s_values=(0.5,)), threads=_threads())
     report = one_sided_check(result)
     os.makedirs(out_dir, exist_ok=True)
     payload = {
@@ -267,13 +276,13 @@ def _cmd_report(out_dir: str) -> int:
         header = fh.readline().strip()
         if header != "s,p,epsilon,error,norm,ref_kind":
             raise ConfigError(f"{path} does not look like a rates table")
-        for line in fh:
-            svals = line.strip().split(",")
-            if len(svals) != 6:
-                continue
-            s = float(svals[0])
-            p = math.inf if svals[1] == "inf" else float(svals[1])
-            slices.setdefault((s, p), []).append((float(svals[2]), float(svals[3])))
+        for lineno, line in enumerate(fh, start=2):
+            try:  # a wrong field count or a non-numeric field raises ValueError
+                s, p, eps, err, _norm, _ref_kind = line.strip().split(",")
+                s, p, eps, err = float(s), float(p), float(eps), float(err)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: malformed rates row: {exc}", line=lineno) from None
+            slices.setdefault((s, p), []).append((eps, err))
     fits = dict(fit_entry(s, p, *np.array(pts).T) for (s, p), pts in sorted(slices.items()))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump({"fits": fits, "source": "rates.csv"}, fh, indent=2, sort_keys=True)

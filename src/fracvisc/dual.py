@@ -23,6 +23,7 @@ forward trajectories, which must share it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from fracvisc.torus import Field, TorusGrid, frac_laplacian, ifrk4_march, lp_nor
 __all__ = [
     "DriftField",
     "DualSolution",
+    "DualBatch",
     "build_drift",
     "dual_solve",
     "GronwallReport",
@@ -201,15 +203,23 @@ class DualSolution:
         return self.snapshots[i]
 
 
+class DualBatch(tuple):
+    """The DualSolutions of one batched dual_solve call, in datum order."""
+
+    @property
+    def n_steps(self) -> int:  # the march is shared, and so is its step count
+        return self[0].n_steps
+
+
 def dual_solve(
     drift: DriftField,
     eta: float,
-    alpha: Field,
+    alpha: Field | Sequence[Field],
     tau: float,
     dt_cfl: float = 0.5,
     snapshot_times=None,
     spectral_damping: tuple[float, int] | None = (3000.0, 8),
-) -> DualSolution:
+) -> DualSolution | DualBatch:
     """Integrate the backward dual equation with integrating-factor RK4.
 
     In the reversed time sigma = tau - t the equation becomes
@@ -225,13 +235,21 @@ def dual_solve(
     spectral_damping adds the same smooth near-cutoff damping as the
     forward solver (see viscous_solve); it does not touch the k = 0 mode,
     so mass conservation is unaffected.
+
+    alpha is one terminal datum, giving a DualSolution, or a sequence of
+    them, giving a DualBatch: one march for all data, the drift interpolated
+    once per stage time, and each datum's numbers bitwise those of its own
+    solve.
     """
     if eta < 0.0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     if not 0.0 < dt_cfl <= 0.6:
         raise ValueError(f"dt_cfl must lie in (0, 0.6], got {dt_cfl}")
     grid = drift.grid
-    if alpha.grid != grid:
+    alphas = (alpha,) if isinstance(alpha, Field) else tuple(alpha)
+    if not alphas:
+        raise ValueError("dual_solve needs at least one terminal datum")
+    if any(a.grid != grid for a in alphas):
         raise ValueError("alpha lives on a different grid than the drift")
     if not (0.0 < tau <= drift.times[-1] * (1.0 + 1e-12)):
         raise ValueError(f"tau must lie in (0, {drift.times[-1]}], got {tau}")
@@ -250,66 +268,62 @@ def dual_solve(
     def lost(sigma: float) -> RuntimeError:
         return RuntimeError(f"dual solve lost finiteness at sigma={sigma:.6g}")
 
-    # the nonlinear term's buffers: the dealiased rho in both spaces, the
-    # drift at the stage time and one flux component in both spaces
-    rh_d = np.empty(sp.k2.shape, dtype=np.complex128)
-    rho = np.empty(grid.shape)
+    # the nonlinear term's buffers: the dealiased rho of every datum in both
+    # spaces, the drift at the last stage time, one flux component per datum
+    rh_d = np.empty((len(alphas),) + sp.k2.shape, dtype=np.complex128)
+    rho = np.empty((len(alphas),) + grid.shape)
     b = np.empty(grid.shape + (grid.dim,))
     b_work = np.empty_like(b)
-    flux = np.empty(grid.shape)
+    b_sigma = None
+    flux = np.empty_like(rho)
     fh = np.empty_like(rh_d)
+    minus_ik = [-ik for ik in sp.ik]
 
     def nonlinear(rh: np.ndarray, sigma: float, nh: np.ndarray) -> None:
-        """-div(b rho) of the dealiased rho, dealiased, into nh."""
+        """-div(b rho) of the dealiased rho into nh, dealiased because ik is."""
+        nonlocal b_sigma
         np.copyto(rh_d, rh)
         sp.truncate(rh_d)
         sp.inv(rh_d, out=rho)
-        drift.interpolate(tau - sigma, out=b, work=b_work)
-        nh[...] = 0.0
-        for ax, ik in enumerate(sp.ik):
+        if sigma != b_sigma:
+            drift.interpolate(tau - sigma, out=b, work=b_work)
+            b_sigma = sigma
+        for ax, mik in enumerate(minus_ik):
             np.multiply(b[..., ax], rho, out=flux)
-            sp.fwd(flux, out=fh)
-            np.multiply(ik, fh, out=fh)
-            np.subtract(nh, fh, out=nh)
-        sp.truncate(nh)
+            dst = fh if ax else nh
+            np.multiply(mik, sp.fwd(flux, out=dst), out=dst)
+            if ax:
+                np.add(nh, fh, out=nh)
 
-    out: dict[float, Field] = {}
-    min_value = float(np.min(alpha.values))
+    out: dict[float, list[Field]] = {}
 
     def land(rh: np.ndarray, sigma: float) -> None:
-        nonlocal min_value
         vals = sp.inv(rh)
         if not np.all(np.isfinite(vals)):
             raise lost(sigma)
-        min_value = min(min_value, float(np.min(vals)))
-        out[tau - sigma] = Field(grid, vals)
+        out[tau - sigma] = [Field(grid, v) for v in vals]
 
-    rh = sp.fwd(alpha.values)
-    mass0 = float(rh.flat[0].real) / grid.n_total
+    rh = sp.fwd(np.stack([a.values for a in alphas]))
+    masses0 = [float(r.flat[0].real) / grid.n_total for r in rh]
     n_steps = ifrk4_march(
         grid, eta, drift.s, spectral_damping, rh, nonlinear,
-        dt_rule=lambda _: dt0, landings=sigmas, t_ref=max(tau, 1.0), land=land, nonfinite=lost,
+        dt_rule=lambda: dt0, landings=sigmas, t_ref=max(tau, 1.0), land=land, nonfinite=lost,
     )
 
     times = np.asarray(sorted(out.keys()))
-    snapshots = tuple(out[t] for t in times)
-    mass_end = float(sp.fwd(snapshots[0].values).flat[0].real) / grid.n_total
-    mass_scale = max(abs(mass0), 1e-300)
-    mass_drift = abs(mass_end - mass0) / mass_scale
-    if mass_drift > 1e-12:
-        raise RuntimeError(f"dual solve lost mass: relative drift {mass_drift:.3e}")
-    return DualSolution(
-        grid=grid,
-        eta=eta,
-        s=drift.s,
-        tau=tau,
-        times=times,
-        snapshots=snapshots,
-        alpha=alpha,
-        min_value=min_value,
-        mass_drift=mass_drift,
-        n_steps=n_steps,
-    )
+    solutions = []
+    for i, (a, mass0) in enumerate(zip(alphas, masses0)):
+        snapshots = tuple(out[t][i] for t in times)
+        min_value = min(float(np.min(a.values)), *(float(np.min(f.values)) for f in snapshots))
+        mass_end = float(sp.fwd(snapshots[0].values).flat[0].real) / grid.n_total
+        mass_drift = abs(mass_end - mass0) / max(abs(mass0), 1e-300)
+        if mass_drift > 1e-12:
+            raise RuntimeError(f"dual solve lost mass: relative drift {mass_drift:.3e}")
+        solutions.append(DualSolution(
+            grid=grid, eta=eta, s=drift.s, tau=tau, times=times, snapshots=snapshots, alpha=a,
+            min_value=min_value, mass_drift=mass_drift, n_steps=n_steps,
+        ))
+    return solutions[0] if isinstance(alpha, Field) else DualBatch(solutions)
 
 
 @dataclass(frozen=True)

@@ -56,17 +56,16 @@ class HamiltonianSpec:
         """
         q = self._as_points(p)
         out = np.empty(q.shape[:-1]) if out is None else out
-        ones = (1.0,) * self.dim
         if self.kind == "log_cosh_regularized":
             np.cosh(q[..., 0], out=out)
             out -= 1.0
             for j in range(1, self.dim):
                 out += np.cosh(q[..., j]) - 1.0
-            out += 0.5 * self.params[0] * _weighted_squares(q, ones)
+            out += 0.5 * self.params[0] * _weighted_squares(q)
         elif self.kind == "zero":
             out[...] = 0.0
         else:
-            _weighted_squares(q, self.params if self.kind == "anisotropic_quadratic" else ones, out)
+            _weighted_squares(q, self.params if self.kind == "anisotropic_quadratic" else None, out)
             out *= 0.5
         return out
 
@@ -120,12 +119,14 @@ class HamiltonianSpec:
         return self.kind == "zero"
 
 
-def _weighted_squares(q: np.ndarray, weights, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_j m_j q_j q_j over the last axis of q, in the order j = 0, 1."""
-    out = np.multiply(weights[0], q[..., 0], out=out)
-    out *= q[..., 0]
-    for j in range(1, q.shape[-1]):
-        out += weights[j] * q[..., j] * q[..., j]
+def _weighted_squares(q: np.ndarray, weights=None, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j m_j q_j q_j over the last axis of q, in the order j = 0, 1; m_j = 1 when weights is None."""
+    for j in range(q.shape[-1]):
+        mq = q[..., j] if weights is None else weights[j] * q[..., j]
+        if j == 0:
+            out = np.multiply(mq, q[..., 0], out=out)
+        else:
+            out += mq * q[..., j]
     return out
 
 

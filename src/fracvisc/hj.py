@@ -267,17 +267,16 @@ def viscous_solve(
     dh = np.empty(sp.k2.shape, dtype=np.complex128)
     nl = np.empty(grid.shape)
 
-    def gradient(uh: np.ndarray) -> float:
-        """Dealiased Du of uh into du; returns sup |Du| over the nodes."""
-        sp.gradient(uh, out=du, work=dh)
+    def grad_sup() -> float:
+        """sup |Du| over the nodes of the gradient held in du."""
         np.multiply(du[0], du[0], out=nl)
         for g in du[1:]:
             np.add(nl, g * g, out=nl)
         return math.sqrt(float(nl.max()))
 
-    def nonlinear(uh: np.ndarray, t: float, out: np.ndarray) -> float:
-        """Dealiased transform of f - H(Du) into out; returns sup |Du|."""
-        gsup = gradient(uh)
+    def nonlinear(uh: np.ndarray, t: float, out: np.ndarray) -> None:
+        """Dealiased transform of f - H(Du) into out; Du stays in du."""
+        sp.gradient(uh, out=du, work=dh)
         ham.value(p, out=nl)
         np.negative(nl, out=nl)
         if f_static is None:
@@ -286,10 +285,9 @@ def viscous_solve(
             np.add(nl, f_static, out=nl)
         sp.fwd(nl, out=out)
         sp.truncate(out)
-        return gsup
 
-    def dt_rule(gsup: float) -> float:
-        return dt_cfl * h / _quantize_speed(ham.grad_sup(gsup))
+    def dt_rule() -> float:
+        return dt_cfl * h / _quantize_speed(ham.grad_sup(grad_sup()))
 
     snaps: list[Field] = []
     k_prof: list[float] = []
@@ -306,7 +304,8 @@ def viscous_solve(
         snap = Field(grid, vals)
         snaps.append(snap)
         k_prof.append(second_difference_max(snap, curvature_scale))
-        g_prof.append(gradient(uh))
+        sp.gradient(uh, out=du, work=dh)
+        g_prof.append(grad_sup())
 
     n_steps = ifrk4_march(
         grid, problem.epsilon, problem.s, spectral_damping, sp.fwd(problem.u0.values), nonlinear,

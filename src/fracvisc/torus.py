@@ -446,7 +446,8 @@ class RealSpectral:
     arrays are read-only because every solve on the grid shares them.  ik[j]
     is the multiplier i k_j with the modes beyond the 2/3 cutoff zeroed, so
     ik[j] * c is the dealiased j-th derivative; tail lists those modes as
-    slices of the rfft layout.  fwd and inv write into out when it is given.
+    slices of the rfft layout.  fwd, inv and truncate also take a batch of
+    fields stacked on leading axes; fwd and inv write into out when given.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -457,14 +458,14 @@ class RealSpectral:
         if grid.dim == 1:
             kms = [khalf]
             k2 = khalf**2
-            self.tail = ((slice(cutoff + 1, None),),)
+            self.tail = ((..., slice(cutoff + 1, None)),)
         else:
             kx, ky = np.meshgrid(kfull, khalf, indexing="ij")
             kms = [kx, ky]
             k2 = kx**2 + ky**2
             self.tail = (
-                (slice(cutoff + 1, n - cutoff), slice(None)),
-                (slice(None), slice(cutoff + 1, None)),
+                (..., slice(cutoff + 1, n - cutoff), slice(None)),
+                (..., slice(cutoff + 1, None)),
             )
         self.k2 = k2
         keep = np.ones(k2.shape, dtype=bool)
@@ -480,7 +481,7 @@ class RealSpectral:
         for arr in (k2, keep, *self.ik, w):
             arr.setflags(write=False)
         self.shape = grid.shape
-        self.axes = tuple(range(grid.dim))
+        self.axes = tuple(range(-grid.dim, 0))
         self.grid = grid
 
     def symbol(self, s: float) -> np.ndarray:
@@ -502,7 +503,9 @@ class RealSpectral:
         return amp * kc * (self.k2 / (kc * kc)) ** order
 
     def fwd(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.fft.rfftn(values, out=out)
+        if values.ndim == len(self.axes):  # axes= costs a few µs per call
+            return np.fft.rfftn(values, out=out)
+        return np.fft.rfftn(values, axes=self.axes, out=out)
 
     def inv(self, coeff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.fft.irfftn(coeff, s=self.shape, axes=self.axes, out=out)
@@ -541,14 +544,16 @@ def ifrk4_march(grid: TorusGrid, viscosity: float, s: float, spectral_damping: t
 
     lam = viscosity |k|^(2s), plus the smooth near-cutoff damping
     RealSpectral.damping_rate(*spectral_damping) unless that is None.  y
-    holds the initial coefficients and is advanced in place.
-    nonlinear(y, t, out) writes N(y, t) into out and returns a value that
-    dt_rule turns into the step of the stage-1 point; steps are shortened
-    to land exactly on each of the ascending landings, where land(y, t) is
-    called.  Every 64 steps the coefficients are checked and the exception
+    holds the initial coefficients, or a batch of them on leading axes, and
+    is advanced in place.  nonlinear(y, t, out) writes N(y, t) into out;
+    dt_rule(), called right after the stage-1 evaluation (so it may read
+    that call's buffers), returns the step.  Steps are shortened to land
+    exactly on each of the ascending landings, where land(y, t) is called.
+    Every 64 steps the coefficients are checked and the exception
     nonfinite(t) is raised once they stop being finite; t_ref scales the
     landing tolerance 1e-13 t_ref.  The integrating factors of the last 64
-    step sizes are cached.  Returns the number of steps taken.
+    step sizes not shortened for a landing are cached, as complex arrays.
+    Returns the number of steps.
     """
     sp = grid.spectral
     lam = viscosity * sp.symbol(s)
@@ -568,15 +573,17 @@ def ifrk4_march(grid: TorusGrid, viscosity: float, s: float, spectral_damping: t
     for target in landings:
         end = target - 1e-13 * t_ref
         while t < end:
-            dt = dt_rule(nonlinear(y, t, k1))
-            if t + dt >= end:
+            nonlinear(y, t, k1)
+            dt = dt_rule()
+            landing = t + dt >= end
+            if landing:
                 dt = target - t
             if dt not in factors:
                 e_half = np.exp(lam * (-0.5 * dt))
                 if len(factors) > 64:
                     factors.clear()
-                factors[dt] = (e_half, e_half * e_half)
-            e1, e2 = factors[dt]
+                factors[dt] = (e_half.astype(complex), (e_half * e_half).astype(complex))
+            e1, e2 = factors.pop(dt) if landing else factors[dt]  # a landing step is a one-off
             # k2 = N(e1 * (y + (0.5 * dt) * k1))
             np.multiply(0.5 * dt, k1, out=a)
             np.add(y, a, out=a)
@@ -587,11 +594,11 @@ def ifrk4_march(grid: TorusGrid, viscosity: float, s: float, spectral_damping: t
             np.multiply(0.5 * dt, k2, out=b)
             np.add(a, b, out=a)
             nonlinear(a, t + 0.5 * dt, k3)
-            # k4 = N(e2 * y + dt * (e1 * k3))
-            np.multiply(e2, y, out=a)
+            # k4 = N(e2 * y + dt * (e1 * k3)); y holds e2 * y from here on, all the update needs
+            np.multiply(e2, y, out=y)
             np.multiply(e1, k3, out=b)
             np.multiply(dt, b, out=b)
-            np.add(a, b, out=a)
+            np.add(y, b, out=a)
             nonlinear(a, t + dt, k4)
             # y = e2 * y + (dt / 6) * (e2 * k1 + 2 * (e1 * (k2 + k3)) + k4)
             np.add(k2, k3, out=a)
@@ -601,7 +608,6 @@ def ifrk4_march(grid: TorusGrid, viscosity: float, s: float, spectral_damping: t
             np.add(b, a, out=b)
             np.add(b, k4, out=b)
             np.multiply(dt / 6.0, b, out=b)
-            np.multiply(e2, y, out=y)
             np.add(y, b, out=y)
             t += dt
             n_steps += 1

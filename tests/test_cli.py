@@ -185,6 +185,30 @@ def test_cli_report_requires_rates(tmp_path):
     assert main(["report", "--output", str(tmp_path / "empty")]) == 2
 
 
+RATES_HEADER = "s,p,epsilon,error,norm,ref_kind\n"
+GOOD_ROW = "5.0e-01,2,1.0e-01,2.0e-02,L2,oracle\n"
+
+
+@pytest.mark.parametrize("bad_row, why", [
+    ("not,a,row\n", "expected 6, got 3"),
+    ("5.0e-01,2,1.0e-01,abc,L2,oracle\n", "could not convert"),
+], ids=["field-count", "non-numeric"])
+def test_cli_report_rejects_malformed_rows(tmp_path, capsys, bad_row, why):
+    (tmp_path / "rates.csv").write_text(RATES_HEADER + GOOD_ROW + bad_row)
+    assert main(["report", "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "rates.csv" in err and "line 3" in err and why in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_cli_rejects_bad_thread_count(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("FRACVISC_THREADS", value)
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["sweep", "--config", cfg, "--output", str(tmp_path / "s")]) == 2
+    assert "FRACVISC_THREADS" in capsys.readouterr().err
+
+
 def test_cli_dual_check(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -218,19 +242,30 @@ snapshot_count = 16
 def test_cli_dual_check_solves_each_viscosity_once(tmp_path, monkeypatch):
     import fracvisc.cli as cli
 
-    solved = []
-    solve = cli.viscous_solve
+    solved, batches = [], []
+    solve, dual = cli.viscous_solve, cli.dual_solve
 
     def counting_solve(problem, **kwargs):
         solved.append(problem.epsilon)
         return solve(problem, **kwargs)
 
+    def counting_dual(drift, eta, alpha, *args, **kwargs):
+        batches.append((eta, len(alpha)))
+        return dual(drift, eta, alpha, *args, **kwargs)
+
     monkeypatch.setattr(cli, "viscous_solve", counting_solve)
+    monkeypatch.setattr(cli, "dual_solve", counting_dual)
     cfg = write_cfg(tmp_path, BASE.replace("n_points = 256", "n_points = 64")
-                    + "epsilon_list = 0.2,0.1,0.05\nhamiltonian = quadratic\np_list = 2\nT = 0.5\n")
-    assert main(["dual-check", "--config", cfg, "--output", str(tmp_path / "d")]) == 0
+                    + "epsilon_list = 0.2,0.1,0.05\nhamiltonian = quadratic\np_list = 2,3,inf\nT = 0.5\n")
+    out = str(tmp_path / "d")
+    assert main(["dual-check", "--config", cfg, "--output", out]) == 0
     # the pairs (0.2, 0.1) and (0.1, 0.05) share the 0.1 solve on one grid
     assert solved == [0.2, 0.1, 0.05]
+    # and each pair marches the data of its finite q in one batched call
+    assert batches == [(0.1, 2), (0.05, 2)]
+    with open(os.path.join(out, "dual_report.json")) as fh:
+        rep = json.load(fh)
+    assert [(c["eta"], c["q"]) for c in rep["checks"]] == [(0.1, 2.0), (0.1, 3.0), (0.05, 2.0), (0.05, 3.0)]
 
 
 def test_cli_dual_check_needs_pair_and_finite_p(tmp_path):

@@ -48,14 +48,15 @@ def fake_trajectory(grid, eps, profiles, times, ham=QUAD, s=0.5):
 
 
 def solve_pair(eps, eta, n=512, T=1.5, s=0.5, n_times=16, ham=QUAD):
-    g = TorusGrid(1, n)
-    x = g.nodes()[0]
+    g = TorusGrid(ham.dim, n)
+    x = g.nodes()
+    u0 = np.cos(x[0]) if g.dim == 1 else np.cos(x[0]) + 0.5 * np.sin(x[1] + 0.3)
     times = tuple(np.linspace(0.0, T, n_times))
 
     def run(e):
         pr = ProblemSpec(
             grid=g, s=s, epsilon=e, hamiltonian=ham,
-            u0=Field(g, np.cos(x)), forcing=ZeroForcing(), T=T,
+            u0=Field(g, u0), forcing=ZeroForcing(), T=T,
         )
         return viscous_solve(pr, snapshot_times=times)
 
@@ -211,6 +212,10 @@ def test_dual_validation_and_snapshots():
     g2 = TorusGrid(1, 128)
     with pytest.raises(ValueError, match="grid"):
         dual_solve(drift, 0.1, Field(g2, np.ones(g2.shape)), 1.0)
+    with pytest.raises(ValueError, match="grid"):  # one datum of a batch on another grid
+        dual_solve(drift, 0.1, [alpha, Field(g2, np.ones(g2.shape))], 1.0)
+    with pytest.raises(ValueError, match="terminal datum"):
+        dual_solve(drift, 0.1, [], 1.0)
     dual = dual_solve(drift, 0.1, alpha, 1.0, snapshot_times=(0.0, 0.5, 1.0))
     assert np.allclose(dual.times, (0.0, 0.5, 1.0))
     assert dual.snapshot_at(1.0) is dual.snapshots[-1]
@@ -218,6 +223,26 @@ def test_dual_validation_and_snapshots():
         dual.snapshot_at(0.25)
     # terminal snapshot reproduces alpha exactly
     assert np.max(np.abs(dual.snapshots[-1].values - alpha.values)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mollify_scale", [0.0, 0.05])
+def test_batched_dual_equals_single_solves(dim, mollify_scale):
+    n, ham = (128, QUAD) if dim == 1 else (32, make_hamiltonian("quadratic", 2))
+    te, th = solve_pair(0.1, 0.05, n=n, T=0.8, n_times=5, ham=ham)
+    drift = build_drift(te, th, mollify_scale=mollify_scale)
+    w_tau = Field(te.problem.grid, te.snapshots[-1].values - th.snapshots[-1].values)
+    data = [lp_dual_datum(w_tau, 2.0, "positive"), lp_dual_datum(w_tau, 3.0, "negative"),
+            lp_dual_datum(w_tau, 4.0, "positive")]
+    batch = dual_solve(drift, 0.05, data, te.problem.T)
+    assert len(batch) == 3
+    for alpha, got in zip(data, batch):
+        one = dual_solve(drift, 0.05, alpha, te.problem.T)
+        assert got.alpha is alpha
+        assert np.array_equal(got.times, one.times)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(got.snapshots, one.snapshots))
+        assert (got.n_steps, got.min_value, got.mass_drift) == (one.n_steps, one.min_value, one.mass_drift)
+    assert batch.n_steps == batch[0].n_steps
 
 
 # ---------------------------------------------------------------------------
