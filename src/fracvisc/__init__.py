@@ -22,9 +22,9 @@ from fracvisc.torus import (
     lp_norm,
     dealias,
 )
-from fracvisc.hamiltonians import HamiltonianSpec, make_hamiltonian, ham_eval, LagrangianSpec, legendre_transform
-from fracvisc.hj import (ZeroForcing, ConstantForcing, CosWaveForcing, ProblemSpec, Trajectory, viscous_solve,
-                         hopf_lax_oracle, monotone_reference, semiconcavity_profile)
+from fracvisc.hamiltonians import HamiltonianSpec, make_hamiltonian, LagrangianSpec, legendre_transform
+from fracvisc.hj import (ZeroForcing, ConstantForcing, CosWaveForcing, ProblemSpec, ProblemBatch, Trajectory,
+                         TrajectoryBatch, viscous_solve, hopf_lax_oracle, monotone_reference, semiconcavity_profile)
 from fracvisc.dual import DriftField, DualSolution, DualBatch, build_drift, dual_solve, gronwall_check, duality_residual
 from fracvisc.rates import SweepPlan, RateFit, run_sweep, fit_rate, one_sided_check, emit_report
 

@@ -23,7 +23,8 @@ import numpy as np
 from fracvisc.config import ConfigError, ExperimentConfig, parse_config_file, parse_config
 from fracvisc.dual import DualSolution, build_drift, dual_solve, duality_residual, gronwall_check, lp_dual_datum
 from fracvisc.hamiltonians import LagrangianSpec, legendre_transform, make_hamiltonian
-from fracvisc.hj import ProblemSpec, Trajectory, ZeroForcing, hopf_lax_oracle, monotone_reference, viscous_solve
+from fracvisc.hj import (ProblemBatch, ProblemSpec, Trajectory, ZeroForcing, hopf_lax_oracle, monotone_reference,
+                         viscous_solve)
 from fracvisc.rates import (
     ResolutionRule,
     SweepPlan,
@@ -31,6 +32,7 @@ from fracvisc.rates import (
     format_float,
     one_sided_check,
     emit_report,
+    env_threads,
     run_sweep,
 )
 from fracvisc.torus import (
@@ -132,11 +134,11 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def _threads() -> int:
-    """Sweep workers from FRACVISC_THREADS (default 1)."""
-    raw = os.environ.get("FRACVISC_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigError(f"FRACVISC_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
+    """Sweep workers from FRACVISC_THREADS (default 1); a bad value is a configuration error."""
+    try:
+        return env_threads()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -171,21 +173,25 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
     s = cfg.s_list[0]
     times = cfg.snapshot_times()
     eps_sorted = sorted(cfg.epsilon_list, reverse=True)
-    pairs = list(zip(eps_sorted[:-1], eps_sorted[1:]))
+    pairs = [(eps, eta, TorusGrid(cfg.dim, cfg.n_points or max(_RULE.n_for(s, eps), _RULE.n_for(s, eta))))
+             for eps, eta in zip(eps_sorted[:-1], eps_sorted[1:])]
+    # every distinct viscosity of a grid in one batched solve
+    trajs = {}
+    for grid in dict.fromkeys(grid for _, _, grid in pairs):
+        epss = list(dict.fromkeys(e for eps, eta, g in pairs if g == grid for e in (eps, eta)))
+        batch = viscous_solve(ProblemBatch(cfg.problem(s, e, grid) for e in epss),
+                              dt_cfl=cfg.dt_cfl, snapshot_times=times)
+        trajs.update(((e, grid), traj) for e, traj in zip(epss, batch))
     os.makedirs(out_dir, exist_ok=True)
     checks = []
     worst_ratio = 0.0
     worst_residual = 0.0
-    traj_prev = None  # the previous pair's eta solve, this pair's eps solve when the grid matches
-    for eps, eta in pairs:
-        n = cfg.n_points or max(_RULE.n_for(s, eps), _RULE.n_for(s, eta))
-        grid = TorusGrid(cfg.dim, n)
-        _log(f"dual-check: pair eps={eps:g} eta={eta:g} on n={n}")
-        if traj_prev is not None and traj_prev.problem.epsilon == eps and traj_prev.problem.grid == grid:
-            traj_eps = traj_prev
-        else:
-            traj_eps = viscous_solve(cfg.problem(s, eps, grid), dt_cfl=cfg.dt_cfl, snapshot_times=times)
-        traj_eta = traj_prev = viscous_solve(cfg.problem(s, eta, grid), dt_cfl=cfg.dt_cfl, snapshot_times=times)
+    for eps, eta, grid in pairs:
+        _log(f"dual-check: pair eps={eps:g} eta={eta:g} on n={grid.n_points}")
+        traj_eps, traj_eta = trajs[eps, grid], trajs[eta, grid]
+        for traj in (traj_eps, traj_eta):
+            if isinstance(traj, Exception):
+                raise traj
         drift = build_drift(traj_eps, traj_eta, mollify_scale=cfg.mollify_scale)
         w_tau = Field(grid, traj_eps.snapshots[-1].values - traj_eta.snapshots[-1].values)
         data = []  # (q, terminal datum) for every q whose datum exists
@@ -209,7 +215,7 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
                     "eps": eps,
                     "eta": eta,
                     "q": q,
-                    "n_points": n,
+                    "n_points": grid.n_points,
                     "max_ratio": rep.max_ratio,
                     "growth_factor": rep.growth_factor,
                     "gronwall_ok": rep.ok(),

@@ -268,8 +268,12 @@ def dual_solve(
     def lost(sigma: float) -> RuntimeError:
         return RuntimeError(f"dual solve lost finiteness at sigma={sigma:.6g}")
 
+    def nonfinite(i: int, sigma: float) -> None:
+        raise lost(sigma)
+
     # the nonlinear term's buffers: the dealiased rho of every datum in both
-    # spaces, the drift at the last stage time, one flux component per datum
+    # spaces, the drift at the last stage time, one flux component per datum;
+    # the data share every step (a failure raises), so ts[0] is every row's time
     rh_d = np.empty((len(alphas),) + sp.k2.shape, dtype=np.complex128)
     rho = np.empty((len(alphas),) + grid.shape)
     b = np.empty(grid.shape + (grid.dim,))
@@ -279,12 +283,13 @@ def dual_solve(
     fh = np.empty_like(rh_d)
     minus_ik = [-ik for ik in sp.ik]
 
-    def nonlinear(rh: np.ndarray, sigma: float, nh: np.ndarray) -> None:
+    def nonlinear(rh: np.ndarray, ts: list[float], nh: np.ndarray) -> None:
         """-div(b rho) of the dealiased rho into nh, dealiased because ik is."""
         nonlocal b_sigma
         np.copyto(rh_d, rh)
         sp.truncate(rh_d)
         sp.inv(rh_d, out=rho)
+        sigma = ts[0]
         if sigma != b_sigma:
             drift.interpolate(tau - sigma, out=b, work=b_work)
             b_sigma = sigma
@@ -297,18 +302,19 @@ def dual_solve(
 
     out: dict[float, list[Field]] = {}
 
-    def land(rh: np.ndarray, sigma: float) -> None:
+    def land(i: int, rh: np.ndarray, sigma: float) -> bool:
         vals = sp.inv(rh)
         if not np.all(np.isfinite(vals)):
             raise lost(sigma)
-        out[tau - sigma] = [Field(grid, v) for v in vals]
+        out.setdefault(tau - sigma, [None] * len(alphas))[i] = Field(grid, vals)
+        return True
 
     rh = sp.fwd(np.stack([a.values for a in alphas]))
     masses0 = [float(r.flat[0].real) / grid.n_total for r in rh]
     n_steps = ifrk4_march(
-        grid, eta, drift.s, spectral_damping, rh, nonlinear,
-        dt_rule=lambda: dt0, landings=sigmas, t_ref=max(tau, 1.0), land=land, nonfinite=lost,
-    )
+        grid, [(eta, drift.s)] * len(alphas), spectral_damping, rh, nonlinear,
+        dt_rule=lambda m: [dt0] * m, landings=sigmas, t_ref=max(tau, 1.0), land=land, nonfinite=nonfinite,
+    )[0]
 
     times = np.asarray(sorted(out.keys()))
     solutions = []

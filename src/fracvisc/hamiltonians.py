@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "HamiltonianSpec",
     "make_hamiltonian",
-    "ham_eval",
     "LagrangianSpec",
     "legendre_transform",
     "legendre_batch",
@@ -28,7 +27,7 @@ _KINDS = ("quadratic", "anisotropic_quadratic", "log_cosh_regularized", "zero")
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """A convex Hamiltonian with vectorized value/gradient/Hessian."""
+    """A convex Hamiltonian with vectorized value, gradient and (diagonal) Hessian."""
 
     kind: str
     dim: int
@@ -92,14 +91,6 @@ class HamiltonianSpec:
             c = self.params[0]
             return np.cosh(q) + c
         return np.zeros_like(q)
-
-    def hess(self, p: np.ndarray) -> np.ndarray:
-        """Full Hessian D^2 H(p), shape (..., dim, dim)."""
-        d = self.hess_diag(p)
-        out = np.zeros(d.shape + (self.dim,), dtype=np.float64)
-        for j in range(self.dim):
-            out[..., j, j] = d[..., j]
-        return out
 
     def grad_sup(self, radius: float) -> float:
         """sup of |D_p H(p)| over the ball |p| <= radius (Euclidean norms)."""
@@ -175,16 +166,6 @@ def make_hamiltonian(
             raise ValueError("zero takes no parameters")
         theta = Theta = 0.0
     return HamiltonianSpec(kind, dim, params, valid_radius, theta, Theta)
-
-
-def ham_eval(spec: HamiltonianSpec, p) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian at a single momentum point."""
-    q = np.asarray(p, dtype=np.float64).reshape(spec.dim)
-    return (
-        float(spec.value(q)),
-        spec.grad(q).reshape(spec.dim),
-        spec.hess(q).reshape(spec.dim, spec.dim),
-    )
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,9 @@ __all__ = [
     "CosWaveForcing",
     "clean_snapshot_times",
     "ProblemSpec",
+    "ProblemBatch",
     "Trajectory",
+    "TrajectoryBatch",
     "BlowUpError",
     "TailGuardError",
     "viscous_solve",
@@ -187,6 +189,31 @@ class Trajectory:
         return self.snapshots[i]
 
 
+class ProblemBatch(tuple):
+    """ProblemSpecs that viscous_solve marches together: they share grid, Hamiltonian, forcing and T."""
+
+    def __new__(cls, problems=()):
+        batch = super().__new__(cls, problems)
+        if not batch or not all(isinstance(p, ProblemSpec) for p in batch):
+            raise ValueError("a ProblemBatch holds one or more ProblemSpecs")
+        for attr in ("grid", "hamiltonian", "forcing", "T"):
+            if any(getattr(p, attr) != getattr(batch[0], attr) for p in batch):
+                raise ValueError(f"the problems of a batch must share their {attr}")
+        return batch
+
+    @property
+    def grid(self) -> TorusGrid:
+        return self[0].grid
+
+
+class TrajectoryBatch(tuple):
+    """viscous_solve's result for a ProblemBatch: per member a Trajectory or its guard error."""
+
+    @property
+    def n_steps(self) -> int:  # the steps of the members that finished
+        return sum(tr.n_steps for tr in self if isinstance(tr, Trajectory))
+
+
 def _quantize_speed(speed: float) -> float:
     """Round speeds up onto a geometric ladder so dt changes rarely."""
     if speed <= 1.0:
@@ -214,12 +241,12 @@ def clean_snapshot_times(snapshot_times, T: float) -> np.ndarray:
 
 
 def viscous_solve(
-    problem: ProblemSpec,
+    problem: ProblemSpec | ProblemBatch,
     dt_cfl: float = 0.5,
     snapshot_times=None,
     spectral_damping: tuple[float, int] | None = (3000.0, 8),
     curvature_scale: float = 0.1,
-) -> Trajectory:
+) -> Trajectory | TrajectoryBatch:
     """Integrate the viscous problem with integrating-factor RK4.
 
     The time step adapts as dt = dt_cfl * h / max(1, sup |D_p H(Du)|); the
@@ -228,6 +255,13 @@ def viscous_solve(
     Snapshot times are landed on exactly.  Raises BlowUpError when the
     iterate exceeds 1e6 in sup norm or becomes non-finite, TailGuardError
     when more than 1e-6 of the spectral energy sits beyond the 2/3 cutoff.
+
+    A ProblemBatch is marched in one lockstep batch (torus.ifrk4_march), so
+    each FFT and Hamiltonian evaluation serves every member still marching;
+    on grids of 16384 points or more its members are marched one by one,
+    which is as fast.  The TrajectoryBatch returned holds, per member, the
+    Trajectory or the guard error that viscous_solve gives for that member
+    alone, bitwise.
 
     spectral_damping = (amp, order) adds the smooth near-cutoff damping of
     RealSpectral.damping_rate to the integrating factor.  It is essential
@@ -240,19 +274,24 @@ def viscous_solve(
     curvature_scale is the probe scale of the per-snapshot semiconcavity
     measurement stored in Trajectory.k_profile.
     """
-    if problem.epsilon <= 0.0:
+    single = isinstance(problem, ProblemSpec)
+    batch = ProblemBatch((problem,) if single else problem)
+    if any(p.epsilon <= 0.0 for p in batch):
         raise ValueError(
             "viscous_solve requires epsilon > 0; use hopf_lax_oracle or "
             "monotone_reference for the inviscid problem"
         )
     if not 0.0 < dt_cfl <= 0.6:
         raise ValueError(f"dt_cfl must lie in (0, 0.6], got {dt_cfl}")
-    grid = problem.grid
-    ham = problem.hamiltonian
-    forcing = problem.forcing
-    times = clean_snapshot_times(snapshot_times, problem.T)
+    grid = batch.grid
+    ham = batch[0].hamiltonian
+    forcing = batch[0].forcing
+    times = clean_snapshot_times(snapshot_times, batch[0].T)
     sp = grid.spectral
     h = grid.spacing
+    if len(batch) > 1 and not sp.batched:  # fields this large march no faster together (see RealSpectral)
+        return TrajectoryBatch(tr for p in batch for tr in viscous_solve(
+            ProblemBatch((p,)), dt_cfl, snapshot_times, spectral_damping, curvature_scale))
 
     f_static = None
     if getattr(forcing, "is_zero", False):
@@ -260,68 +299,81 @@ def viscous_solve(
     elif isinstance(forcing, ConstantForcing):
         f_static = forcing.c
 
-    # the nonlinear term's buffers; p is the dealiased gradient Du viewed
-    # with the component axis last, as HamiltonianSpec.value takes it
-    du = np.empty((grid.dim,) + grid.shape)
-    p = np.moveaxis(du, 0, -1)
-    dh = np.empty(sp.k2.shape, dtype=np.complex128)
-    nl = np.empty(grid.shape)
+    # the nonlinear term's buffers, one row per member; du[:, :m] is the
+    # dealiased gradient Du of the first m rows
+    du = np.empty((grid.dim, len(batch)) + grid.shape)
+    dh = np.empty((len(batch),) + sp.k2.shape, dtype=np.complex128)
+    nl = np.empty((len(batch),) + grid.shape)
 
-    def grad_sup() -> float:
-        """sup |Du| over the nodes of the gradient held in du."""
-        np.multiply(du[0], du[0], out=nl)
-        for g in du[1:]:
-            np.add(nl, g * g, out=nl)
-        return math.sqrt(float(nl.max()))
+    def grad_squared(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """|Du|^2 of the gradient components g into out."""
+        np.multiply(g[0], g[0], out=out)
+        for gj in g[1:]:
+            np.add(out, gj * gj, out=out)
+        return out
 
-    def nonlinear(uh: np.ndarray, t: float, out: np.ndarray) -> None:
+    # by m: the buffers of the first m rows, Du also with the component axis
+    # last as H.value takes it; one row goes without the batch axis, which
+    # costs about 1 µs per transform
+    rows = [(du[:, r], np.moveaxis(du[:, r], 0, -1), dh[r], nl[r])
+            for r in (0 if m == 1 else slice(m) for m in range(len(batch) + 1))]
+
+    def nonlinear(uh: np.ndarray, ts: list[float], out: np.ndarray) -> None:
         """Dealiased transform of f - H(Du) into out; Du stays in du."""
-        sp.gradient(uh, out=du, work=dh)
-        ham.value(p, out=nl)
-        np.negative(nl, out=nl)
+        g, p, w, v = rows[len(uh)]
+        if len(uh) == 1:
+            uh, out = uh[0], out[0]
+        sp.gradient(uh, out=g, work=w)
+        ham.value(p, out=v)
+        np.negative(v, out=v)
         if f_static is None:
-            np.add(nl, forcing.value(grid, t), out=nl)
+            for vr, t in zip(v.reshape((len(ts),) + grid.shape), ts):
+                np.add(vr, forcing.value(grid, t), out=vr)
         elif f_static != 0.0:
-            np.add(nl, f_static, out=nl)
-        sp.fwd(nl, out=out)
+            np.add(v, f_static, out=v)
+        sp.fwd(v, out=out)
         sp.truncate(out)
 
-    def dt_rule() -> float:
-        return dt_cfl * h / _quantize_speed(ham.grad_sup(grad_sup()))
+    def dt_rule(m: int) -> list[float]:
+        sq = grad_squared(rows[m][0], rows[m][3]).reshape(m, -1).max(axis=1)
+        return [dt_cfl * h / _quantize_speed(ham.grad_sup(math.sqrt(float(q)))) for q in sq]
 
-    snaps: list[Field] = []
-    k_prof: list[float] = []
-    g_prof: list[float] = []
+    snaps, k_prof, g_prof = ([[] for _ in batch] for _ in range(3))  # per member
+    failed: dict[int, RuntimeError] = {}
 
-    def record(uh: np.ndarray, t: float) -> None:
+    def land(i: int, uh: np.ndarray, t: float) -> bool:
         vals = sp.inv(uh)
         sup = float(np.max(np.abs(vals)))
         if not np.isfinite(sup) or sup > 1e6:
-            raise BlowUpError(t, f"sup|u| = {sup:.3e}")
+            failed[i] = BlowUpError(t, f"sup|u| = {sup:.3e}")
+            return False
         frac = sp.tail_fraction(uh)
         if frac > 1e-6:
-            raise TailGuardError(t, frac)
+            failed[i] = TailGuardError(t, frac)
+            return False
         snap = Field(grid, vals)
-        snaps.append(snap)
-        k_prof.append(second_difference_max(snap, curvature_scale))
-        sp.gradient(uh, out=du, work=dh)
-        g_prof.append(grad_sup())
+        snaps[i].append(snap)
+        k_prof[i].append(second_difference_max(snap, curvature_scale))
+        sp.gradient(uh, out=du[:, 0], work=dh[0])
+        g_prof[i].append(math.sqrt(float(grad_squared(du[:, 0], nl[0]).max())))
+        return True
 
-    n_steps = ifrk4_march(
-        grid, problem.epsilon, problem.s, spectral_damping, sp.fwd(problem.u0.values), nonlinear,
-        dt_rule=dt_rule, landings=times, t_ref=max(problem.T, 1.0), land=record,
-        nonfinite=lambda t: BlowUpError(t, "non-finite spectral coefficients"),
-    )
+    def nonfinite(i: int, t: float) -> None:
+        failed[i] = BlowUpError(t, "non-finite spectral coefficients")
 
-    return Trajectory(
-        problem=problem,
-        times=times,
-        snapshots=tuple(snaps),
-        k_profile=np.asarray(k_prof),
-        grad_sup_profile=np.asarray(g_prof),
-        n_steps=n_steps,
-        method="viscous_ifrk4",
+    steps = ifrk4_march(
+        grid, [(p.epsilon, p.s) for p in batch], spectral_damping,
+        sp.fwd(np.stack([p.u0.values for p in batch])), nonlinear,
+        dt_rule=dt_rule, landings=times, t_ref=max(batch[0].T, 1.0), land=land, nonfinite=nonfinite,
     )
+    out = TrajectoryBatch(
+        failed[i] if i in failed else Trajectory(p, times, tuple(snaps[i]), np.asarray(k_prof[i]),
+                                                  np.asarray(g_prof[i]), steps[i], "viscous_ifrk4")
+        for i, p in enumerate(batch)
+    )
+    if single and isinstance(out[0], Exception):
+        raise out[0]
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ import numpy as np
 from fracvisc.hamiltonians import HamiltonianSpec
 from fracvisc.hj import (
     BlowUpError,
+    ProblemBatch,
     ProblemSpec,
     TailGuardError,
     ZeroForcing,
@@ -49,6 +50,7 @@ __all__ = [
     "CellResult",
     "SweepResult",
     "run_sweep",
+    "env_threads",
     "RateFit",
     "fit_rate",
     "target_exponent",
@@ -261,14 +263,19 @@ class SweepResult:
         return np.asarray(eps)[order], np.asarray(err)[order]
 
 
+def env_threads() -> int:
+    """Sweep workers from FRACVISC_THREADS (default 1); ValueError naming the variable otherwise."""
+    raw = os.environ.get("FRACVISC_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"FRACVISC_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def _cell_worker(args: tuple) -> tuple[float, float, object]:
-    """Solve one sweep cell and measure its errors (picklable worker)."""
-    (plan, s, eps, n_cell, eval_n, ref_values) = args
-    problem = plan.problem(s, eps, n_cell)
-    try:
-        traj = viscous_solve(problem, dt_cfl=plan.dt_cfl, snapshot_times=plan.snapshot_times)
-    except (BlowUpError, TailGuardError) as exc:
-        return (s, eps, f"{type(exc).__name__}: {exc}")
+    """Measure the errors of one sweep cell from its solve (a Trajectory or the solver's guard error)."""
+    (plan, s, eps, n_cell, eval_n, ref_values, traj) = args
+    if isinstance(traj, (BlowUpError, TailGuardError)):
+        return (s, eps, f"{type(traj).__name__}: {traj}")
 
     factor = n_cell // eval_n
     errors: dict[float, float] = {p: 0.0 for p in plan.p_values}
@@ -303,9 +310,18 @@ def _cell_worker(args: tuple) -> tuple[float, float, object]:
     return (s, eps, cell)
 
 
-def _reference_values(plan: SweepPlan, s: float, eval_n: int) -> list[np.ndarray]:
-    """Inviscid reference snapshots on the evaluation grid."""
-    problem = plan.problem(s, 0.0, eval_n)
+def _grid_worker(args: tuple) -> list[tuple[float, float, object]]:
+    """Solve every cell of one grid in one batch, then evaluate each (picklable worker)."""
+    (plan, n_cell, cells, eval_ns, refs) = args
+    batch = ProblemBatch(plan.problem(s, eps, n_cell) for s, eps in cells)
+    trajs = viscous_solve(batch, dt_cfl=plan.dt_cfl, snapshot_times=plan.snapshot_times)
+    return [_cell_worker((plan, s, eps, n_cell, eval_ns[s], refs[eval_ns[s]], traj))
+            for (s, eps), traj in zip(cells, trajs)]
+
+
+def _reference_values(plan: SweepPlan, eval_n: int) -> list[np.ndarray]:
+    """Inviscid reference snapshots on the evaluation grid; they do not depend on s."""
+    problem = plan.problem(plan.s_values[0], 0.0, eval_n)
     if plan.reference == "hopf_lax":
         return [hopf_lax_oracle(problem, t).values for t in plan.snapshot_times]
     traj = monotone_reference(problem, plan.fine_factor, snapshot_times=plan.snapshot_times)
@@ -315,40 +331,41 @@ def _reference_values(plan: SweepPlan, s: float, eval_n: int) -> list[np.ndarray
 def run_sweep(plan: SweepPlan, threads: int | None = None) -> SweepResult:
     """Execute every (s, eps) cell of the plan and collect error rows.
 
+    The cells of one grid are solved in one batch (see viscous_solve), then
+    evaluated one by one against the reference of their evaluation grid.
     Cells that trip a solver guard are recorded as failures and the sweep
-    continues.  With FRACVISC_THREADS > 1 (or threads > 1) the cells are
+    continues.  With FRACVISC_THREADS > 1 (or threads > 1) the grids are
     solved in a process pool; results are assembled in sorted order so the
     output is identical to the sequential path.
     """
     if threads is None:
-        threads = int(os.environ.get("FRACVISC_THREADS", "1"))
+        threads = env_threads()
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
-    jobs = []
-    eval_ns: dict[float, int] = {}
-    refs: dict[float, list[np.ndarray]] = {}
-    for s in plan.s_values:
-        ns = {eps: plan.n_for(s, eps) for eps in plan.epsilons}
-        eval_n = min(ns.values())
-        eval_ns[s] = eval_n
-        refs[s] = _reference_values(plan, s, eval_n)
-        for eps in plan.epsilons:
-            jobs.append((plan, s, eps, ns[eps], eval_n, refs[s]))
+    order = [(s, eps) for s in plan.s_values for eps in plan.epsilons]
+    eval_ns = {s: min(plan.n_for(s, eps) for eps in plan.epsilons) for s in plan.s_values}
+    grids: dict[int, list[tuple[float, float]]] = {}
+    for s, eps in order:
+        grids.setdefault(plan.n_for(s, eps), []).append((s, eps))
+    refs = {n: _reference_values(plan, n) for n in dict.fromkeys(eval_ns.values())}
+    jobs = [(plan, n, cells, eval_ns, {eval_ns[s]: refs[eval_ns[s]] for s, _ in cells})
+            for n, cells in grids.items()]
 
     if threads == 1:
-        outcomes = [_cell_worker(j) for j in jobs]
+        per_grid = [_grid_worker(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_cell_worker, jobs))
+            per_grid = list(pool.map(_grid_worker, jobs))
+    outcomes = {(s, eps): out for results in per_grid for s, eps, out in results}
 
     cells: dict[tuple[float, float], CellResult] = {}
     failures: list[tuple[float, float, str]] = []
-    for s, eps, out in outcomes:
-        if isinstance(out, str):
-            failures.append((s, eps, out))
+    for key in order:
+        if isinstance(outcomes[key], str):
+            failures.append((*key, outcomes[key]))
         else:
-            cells[(s, eps)] = out
+            cells[key] = outcomes[key]
 
     ref_kind = plan.reference
     rows: list[RateRow] = []

@@ -246,7 +246,7 @@ def test_cli_dual_check_solves_each_viscosity_once(tmp_path, monkeypatch):
     solve, dual = cli.viscous_solve, cli.dual_solve
 
     def counting_solve(problem, **kwargs):
-        solved.append(problem.epsilon)
+        solved.append([p.epsilon for p in problem])
         return solve(problem, **kwargs)
 
     def counting_dual(drift, eta, alpha, *args, **kwargs):
@@ -259,8 +259,8 @@ def test_cli_dual_check_solves_each_viscosity_once(tmp_path, monkeypatch):
                     + "epsilon_list = 0.2,0.1,0.05\nhamiltonian = quadratic\np_list = 2,3,inf\nT = 0.5\n")
     out = str(tmp_path / "d")
     assert main(["dual-check", "--config", cfg, "--output", out]) == 0
-    # the pairs (0.2, 0.1) and (0.1, 0.05) share the 0.1 solve on one grid
-    assert solved == [0.2, 0.1, 0.05]
+    # one batched solve on the shared grid holds each viscosity once
+    assert solved == [[0.2, 0.1, 0.05]]
     # and each pair marches the data of its finite q in one batched call
     assert batches == [(0.1, 2), (0.05, 2)]
     with open(os.path.join(out, "dual_report.json")) as fh:

@@ -1,6 +1,7 @@
 """Hamiltonian and Legendre transform tests.
 
-Gradients and Hessians are checked against central finite differences;
+Gradients and Hessian diagonals are checked against central finite
+differences, and the off-diagonal Hessian entries against zero;
 Legendre values against closed forms (quadratic family) and against
 brute-force maximization on a dense momentum grid (log-cosh family).
 """
@@ -13,7 +14,6 @@ import pytest
 from fracvisc.hamiltonians import (
     HamiltonianSpec,
     LagrangianSpec,
-    ham_eval,
     legendre_batch,
     legendre_transform,
     make_hamiltonian,
@@ -77,34 +77,40 @@ def test_certified_bounds():
 # ---------------------------------------------------------------------------
 
 
+def pointwise(spec: HamiltonianSpec, p) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value, gradient and Hessian diagonal at one momentum point."""
+    q = np.asarray(p, dtype=np.float64)
+    return float(spec.value(q)), spec.grad(q), spec.hess_diag(q)
+
+
 def test_ham_eval_quadratic_2d():
     spec = make_hamiltonian("quadratic", 2)
-    v, g, H = ham_eval(spec, (3.0, 4.0))
+    v, g, d = pointwise(spec, (3.0, 4.0))
     assert v == pytest.approx(12.5)
     assert np.allclose(g, [3.0, 4.0])
-    assert np.allclose(H, np.eye(2))
+    assert np.allclose(d, [1.0, 1.0])
 
 
 def test_ham_eval_anisotropic():
     spec = make_hamiltonian("anisotropic_quadratic", 2, (2.0, 0.5))
-    v, g, H = ham_eval(spec, (1.0, 1.0))
+    v, g, d = pointwise(spec, (1.0, 1.0))
     assert v == pytest.approx(1.25)
     assert np.allclose(g, [2.0, 0.5])
-    assert np.allclose(H, np.diag([2.0, 0.5]))
+    assert np.allclose(d, [2.0, 0.5])
 
 
 def test_ham_eval_log_cosh_origin():
     spec = make_hamiltonian("log_cosh_regularized", 2)
-    v, g, H = ham_eval(spec, (0.0, 0.0))
+    v, g, d = pointwise(spec, (0.0, 0.0))
     assert v == 0.0
     assert np.allclose(g, 0.0)
-    assert np.allclose(H, 1.1 * np.eye(2))
+    assert np.allclose(d, [1.1, 1.1])
 
 
 def test_ham_eval_zero():
     spec = make_hamiltonian("zero", 1)
-    v, g, H = ham_eval(spec, (2.5,))
-    assert v == 0.0 and g[0] == 0.0 and H[0, 0] == 0.0
+    v, g, d = pointwise(spec, (2.5,))
+    assert v == 0.0 and g[0] == 0.0 and d[0] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -123,7 +129,10 @@ def test_grad_hess_match_finite_differences(kind, dim, params):
     for _ in range(20):
         p = rng.uniform(-3.0, 3.0, size=dim)
         assert np.max(np.abs(spec.grad(p) - fd_gradient(spec, p))) <= 5e-8
-        assert np.max(np.abs(spec.hess(p) - fd_hessian(spec, p))) <= 5e-7
+        fd = fd_hessian(spec, p)
+        assert np.max(np.abs(spec.hess_diag(p) - np.diag(fd))) <= 5e-7
+        # separability: the Hessian is diagonal
+        assert np.max(np.abs(fd - np.diag(np.diag(fd)))) <= 5e-7
 
 
 def test_vectorized_evaluation_shapes():
@@ -131,7 +140,7 @@ def test_vectorized_evaluation_shapes():
     P = np.zeros((5, 7, 2))
     assert spec.value(P).shape == (5, 7)
     assert spec.grad(P).shape == (5, 7, 2)
-    assert spec.hess(P).shape == (5, 7, 2, 2)
+    assert spec.hess_diag(P).shape == (5, 7, 2)
     spec1 = make_hamiltonian("quadratic", 1)
     assert spec1.value(np.zeros(9)).shape == (9,)  # bare 1d arrays accepted
 
@@ -166,7 +175,9 @@ def test_hessian_eigenvalue_sandwich():
             p *= rng.uniform(0, spec.valid_radius) / max(np.linalg.norm(p), 1e-12)
             if np.linalg.norm(p) > spec.valid_radius:
                 continue
-            eigs = np.linalg.eigvalsh(spec.hess(p))
+            # the Hessian is diagonal (test_grad_hess_match_finite_differences),
+            # so its eigenvalues are the diagonal entries
+            eigs = spec.hess_diag(p)
             assert np.min(eigs) >= spec.theta - 1e-9
             assert np.max(eigs) <= spec.Theta + 1e-9
 

@@ -11,8 +11,11 @@ from fracvisc.hj import (
     BlowUpError,
     ConstantForcing,
     CosWaveForcing,
+    ProblemBatch,
     ProblemSpec,
     TailGuardError,
+    Trajectory,
+    TrajectoryBatch,
     ZeroForcing,
     hopf_lax_minimizers,
     hopf_lax_oracle,
@@ -410,6 +413,98 @@ def test_default_snapshots_are_sixteen_uniform():
     traj = viscous_solve(problem(g, 0.5, 0.2, T=1.0))
     assert traj.times.size == 16
     assert np.allclose(traj.times, np.linspace(0.0, 1.0, 16))
+
+
+# ---------------------------------------------------------------------------
+# batched solves
+# ---------------------------------------------------------------------------
+
+
+def assert_same_trajectory(a: Trajectory, b: Trajectory) -> None:
+    assert a.n_steps == b.n_steps
+    assert np.array_equal(a.times, b.times)
+    assert len(a.snapshots) == len(b.snapshots)
+    assert all(np.array_equal(x.values, y.values) for x, y in zip(a.snapshots, b.snapshots))
+    assert np.array_equal(a.k_profile, b.k_profile)
+    assert np.array_equal(a.grad_sup_profile, b.grad_sup_profile)
+
+
+def _batch_1d():
+    g = TorusGrid(1, 128)
+    lc = make_hamiltonian("log_cosh_regularized", 1)
+    wave = CosWaveForcing(0.5, 1.0)  # forcing evaluated at each member's own stage times
+    return [problem(g, s, eps, ham=lc, forcing=wave, T=1.0) for s, eps in ((0.25, 0.05), (0.5, 0.01), (0.75, 0.2))]
+
+
+def _batch_2d():
+    g = TorusGrid(2, 64)
+    q2 = make_hamiltonian("quadratic", 2)
+    return [problem(g, s, eps, ham=q2, u0=amp * cos_field(g), T=0.5)
+            for s, eps, amp in ((0.5, 0.05, 1.0), (1.0, 0.1, 2.0), (0.75, 0.02, 3.0))]
+
+
+def _batch_large():
+    g = TorusGrid(1, 16384)  # marched member by member
+    return [problem(g, 0.5, eps, u0=amp * cos_field(g), T=0.01) for eps, amp in ((0.01, 1.0), (0.005, 3.0))]
+
+
+@pytest.mark.parametrize("members", [_batch_1d, _batch_2d, _batch_large],
+                         ids=["1d-logcosh-coswave-mixed-s", "2d", "1d-16384"])
+def test_batch_members_equal_solo_solves(members):
+    members = members()
+    times = np.linspace(0.0, members[0].T, 6)
+    batch = viscous_solve(ProblemBatch(members), snapshot_times=times)
+    solos = [viscous_solve(p, snapshot_times=times) for p in members]
+    assert isinstance(batch, TrajectoryBatch) and len(batch) == len(members)
+    assert len({tr.n_steps for tr in solos}) == len(solos)  # the members step differently
+    for solo, got in zip(solos, batch):
+        assert isinstance(got, Trajectory)
+        assert_same_trajectory(solo, got)
+    assert batch.n_steps == sum(tr.n_steps for tr in solos)
+
+
+def test_batch_member_tripping_a_guard_leaves_the_others_unchanged():
+    g = TorusGrid(1, 64)
+    push = ConstantForcing(1.0)
+    rough = Field(g, np.random.default_rng(7).standard_normal(64))
+    lifted = Field(g, cos_field(g).values + (1e6 - 1.5))  # crosses the 1e6 guard mid-run
+    members = [
+        problem(g, 0.5, 0.1, forcing=push, T=1.0),
+        problem(g, 0.5, 0.05, u0=lifted, forcing=push, T=1.0),
+        problem(g, 0.75, 0.05, u0=2.0 * cos_field(g), forcing=push, T=1.0),
+        problem(g, 0.5, 0.1, u0=rough, forcing=push, T=1.0),
+    ]
+    times = np.linspace(0.0, 1.0, 6)
+    batch = viscous_solve(ProblemBatch(members), snapshot_times=times)
+    assert isinstance(batch[1], BlowUpError) and 0.0 < batch[1].t < 1.0
+    assert isinstance(batch[3], TailGuardError)
+    for p, got in zip(members, batch):
+        try:
+            solo = viscous_solve(p, snapshot_times=times)
+        except (BlowUpError, TailGuardError) as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+        else:
+            assert_same_trajectory(solo, got)
+    assert batch.n_steps == batch[0].n_steps + batch[2].n_steps
+
+
+def test_problem_batch_validation():
+    g = TorusGrid(1, 32)
+    base = problem(g, 0.5, 0.1, T=1.0)
+    assert ProblemBatch([base, problem(g, 0.25, 0.2, u0=2.0 * cos_field(g), T=1.0)]).grid == g
+    others = [
+        problem(TorusGrid(1, 64), 0.5, 0.1, T=1.0),
+        problem(g, 0.5, 0.1, ham=ZERO_H, T=1.0),
+        problem(g, 0.5, 0.1, forcing=ConstantForcing(1.0), T=1.0),
+        problem(g, 0.5, 0.1, T=2.0),
+    ]
+    for other in others:
+        with pytest.raises(ValueError):
+            ProblemBatch([base, other])
+    with pytest.raises(ValueError):
+        ProblemBatch([])
+    with pytest.raises(ValueError):
+        viscous_solve(ProblemBatch([base, problem(g, 0.5, 0.0, T=1.0)]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from fracvisc.hamiltonians import make_hamiltonian
-from fracvisc.hj import ConstantForcing, ZeroForcing
+from fracvisc import rates
+from fracvisc.hj import ConstantForcing, ZeroForcing, viscous_solve
 from fracvisc.rates import (
     InitialData,
     RateFit,
     ResolutionRule,
     SweepPlan,
     emit_report,
+    env_threads,
     fit_rate,
     format_float,
     make_initial_data,
@@ -225,6 +227,57 @@ def test_sweep_determinism(zero_h_sweep):
 def test_sweep_parallel_matches_sequential(zero_h_sweep):
     pooled = run_sweep(zero_h_plan(), threads=2)
     assert pooled.rows == zero_h_sweep.rows
+
+
+def test_sweep_across_grids_matches_pool_and_solo_solves():
+    # cells on three grids (64, 128, 256), the 256 one shared by both orders
+    plan = zero_h_plan(
+        s_values=(0.25, 0.5),
+        hamiltonian=make_hamiltonian("quadratic", 1),
+        T=0.5,
+        snapshot_times=(0.0, 0.25, 0.5),
+        n_points=None,
+        resolution=ResolutionRule(factor=3, n_min=64, n_max=256),
+    )
+    seq = run_sweep(plan, threads=1)
+    pooled = run_sweep(plan, threads=2)
+    assert sorted({c.n_points for c in seq.cells.values()}) == [64, 128, 256]
+    assert seq.rows == pooled.rows and seq.failures == pooled.failures == ()
+    assert seq.eval_n == pooled.eval_n == {0.25: 256, 0.5: 64}
+    assert seq.cells.keys() == pooled.cells.keys()
+    for key, cell in seq.cells.items():
+        solo = viscous_solve(plan.problem(*key, cell.n_points), dt_cfl=plan.dt_cfl,
+                             snapshot_times=plan.snapshot_times)
+        for other in (pooled.cells[key], solo):
+            assert cell.n_steps == other.n_steps
+            assert np.array_equal(cell.k_profile, other.k_profile)
+            assert np.array_equal(cell.grad_sup_profile, other.grad_sup_profile)
+
+
+def test_sweep_computes_one_reference_per_evaluation_grid(monkeypatch):
+    calls = []
+    reference = rates._reference_values
+
+    def counting(plan, eval_n):
+        calls.append(eval_n)
+        return reference(plan, eval_n)
+
+    monkeypatch.setattr(rates, "_reference_values", counting)
+    both = run_sweep(zero_h_plan(s_values=(0.25, 0.5)))
+    assert calls == [256]
+    apart = [run_sweep(zero_h_plan(s_values=(s,))) for s in (0.25, 0.5)]
+    assert both.rows == tuple(sorted(apart[0].rows + apart[1].rows, key=lambda r: (r.s, r.p, -r.epsilon)))
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_sweep_threads_from_environment(monkeypatch, value):
+    monkeypatch.setenv("FRACVISC_THREADS", value)
+    with pytest.raises(ValueError, match="FRACVISC_THREADS"):
+        run_sweep(zero_h_plan())
+    monkeypatch.setenv("FRACVISC_THREADS", "3")
+    assert env_threads() == 3
+    monkeypatch.delenv("FRACVISC_THREADS")
+    assert env_threads() == 1
 
 
 def test_one_sided_check_on_heat_flows(zero_h_sweep):

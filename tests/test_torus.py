@@ -25,7 +25,6 @@ from fracvisc.torus import (
     parseval_mismatch,
     refine,
     spectral_gradient,
-    spectral_hessian,
     subsample,
 )
 
@@ -224,7 +223,8 @@ def test_spectral_hessian_entries():
     g = TorusGrid(2, 64)
     X, Y = g.nodes()
     f = Field(g, np.sin(X) * np.sin(2 * Y))
-    H = spectral_hessian(f)
+    # D^2 f[i][j] as the spectral gradient of the spectral gradient
+    H = [spectral_gradient(d) for d in spectral_gradient(f)]
     assert np.max(np.abs(H[0][1].values - 2 * np.cos(X) * np.cos(2 * Y))) <= 1e-11
     assert np.max(np.abs(H[1][1].values + 4 * np.sin(X) * np.sin(2 * Y))) <= 1e-11
 
@@ -344,3 +344,17 @@ def test_refine_2d_exact_on_modes():
     up = refine(f, 4)
     Xf, Yf = up.grid.nodes()
     assert np.max(np.abs(up.values - np.cos(2 * Xf) * np.sin(3 * Yf))) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1024), (1, 16384), (2, 32), (2, 128)])
+def test_batched_transforms_equal_single_ones(dim, n):
+    # batches of three are transformed together below 16384 points per field
+    # and field by field from there on, as is a batch of one; all equal the
+    # single transforms
+    sp = TorusGrid(dim, n).spectral
+    vals = np.random.default_rng(3).standard_normal((3,) + sp.shape)
+    for batch in (vals, vals[:1]):
+        coeff = sp.fwd(batch)
+        assert all(np.array_equal(c, sp.fwd(v)) for c, v in zip(coeff, batch))
+        back = sp.inv(coeff, out=np.empty_like(batch))
+        assert all(np.array_equal(b, sp.inv(c)) for b, c in zip(back, coeff))

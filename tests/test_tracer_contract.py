@@ -3,10 +3,13 @@
 The tracer patches the names the CLI calls (cli.dual_solve,
 cli.viscous_solve, ...) and reads n_steps from their results.  This test
 loads it and the benchmark's layer pass by path, unedited, and runs the
-three layer-pass commands at n = 64 under it.
+three layer-pass commands at n = 64 under it.  The sweeps solve their
+cells in batches, so the test also checks that the tracer still counts
+one rates.cell_eval per cell and every viscous step of the sweeps' cells.
 """
 
 import importlib.util
+import json
 import os
 import sys
 
@@ -30,13 +33,22 @@ def test_layer_pass_runs_under_the_tracer(tmp_path, monkeypatch):
     tr = tracer.Tracer()
     tracer.install(tr)
     try:
-        codes = []
+        codes, after_sweeps = [], None
         for j, (command, values) in enumerate(run.LAYER_PASS):
+            if command != "sweep" and after_sweeps is None:
+                after_sweeps = dict(tr.counters)
             cfg = str(tmp_path / f"pass{j}.cfg")
             run.write_config(cfg, values)
             codes.append(cli.main([command, "--config", cfg, "--output", str(tmp_path / f"out{j}")]))
     finally:
         tr.uninstall()
     assert codes == [0] * len(run.LAYER_PASS)
+    assert [command for command, _ in run.LAYER_PASS] == ["sweep", "sweep", "dual-check"]
+    cell_steps = 0
+    for j in range(2):
+        with open(tmp_path / f"out{j}" / "report.json") as fh:
+            cell_steps += sum(cell["n_steps"] for cell in json.load(fh)["cells"].values())
+    assert after_sweeps["rates.cells"] == 10
+    assert after_sweeps["hj.viscous_steps"] == cell_steps > 0
     assert tr.counters["dual.dual_steps"] > 0
-    assert tr.counters["hj.viscous_steps"] > 0
+    assert tr.counters["hj.viscous_steps"] > cell_steps
