@@ -175,20 +175,19 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
     eps_sorted = sorted(cfg.epsilon_list, reverse=True)
     pairs = [(eps, eta, TorusGrid(cfg.dim, cfg.n_points or max(_RULE.n_for(s, eps), _RULE.n_for(s, eta))))
              for eps, eta in zip(eps_sorted[:-1], eps_sorted[1:])]
-    # every distinct viscosity of a grid in one batched solve
-    trajs = {}
-    for grid in dict.fromkeys(grid for _, _, grid in pairs):
-        epss = list(dict.fromkeys(e for eps, eta, g in pairs if g == grid for e in (eps, eta)))
-        batch = viscous_solve(ProblemBatch(cfg.problem(s, e, grid) for e in epss),
-                              dt_cfl=cfg.dt_cfl, snapshot_times=times)
-        trajs.update(((e, grid), traj) for e, traj in zip(epss, batch))
     os.makedirs(out_dir, exist_ok=True)
     checks = []
     worst_ratio = 0.0
     worst_residual = 0.0
+    solved, trajs = None, {}  # the grid of the last batched solve and its trajectories by viscosity
     for eps, eta, grid in pairs:
         _log(f"dual-check: pair eps={eps:g} eta={eta:g} on n={grid.n_points}")
-        traj_eps, traj_eta = trajs[eps, grid], trajs[eta, grid]
+        if grid != solved:  # every distinct viscosity of the grid's pairs (they are adjacent) in one solve
+            epss = list(dict.fromkeys(e for a, b, g in pairs if g == grid for e in (a, b)))
+            trajs = None  # the previous grid's trajectories are no longer needed
+            solved, trajs = grid, dict(zip(epss, viscous_solve(
+                ProblemBatch(cfg.problem(s, e, grid) for e in epss), dt_cfl=cfg.dt_cfl, snapshot_times=times)))
+        traj_eps, traj_eta = trajs[eps], trajs[eta]
         for traj in (traj_eps, traj_eta):
             if isinstance(traj, Exception):
                 raise traj

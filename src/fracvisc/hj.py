@@ -257,11 +257,9 @@ def viscous_solve(
     when more than 1e-6 of the spectral energy sits beyond the 2/3 cutoff.
 
     A ProblemBatch is marched in one lockstep batch (torus.ifrk4_march), so
-    each FFT and Hamiltonian evaluation serves every member still marching;
-    on grids of 16384 points or more its members are marched one by one,
-    which is as fast.  The TrajectoryBatch returned holds, per member, the
-    Trajectory or the guard error that viscous_solve gives for that member
-    alone, bitwise.
+    each FFT and Hamiltonian evaluation serves every member still marching.
+    The TrajectoryBatch returned holds, per member, the Trajectory or the
+    guard error that viscous_solve gives for that member alone, bitwise.
 
     spectral_damping = (amp, order) adds the smooth near-cutoff damping of
     RealSpectral.damping_rate to the integrating factor.  It is essential
@@ -289,9 +287,6 @@ def viscous_solve(
     times = clean_snapshot_times(snapshot_times, batch[0].T)
     sp = grid.spectral
     h = grid.spacing
-    if len(batch) > 1 and not sp.batched:  # fields this large march no faster together (see RealSpectral)
-        return TrajectoryBatch(tr for p in batch for tr in viscous_solve(
-            ProblemBatch((p,)), dt_cfl, snapshot_times, spectral_damping, curvature_scale))
 
     f_static = None
     if getattr(forcing, "is_zero", False):
@@ -314,7 +309,8 @@ def viscous_solve(
 
     # by m: the buffers of the first m rows, Du also with the component axis
     # last as H.value takes it; one row goes without the batch axis, which
-    # costs about 1 µs per transform
+    # spares rfftn's axes= handling (3.5 µs of a 10 µs call at 1024 points)
+    # and makes a solo step at n=1024 about 9% faster
     rows = [(du[:, r], np.moveaxis(du[:, r], 0, -1), dh[r], nl[r])
             for r in (0 if m == 1 else slice(m) for m in range(len(batch) + 1))]
 

@@ -311,7 +311,7 @@ def _cell_worker(args: tuple) -> tuple[float, float, object]:
 
 
 def _grid_worker(args: tuple) -> list[tuple[float, float, object]]:
-    """Solve every cell of one grid in one batch, then evaluate each (picklable worker)."""
+    """Solve cells of one grid in one batch, then evaluate each (picklable worker)."""
     (plan, n_cell, cells, eval_ns, refs) = args
     batch = ProblemBatch(plan.problem(s, eps, n_cell) for s, eps in cells)
     trajs = viscous_solve(batch, dt_cfl=plan.dt_cfl, snapshot_times=plan.snapshot_times)
@@ -334,9 +334,10 @@ def run_sweep(plan: SweepPlan, threads: int | None = None) -> SweepResult:
     The cells of one grid are solved in one batch (see viscous_solve), then
     evaluated one by one against the reference of their evaluation grid.
     Cells that trip a solver guard are recorded as failures and the sweep
-    continues.  With FRACVISC_THREADS > 1 (or threads > 1) the grids are
-    solved in a process pool; results are assembled in sorted order so the
-    output is identical to the sequential path.
+    continues.  With FRACVISC_THREADS > 1 (or threads > 1) the batches are
+    solved in a process pool, the cells of a grid dealt into up to threads
+    batches so that they still run side by side; results are assembled in
+    sorted order so the output is identical to the sequential path.
     """
     if threads is None:
         threads = env_threads()
@@ -349,8 +350,8 @@ def run_sweep(plan: SweepPlan, threads: int | None = None) -> SweepResult:
     for s, eps in order:
         grids.setdefault(plan.n_for(s, eps), []).append((s, eps))
     refs = {n: _reference_values(plan, n) for n in dict.fromkeys(eval_ns.values())}
-    jobs = [(plan, n, cells, eval_ns, {eval_ns[s]: refs[eval_ns[s]] for s, _ in cells})
-            for n, cells in grids.items()]
+    jobs = [(plan, n, part, eval_ns, {eval_ns[s]: refs[eval_ns[s]] for s, _ in part})
+            for n, cells in grids.items() for part in (cells[j::threads] for j in range(min(threads, len(cells))))]
 
     if threads == 1:
         per_grid = [_grid_worker(j) for j in jobs]

@@ -433,9 +433,8 @@ class RealSpectral:
     is the multiplier i k_j with the modes beyond the 2/3 cutoff zeroed, so
     ik[j] * c is the dealiased j-th derivative; tail lists those modes as
     slices of the rfft layout.  fwd, inv and truncate also take a batch of
-    fields stacked on a leading axis (a batch of one, or of fields of 16384
-    points or more, is transformed field by field); fwd and inv write into
-    out when given.
+    fields stacked on a leading axis, transformed in one call; fwd and inv
+    write into out when given.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -471,11 +470,6 @@ class RealSpectral:
         self.shape = grid.shape
         self.axes = tuple(range(-grid.dim, 0))
         self.grid = grid
-        # whether fwd and inv transform a batch of several fields in one call:
-        # numpy's pocketfft then shares scratch buffers across the fields, which
-        # takes 0.6-0.8x the time of one call per field up to 8192 points per
-        # field but 1.0-1.4x from 16384 points on (numpy 2.4, 1-D fields)
-        self.batched = grid.n_total < 16384
 
     def symbol(self, s: float) -> np.ndarray:
         sym = self.k2**s
@@ -498,20 +492,10 @@ class RealSpectral:
     def fwd(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if values.ndim == len(self.axes):  # axes= costs a few µs per call
             return np.fft.rfftn(values, out=out)
-        if len(values) > 1 and self.batched:
-            return np.fft.rfftn(values, s=self.shape, axes=self.axes, out=out)
-        out = np.empty(values.shape[:-1] + self.k2.shape[-1:], dtype=np.complex128) if out is None else out
-        for v, o in zip(values, out):
-            np.fft.rfftn(v, out=o)
-        return out
+        return np.fft.rfftn(values, axes=self.axes, out=out)
 
     def inv(self, coeff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if coeff.ndim == len(self.axes) or (len(coeff) > 1 and self.batched):
-            return np.fft.irfftn(coeff, s=self.shape, axes=self.axes, out=out)
-        out = np.empty(coeff.shape[:1] + self.shape) if out is None else out
-        for c, o in zip(coeff, out):
-            np.fft.irfftn(c, s=self.shape, axes=self.axes, out=o)
-        return out
+        return np.fft.irfftn(coeff, s=self.shape, axes=self.axes, out=out)
 
     def truncate(self, coeff: np.ndarray) -> None:
         """Zero, in place, every mode beyond the 2/3 cutoff."""

@@ -4,6 +4,7 @@ codes, emitted files, determinism of reruns, and error reporting."""
 import json
 import math
 import os
+import weakref
 
 import pytest
 
@@ -266,6 +267,37 @@ def test_cli_dual_check_solves_each_viscosity_once(tmp_path, monkeypatch):
     with open(os.path.join(out, "dual_report.json")) as fh:
         rep = json.load(fh)
     assert [(c["eta"], c["q"]) for c in rep["checks"]] == [(0.1, 2.0), (0.1, 3.0), (0.05, 2.0), (0.05, 3.0)]
+
+
+def test_cli_dual_check_solves_each_grid_when_its_first_pair_comes_up(tmp_path, monkeypatch):
+    import fracvisc.cli as cli
+
+    events, solved = [], []
+    solve, dual = cli.viscous_solve, cli.dual_solve
+
+    def counting_solve(problem, **kwargs):
+        events.append(("solve", problem.grid.n_points, [p.epsilon for p in problem]))
+        batch = solve(problem, **kwargs)
+        solved.append([weakref.ref(tr) for tr in batch])
+        return batch
+
+    def counting_dual(drift, eta, alpha, *args, **kwargs):
+        # the trajectories of a grid no later pair uses are already gone
+        events.append(("dual", eta, [all(r() is None for r in refs) for refs in solved]))
+        return dual(drift, eta, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "viscous_solve", counting_solve)
+    monkeypatch.setattr(cli, "dual_solve", counting_dual)
+    # automatic n: the pair (0.05, 0.025) lies on n=1024, the pair (0.025, 0.0125) on n=2048
+    cfg = write_cfg(tmp_path, BASE.replace("n_points = 256\n", "")
+                    + "epsilon_list = 0.05,0.025,0.0125\nhamiltonian = quadratic\np_list = 2\nT = 0.1\n")
+    assert main(["dual-check", "--config", cfg, "--output", str(tmp_path / "d")]) == 0
+    assert events == [
+        ("solve", 1024, [0.05, 0.025]),
+        ("dual", 0.025, [False]),
+        ("solve", 2048, [0.025, 0.0125]),
+        ("dual", 0.0125, [True, False]),
+    ]
 
 
 def test_cli_dual_check_needs_pair_and_finite_p(tmp_path):

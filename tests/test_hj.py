@@ -444,7 +444,7 @@ def _batch_2d():
 
 
 def _batch_large():
-    g = TorusGrid(1, 16384)  # marched member by member
+    g = TorusGrid(1, 16384)
     return [problem(g, 0.5, eps, u0=amp * cos_field(g), T=0.01) for eps, amp in ((0.01, 1.0), (0.005, 3.0))]
 
 

@@ -229,6 +229,32 @@ def test_sweep_parallel_matches_sequential(zero_h_sweep):
     assert pooled.rows == zero_h_sweep.rows
 
 
+def test_sweep_pool_deals_the_cells_of_a_grid_across_workers(monkeypatch, zero_h_sweep):
+    # the five cells share one grid; with two workers they form two batches
+    batches = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            batches.extend([eps for _, eps in job[2]] for job in jobs)
+            return map(fn, jobs)
+
+    monkeypatch.setattr(rates, "ProcessPoolExecutor", InProcessPool)
+    pooled = run_sweep(zero_h_plan(), threads=2)
+    eps = zero_h_plan().epsilons
+    assert batches == [list(eps[0::2]), list(eps[1::2])]
+    assert pooled.rows == zero_h_sweep.rows
+
+
 def test_sweep_across_grids_matches_pool_and_solo_solves():
     # cells on three grids (64, 128, 256), the 256 one shared by both orders
     plan = zero_h_plan(

@@ -348,9 +348,8 @@ def test_refine_2d_exact_on_modes():
 
 @pytest.mark.parametrize("dim,n", [(1, 1024), (1, 16384), (2, 32), (2, 128)])
 def test_batched_transforms_equal_single_ones(dim, n):
-    # batches of three are transformed together below 16384 points per field
-    # and field by field from there on, as is a batch of one; all equal the
-    # single transforms
+    # a batch of three and a batch of one, each transformed in one call,
+    # equal the single transforms
     sp = TorusGrid(dim, n).spectral
     vals = np.random.default_rng(3).standard_normal((3,) + sp.shape)
     for batch in (vals, vals[:1]):
