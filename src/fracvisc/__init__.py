@@ -12,15 +12,11 @@ convergence rate of u_eps to the inviscid solution in L^p norms as eps -> 0.
 from fracvisc.torus import (
     TorusGrid,
     Field,
-    SpectralField,
-    forward,
-    inverse,
     frac_laplacian,
     spectral_gradient,
     hessian_max_eig,
     second_difference_max,
     lp_norm,
-    dealias,
 )
 from fracvisc.hamiltonians import HamiltonianSpec, make_hamiltonian, LagrangianSpec, legendre_transform
 from fracvisc.hj import (ZeroForcing, ConstantForcing, CosWaveForcing, ProblemSpec, ProblemBatch, Trajectory,

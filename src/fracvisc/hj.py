@@ -24,7 +24,7 @@ import numpy as np
 
 from fracvisc.hamiltonians import HamiltonianSpec, LagrangianSpec, legendre_batch
 from fracvisc.torus import (TWO_PI, Field, TorusGrid, eval_modes, ifrk4_march, mode_table, refine,
-                            second_difference_max, subsample)
+                            second_difference_max, subsample, hessian_max_eig)
 
 __all__ = [
     "ZeroForcing",
@@ -215,10 +215,13 @@ class TrajectoryBatch(tuple):
 
 
 def _quantize_speed(speed: float) -> float:
-    """Round speeds up onto a geometric ladder so dt changes rarely."""
+    """Round speeds up onto a geometric ladder so dt changes rarely; inf for a speed off the ladder."""
     if speed <= 1.0:
         return 1.0
-    return 1.05 ** math.ceil(math.log(speed) / math.log(1.05))
+    try:
+        return 1.05 ** math.ceil(math.log(speed) / math.log(1.05))
+    except (ValueError, OverflowError):  # a NaN or infinite speed, or a rung past the float range
+        return math.inf
 
 
 def clean_snapshot_times(snapshot_times, T: float) -> np.ndarray:
@@ -416,15 +419,13 @@ def _offset_scan(problem: ProblemSpec, t: float) -> tuple[LagrangianSpec, float,
     The spacing is a quarter of the finest oscillation of u0; the scan radius
     t * sup |D_p H(Du0)| + 2pi covers every candidate minimizer plus one period.
     """
-    grid = problem.u0.grid
-    coeff = np.fft.fftn(problem.u0.values)
-    sig = np.abs(coeff) > 1e-12 * np.max(np.abs(coeff))
-    g2 = np.zeros(grid.shape)
-    kmax = 1.0
-    for km in grid.k_mesh:
-        g2 += np.fft.ifftn(1j * km * coeff).real ** 2
-        if np.any(sig):
-            kmax = max(kmax, float(np.max(np.abs(km[sig]))))
+    from fracvisc.torus import spectral_gradient
+
+    sp = problem.u0.grid.spectral
+    amp = np.abs(sp.fwd(problem.u0.values))
+    sig = amp > 1e-12 * np.max(amp)
+    kmax = max([1.0] + [float(np.max(np.abs(km), where=sig, initial=0.0)) for km in sp.k])
+    g2 = sum(g.values**2 for g in spectral_gradient(problem.u0))
     radius = t * problem.hamiltonian.grad_sup(float(np.sqrt(np.max(g2)))) + TWO_PI
     delta = math.pi / (4.0 * kmax)
     m = int(math.ceil(2.0 * radius / delta)) + 1
@@ -693,8 +694,6 @@ def _riccati_bound(times: np.ndarray, k0: float, theta: float, forcing) -> np.nd
 def semiconcavity_profile(traj: Trajectory) -> SemiconcavityCheck:
     """Compare the measured k(t) profile of a trajectory to the Riccati bound."""
     problem = traj.problem
-    from fracvisc.torus import hessian_max_eig as _hme
-
-    k0 = _hme(problem.u0)
+    k0 = hessian_max_eig(problem.u0)
     bound = _riccati_bound(traj.times, k0, problem.hamiltonian.theta, problem.forcing)
     return SemiconcavityCheck(times=traj.times.copy(), measured=traj.k_profile.copy(), bound=bound)

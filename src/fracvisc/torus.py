@@ -1,21 +1,17 @@
 """Spectral calculus on the flat torus [0, 2pi)^d for d in {1, 2}.
 
-Fields live on uniform tensor grids and are manipulated through their
-Fourier coefficients.  The coefficient convention used throughout is
-
-    f(x_j) = sum_k  c_k exp(i k . x_j),      c_k = FFT(f)_k / N_total,
-
-with integer wavevectors in numpy FFT ordering.  Under this convention
-Parseval reads  sum_j |f_j|^2 h^d = (2pi)^d sum_k |c_k|^2.
-
-The time-dependent solvers work instead on unnormalized real-FFT (rfftn)
-coefficients through RealSpectral, the per-grid backend, and share one
+Fields live on uniform tensor grids.  The one coefficient convention is the
+unnormalized real FFT, c_k = rfftn(f)_k = sum_j f(x_j) exp(-i k . x_j), over
+the half spectrum: numpy FFT ordering on the first axis, 0..n/2 on the last.
+RealSpectral, built once per grid, holds its wavenumbers, 2/3 dealiasing,
+Parseval weights and transforms.  The diagnostics below are Fourier
+multipliers on it that take a Nyquist mode, at the nodes, as the cosine
+through its samples.  Both time-dependent solvers march with its one
 integrating-factor RK4 integrator, ifrk4_march.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,21 +23,15 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "TorusGrid",
     "Field",
-    "SpectralField",
-    "forward",
-    "inverse",
     "frac_laplacian",
     "spectral_gradient",
     "hessian_max_eig",
     "second_difference_max",
     "lp_norm",
-    "dealias",
-    "evaluate_at",
     "mode_table",
     "eval_modes",
     "refine",
     "subsample",
-    "parseval_mismatch",
     "RealSpectral",
     "ifrk4_march",
 ]
@@ -102,58 +92,16 @@ class TorusGrid:
         """The rfft backend of this grid, built on first use."""
         return RealSpectral(self)
 
-    @cached_property
-    def k_axis(self) -> np.ndarray:
-        """Integer wavenumbers along one axis, FFT ordering."""
-        return np.fft.fftfreq(self.n_points, d=1.0 / self.n_points).astype(np.int64)
 
-    @cached_property
-    def k_mesh(self) -> list[np.ndarray]:
-        """Broadcast integer wavevector components, one per axis."""
-        return list(np.meshgrid(*([self.k_axis] * self.dim), indexing="ij"))
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.float64)
-        for km in self.k_mesh:
-            out += km.astype(np.float64) ** 2
-        return out
-
-    @cached_property
-    def dealias_keep(self) -> np.ndarray:
-        """Boolean mask of modes kept by the 2/3 rule: all |k_j| <= n/3."""
-        cutoff = self.n_points // 3
-        keep = np.ones(self.shape, dtype=bool)
-        for km in self.k_mesh:
-            keep &= np.abs(km) <= cutoff
-        return keep
-
-    def symbol(self, s: float) -> np.ndarray:
-        """Fourier symbol |k|^(2s) of the fractional Laplacian (-Delta)^s."""
-        if not 0.0 < s <= 1.0:
-            raise ValueError(f"fractional order s must lie in (0, 1], got {s}")
-        with np.errstate(divide="ignore"):
-            sym = self.k_squared**s
-        if self.dim == 1:
-            sym[0] = 0.0
-        else:
-            sym[0, 0] = 0.0
-        return sym
-
-
-def _validate_values(grid: TorusGrid, values: np.ndarray, *, complex_ok: bool) -> np.ndarray:
+def _validate_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     arr = np.asarray(values)
     if arr.shape != grid.shape:
         raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
-    if not complex_ok:
-        if np.iscomplexobj(arr):
-            raise ValueError("Field values must be real")
-        arr = np.asarray(arr, dtype=np.float64)
-    else:
-        arr = np.asarray(arr, dtype=np.complex128)
-    if not np.all(np.isfinite(arr)):
+    if np.iscomplexobj(arr):
+        raise ValueError("Field values must be real")
+    out = np.array(arr, dtype=np.float64)
+    if not np.all(np.isfinite(out)):
         raise ValueError("values contain NaN or Inf")
-    out = arr.copy()
     out.setflags(write=False)
     return out
 
@@ -166,7 +114,7 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _validate_values(self.grid, self.values, complex_ok=False))
+        object.__setattr__(self, "values", _validate_values(self.grid, self.values))
 
     def __add__(self, other: "Field") -> "Field":
         _check_same_grid(self.grid, other.grid)
@@ -182,93 +130,50 @@ class Field:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients (normalized by 1/N_total) of a real field.
-
-    Coefficients must satisfy the Hermitian symmetry c_{-k} = conj(c_k) up to
-    1e-12 of the largest coefficient, so that the nodal values are real.
-    """
-
-    grid: TorusGrid
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeff = _validate_values(self.grid, self.coefficients, complex_ok=True)
-        scale = np.max(np.abs(coeff)) if coeff.size else 0.0
-        if scale > 0.0:
-            flipped = _reverse_modes(coeff)
-            defect = np.max(np.abs(coeff - np.conj(flipped)))
-            if defect > 1e-12 * scale:
-                raise ValueError(
-                    f"coefficients violate Hermitian symmetry (defect {defect:.3e} "
-                    f"vs scale {scale:.3e})"
-                )
-        object.__setattr__(self, "coefficients", coeff)
-
-
-def _reverse_modes(coeff: np.ndarray) -> np.ndarray:
-    """Map coefficient array c_k -> c_{-k} in FFT index layout."""
-    out = coeff
-    for axis in range(coeff.ndim):
-        out = np.flip(np.roll(out, -1, axis=axis), axis=axis)
-    return out
-
-
 def _check_same_grid(a: TorusGrid, b: TorusGrid) -> None:
     if a != b:
         raise ValueError(f"grid mismatch: {a} vs {b}")
 
 
-def forward(field: Field) -> SpectralField:
-    """Nodal values -> normalized Fourier coefficients."""
-    coeff = np.fft.fftn(field.values) / field.grid.n_total
-    return SpectralField(field.grid, coeff)
+def _nyquist_free(k: np.ndarray, n: int) -> np.ndarray:
+    """Wavenumbers k with the Nyquist one, n/2 in magnitude, set to zero."""
+    return np.where(np.abs(k) < n // 2, k, 0.0)
 
 
-def inverse(spec: SpectralField) -> Field:
-    """Normalized Fourier coefficients -> real nodal values."""
-    values = np.fft.ifftn(spec.coefficients * spec.grid.n_total)
-    return Field(spec.grid, values.real)
-
-
-def _coefficients(f: Field | SpectralField) -> tuple[TorusGrid, np.ndarray]:
-    if isinstance(f, Field):
-        return f.grid, np.fft.fftn(f.values) / f.grid.n_total
-    if isinstance(f, SpectralField):
-        return f.grid, f.coefficients
-    raise TypeError(f"expected Field or SpectralField, got {type(f).__name__}")
-
-
-def frac_laplacian(f: Field | SpectralField, s: float) -> Field:
+def frac_laplacian(f: Field, s: float) -> Field:
     """Apply (-Delta)^s via the Fourier multiplier |k|^(2s)."""
-    grid, coeff = _coefficients(f)
-    out = coeff * grid.symbol(s)
-    return Field(grid, np.fft.ifftn(out * grid.n_total).real)
+    sp = f.grid.spectral
+    return Field(f.grid, sp.inv(sp.fwd(f.values) * sp.symbol(s)))
 
 
-def spectral_gradient(f: Field | SpectralField) -> list[Field]:
-    """Exact spectral partial derivatives, one Field per axis."""
-    grid, coeff = _coefficients(f)
-    grads = []
-    for km in grid.k_mesh:
-        g = np.fft.ifftn(1j * km * coeff * grid.n_total).real
-        grads.append(Field(grid, g))
-    return grads
+def spectral_gradient(f: Field) -> list[Field]:
+    """Exact spectral partial derivatives, one Field per axis.
+
+    No mode is dealiased, but a Nyquist wavenumber differentiates to zero:
+    the cosine through a Nyquist mode's samples has zero slope at the nodes.
+    """
+    sp = f.grid.spectral
+    coeff = sp.fwd(f.values)
+    return [Field(f.grid, sp.inv(1j * _nyquist_free(km, f.grid.n_points) * coeff)) for km in sp.k]
 
 
-def hessian_max_eig(f: Field | SpectralField) -> float:
-    """sup over nodes of the largest eigenvalue of the spectral Hessian."""
-    grid, coeff = _coefficients(f)
+def hessian_max_eig(f: Field) -> float:
+    """sup over nodes of the largest eigenvalue of the spectral Hessian.
+
+    The mixed derivative zeroes a Nyquist wavenumber as spectral_gradient
+    does, except at the corner mode (n/2, n/2), which is taken as
+    cos(n/2 (x + y)) and keeps its multiplier -n^2/4.
+    """
+    grid = f.grid
+    sp = grid.spectral
+    coeff = sp.fwd(f.values)
     if grid.dim == 1:
-        k2 = grid.k_mesh[0].astype(np.float64) ** 2
-        uxx = np.fft.ifftn(-k2 * coeff * grid.n_total).real
-        return float(np.max(uxx))
-    kx, ky = (km.astype(np.float64) for km in grid.k_mesh)
-    scaled = coeff * grid.n_total
-    uxx = np.fft.ifftn(-(kx * kx) * scaled).real
-    uyy = np.fft.ifftn(-(ky * ky) * scaled).real
-    uxy = np.fft.ifftn(-(kx * ky) * scaled).real
+        return float(np.max(sp.inv(-sp.k2 * coeff)))
+    n = grid.n_points
+    kx, ky = sp.k
+    kxy = _nyquist_free(kx, n) * _nyquist_free(ky, n)
+    kxy[n // 2, -1] = n * n / 4
+    uxx, uyy, uxy = (sp.inv(-m * coeff) for m in (kx * kx, ky * ky, kxy))
     half_tr = 0.5 * (uxx + uyy)
     disc = np.sqrt(0.25 * (uxx - uyy) ** 2 + uxy**2)
     return float(np.max(half_tr + disc))
@@ -286,8 +191,6 @@ def second_difference_max(f: Field, scale: float) -> float:
     semiconcavity constant that stays finite when f carries unresolved
     near-discontinuities (where the spectral Hessian diverges with the grid).
     """
-    if not isinstance(f, Field):
-        raise TypeError("second_difference_max expects a nodal Field")
     if not scale > 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
     grid = f.grid
@@ -317,8 +220,6 @@ def lp_norm(f: Field, p: float) -> float:
     For finite p the norm is (sum |f_j|^p h^dim)^(1/p) with no division by
     the torus volume, so constants satisfy ||c||_p = |c| (2pi)^(dim/p).
     """
-    if not isinstance(f, Field):
-        raise TypeError("lp_norm expects a nodal Field")
     if math.isinf(p):
         return float(np.max(np.abs(f.values)))
     p = float(p)
@@ -328,20 +229,38 @@ def lp_norm(f: Field, p: float) -> float:
     return float((np.sum(np.abs(f.values) ** p) * h_vol) ** (1.0 / p))
 
 
-def dealias(f: SpectralField) -> SpectralField:
-    """Zero every mode with any |k_j| > n_points/3 (the 2/3 rule)."""
+def _split_nyquist_row(coeff: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """2-D rfft coefficients on the n + 1 rows kx = 0..n/2, -n/2..-1, and those kx.
+
+    The axis-0 Nyquist row is split evenly between kx = n/2 and -n/2, so
+    that it stands for a cosine in x, except its corner mode, which goes to
+    kx = n/2 whole and so stands for cos(n/2 (x + y)).
+    """
+    half = n // 2
+    rows = np.concatenate([coeff[:half + 1], coeff[half:]])
+    rows[half:half + 2] *= 0.5
+    rows[half, -1], rows[half + 1, -1] = coeff[half, -1], 0.0
+    return rows, np.r_[0:half + 1, -half:0]
+
+
+def mode_table(f: Field, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Significant modes of f: float wavevectors (m, dim) and coefficients for eval_modes.
+
+    The modes are the rfft half spectrum, with each coefficient weighted by
+    parseval_w / N_total so that the real part of the mode sum is the
+    trigonometric interpolant; in 2-D the axis-0 Nyquist row is split as in
+    refine.  Modes at or below rel_tol times the peak coefficient are dropped.
+    """
     grid = f.grid
-    return SpectralField(grid, np.where(grid.dealias_keep, f.coefficients, 0.0))
-
-
-def mode_table(f: Field | SpectralField, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Significant modes of f: float wavevectors (m, dim) and normalized coefficients.
-
-    Modes at or below rel_tol times the peak coefficient are dropped."""
-    grid, coeff = _coefficients(f)
+    sp = grid.spectral
+    coeff = sp.fwd(f.values) * (sp.parseval_w / grid.n_total)
+    kms = sp.k
+    if grid.dim == 2:
+        coeff, kx = _split_nyquist_row(coeff, grid.n_points)
+        kms = np.meshgrid(kx, sp.k[1][0], indexing="ij")
     flat = coeff.reshape(-1)
     sig = np.abs(flat) > rel_tol * max(np.max(np.abs(flat)), 1e-300)
-    kvecs = np.stack([km.reshape(-1)[sig] for km in grid.k_mesh], axis=-1).astype(np.float64)
+    kvecs = np.stack([km.reshape(-1)[sig] for km in kms], axis=-1)
     return kvecs, flat[sig]
 
 
@@ -351,50 +270,28 @@ def eval_modes(kvecs: np.ndarray, cvals: np.ndarray, pts: np.ndarray) -> np.ndar
     return (np.exp(1j * phase) @ cvals).real.reshape(pts.shape[:-1])
 
 
-def evaluate_at(f: Field | SpectralField, points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant at arbitrary points.
-
-    points has shape (..., dim) (a trailing axis of length dim; plain shape
-    (...,) is accepted for dim == 1).  Modes smaller than 1e-15 of the peak
-    coefficient are skipped.
-    """
-    kvecs, cvals = mode_table(f, 1e-15)
-    dim = f.grid.dim
-    pts = np.asarray(points, dtype=np.float64)
-    if dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-        pts = pts[..., np.newaxis]
-    if pts.shape[-1] != dim:
-        raise ValueError(f"points must have trailing axis of length {dim}")
-    return eval_modes(kvecs, cvals, pts)
-
-
 def refine(f: Field, factor: int) -> Field:
-    """Trigonometric upsampling onto a grid factor times finer per axis."""
+    """Trigonometric upsampling onto a grid factor times finer per axis.
+
+    The rfft coefficients are zero-padded, with each Nyquist mode split
+    evenly between +-n/2 so that it stands for a cosine; in 2-D the corner
+    mode (n/2, n/2) stands for cos(n/2 (x + y)).
+    """
     if not isinstance(factor, int) or factor < 1 or not _is_power_of_two(factor):
         raise ValueError(f"factor must be a power-of-two integer >= 1, got {factor}")
     if factor == 1:
         return f
     grid = f.grid
-    fine = TorusGrid(grid.dim, grid.n_points * factor)
-    coeff = np.fft.fftn(f.values) / grid.n_total
-    out = np.zeros(fine.shape, dtype=np.complex128)
     n = grid.n_points
-    half = n // 2
-    if grid.dim == 1:
-        # modes 0..half-1 and -half..-1; the Nyquist mode -half is treated
-        # as a pure cosine, which is exact for real nodal data
-        out[:half] = coeff[:half]
-        out[-half:] = coeff[-half:]
-    else:
-        sl = (slice(0, half), slice(-half, None))
-        for a in range(2):
-            for b in range(2):
-                src = (slice(0, half) if a == 0 else slice(half - n, None),
-                       slice(0, half) if b == 0 else slice(half - n, None))
-                dst = (sl[a], sl[b])
-                out[dst] = coeff[src]
-    vals = np.fft.ifftn(out * fine.n_total).real
-    return Field(fine, vals)
+    fine = TorusGrid(grid.dim, n * factor)
+    # the fine half spectrum holds the last-axis Nyquist at +n/2 and implies its partner
+    coeff = grid.spectral.fwd(f.values) * float(factor**grid.dim)
+    coeff[..., -1] *= 0.5
+    if grid.dim == 2:
+        rows, kx = _split_nyquist_row(coeff, n)
+        coeff = np.zeros((fine.n_points, n // 2 + 1), dtype=complex)
+        coeff[kx] = rows
+    return Field(fine, np.fft.irfftn(coeff, s=fine.shape, axes=grid.spectral.axes))
 
 
 def subsample(f: Field, factor: int) -> Field:
@@ -411,15 +308,6 @@ def subsample(f: Field, factor: int) -> Field:
     return Field(coarse, f.values[idx])
 
 
-def parseval_mismatch(f: Field) -> float:
-    """|quadrature L2 - spectral L2| / L2, used as a self-check diagnostic."""
-    spec = forward(f)
-    quad = lp_norm(f, 2.0)
-    spectral = math.sqrt(TWO_PI**f.grid.dim * float(np.sum(np.abs(spec.coefficients) ** 2)))
-    denom = max(quad, 1e-300)
-    return abs(quad - spectral) / denom
-
-
 # ---------------------------------------------------------------------------
 # rfft backend and the integrating-factor RK4 march of the spectral solvers
 # ---------------------------------------------------------------------------
@@ -429,12 +317,13 @@ class RealSpectral:
     """rfftn-layout wavenumbers, 2/3 dealiasing and transforms of one grid.
 
     Obtain it through TorusGrid.spectral, which builds it once per grid; its
-    arrays are read-only because every solve on the grid shares them.  ik[j]
-    is the multiplier i k_j with the modes beyond the 2/3 cutoff zeroed, so
-    ik[j] * c is the dealiased j-th derivative; tail lists those modes as
-    slices of the rfft layout.  fwd, inv and truncate also take a batch of
-    fields stacked on a leading axis, transformed in one call; fwd and inv
-    write into out when given.
+    arrays are read-only because every solve on the grid shares them.  k[j]
+    holds the wavenumbers k_j of every mode and ik[j] the multiplier i k_j
+    with the modes beyond the 2/3 cutoff zeroed, so ik[j] * c is the
+    dealiased j-th derivative; tail lists those modes as slices of the rfft
+    layout.  fwd, inv and truncate also take a batch of fields stacked on a
+    leading axis, transformed in one call; fwd and inv write into out when
+    given.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -443,38 +332,34 @@ class RealSpectral:
         khalf = np.arange(n // 2 + 1, dtype=np.float64)
         cutoff = n // 3
         if grid.dim == 1:
-            kms = [khalf]
-            k2 = khalf**2
+            kms = (khalf,)
             self.tail = ((..., slice(cutoff + 1, None)),)
         else:
-            kx, ky = np.meshgrid(kfull, khalf, indexing="ij")
-            kms = [kx, ky]
-            k2 = kx**2 + ky**2
+            kms = np.meshgrid(kfull, khalf, indexing="ij")
             self.tail = (
                 (..., slice(cutoff + 1, n - cutoff), slice(None)),
                 (..., slice(cutoff + 1, None)),
             )
-        self.k2 = k2
-        keep = np.ones(k2.shape, dtype=bool)
-        for km in kms:
-            keep &= np.abs(km) <= cutoff
-        self.keep = keep
+        self.k = kms
+        self.k2 = k2 = sum(km**2 for km in kms)
+        self.keep = keep = np.logical_and.reduce([np.abs(km) <= cutoff for km in kms])
         self.ik = [np.where(keep, 1j * km, 0.0) for km in kms]
         # Parseval weights: modes with conjugate partner folded away count twice
         w = np.full(k2.shape, 2.0)
         w[..., 0] = 1.0
         w[..., -1] = 1.0
         self.parseval_w = w
-        for arr in (k2, keep, *self.ik, w):
+        for arr in (*kms, k2, keep, *self.ik, w):
             arr.setflags(write=False)
         self.shape = grid.shape
         self.axes = tuple(range(-grid.dim, 0))
         self.grid = grid
 
     def symbol(self, s: float) -> np.ndarray:
-        sym = self.k2**s
-        sym.flat[0] = 0.0
-        return sym
+        """Fourier symbol |k|^(2s) of the fractional Laplacian (-Delta)^s."""
+        if not 0.0 < s <= 1.0:
+            raise ValueError(f"fractional order s must lie in (0, 1], got {s}")
+        return self.k2**s
 
     def damping_rate(self, amp: float, order: int) -> np.ndarray:
         """Smooth near-cutoff damping rate amp * k_c * (|k|/k_c)^(2*order).
@@ -537,11 +422,12 @@ def ifrk4_march(grid: TorusGrid, members, spectral_damping: tuple[float, int] | 
     after the stage-1 evaluation (so it may read that call's buffers),
     returns their steps.  Each member's steps are shortened to land exactly
     on each ascending landing, where land(i, y_i, t) is called; member i
-    leaves when that returns False or after the last landing, and every 64
-    steps through nonfinite(i, t) (which may raise) once its row stops being
-    finite.  t_ref scales the landing tolerance 1e-13 t_ref.  The factors of
-    the last 64 step sizes not shortened for a landing are cached per
-    (viscosity, s), as complex arrays.  Each row's numbers are bitwise those
+    leaves when that returns False or after the last landing, and through
+    nonfinite(i, t) (which may raise) right after a step that dt_rule gave
+    as zero or NaN, or every 64 steps once its row stops being finite.
+    t_ref scales the landing tolerance 1e-13 t_ref.  The factors of the last
+    64 step sizes not shortened for a landing are cached per (viscosity, s),
+    as complex arrays.  Each row's numbers are bitwise those
     of its member marched alone.  Returns each member's number of steps.
     """
     sp = grid.spectral
@@ -598,6 +484,7 @@ def ifrk4_march(grid: TorusGrid, members, spectral_damping: tuple[float, int] | 
             ym, k1, k2, k3, k4, a, b, e1, e2 = (arr[:m] for arr in bufs)
         nonlinear(ym, t, k1)
         dts = list(dt_rule(m))
+        stalled = {r for r, dt in enumerate(dts) if not dt > 0.0}  # these rows leave after this step
         for r, i in enumerate(ids):
             landing = t[r] + dts[r] >= ends[nxt[r]]
             if landing:
@@ -635,8 +522,8 @@ def ifrk4_march(grid: TorusGrid, members, spectral_damping: tuple[float, int] | 
         np.multiply(sixth, b, out=b)
         np.add(ym, b, out=ym)
         n_steps += 1
-        bad = ()
+        bad = stalled
         if n_steps % 64 == 0 and not np.all(np.isfinite(ym)):
-            bad = set(np.flatnonzero(~np.isfinite(ym).reshape(m, -1).all(axis=1)).tolist())
-            for r in bad:
-                nonfinite(ids[r], t[r])
+            bad |= set(np.flatnonzero(~np.isfinite(ym).reshape(m, -1).all(axis=1)).tolist())
+        for r in bad:
+            nonfinite(ids[r], t[r])

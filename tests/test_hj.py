@@ -381,10 +381,21 @@ def test_mean_evolution_identity():
 
 
 def test_blowup_guard_triggers():
+    # 1e7 crosses the sup guard; at 1e306 the iterate overflows within a few
+    # steps and sup|Du| turns NaN before any landing
     g = TorusGrid(1, 64)
-    pr = problem(g, 0.5, 0.1, ham=ZERO_H, forcing=ConstantForcing(1e7), T=1.0)
-    with pytest.raises(BlowUpError):
-        viscous_solve(pr, snapshot_times=tuple(np.linspace(0.0, 1.0, 16)))
+    for ham, push in ((ZERO_H, 1e7), (QUAD, 1e306)):
+        pr = problem(g, 0.5, 0.1, ham=ham, forcing=ConstantForcing(push), T=1.0)
+        with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
+            viscous_solve(pr, snapshot_times=tuple(np.linspace(0.0, 1.0, 16)))
+
+
+def test_batch_with_a_non_finite_speed_fails_per_member():
+    g = TorusGrid(1, 64)
+    members = [problem(g, 0.5, eps, forcing=ConstantForcing(1e306), T=1.0) for eps in (0.1, 0.05)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = viscous_solve(ProblemBatch(members), snapshot_times=tuple(np.linspace(0.0, 1.0, 16)))
+    assert len(batch) == 2 and all(isinstance(got, BlowUpError) for got in batch)
 
 
 def test_tail_guard_triggers_on_rough_data():

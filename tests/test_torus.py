@@ -13,16 +13,12 @@ import pytest
 
 from fracvisc.torus import (
     Field,
-    SpectralField,
     TorusGrid,
-    dealias,
-    evaluate_at,
-    forward,
+    eval_modes,
     frac_laplacian,
     hessian_max_eig,
-    inverse,
     lp_norm,
-    parseval_mismatch,
+    mode_table,
     refine,
     spectral_gradient,
     subsample,
@@ -35,8 +31,15 @@ def random_field(grid: TorusGrid, seed: int, band_limited: bool = False) -> Fiel
     rng = np.random.default_rng(seed)
     f = Field(grid, rng.standard_normal(grid.shape))
     if band_limited:
-        f = inverse(dealias(forward(f)))
+        coeff = grid.spectral.fwd(f.values)
+        grid.spectral.truncate(coeff)
+        f = Field(grid, grid.spectral.inv(coeff))
     return f
+
+
+def interpolant(f: Field, pts: np.ndarray) -> np.ndarray:
+    """The trigonometric interpolant of f at pts of shape (..., dim)."""
+    return eval_modes(*mode_table(f, 1e-15), pts)
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +75,16 @@ def test_field_validation():
         f.values[0] = 1.0  # snapshot arrays are read-only
 
 
-def test_spectral_field_hermitian_guard():
-    g = TorusGrid(1, 16)
-    coeff = np.zeros(16, dtype=complex)
-    coeff[1] = 1.0 + 0.5j  # no conjugate partner at k = -1
-    with pytest.raises(ValueError):
-        SpectralField(g, coeff)
-    coeff[-1] = np.conj(coeff[1])
-    SpectralField(g, coeff)
-
-
 def test_wavenumber_layout():
-    g = TorusGrid(1, 8)
-    assert list(g.k_axis) == [0, 1, 2, 3, -4, -3, -2, -1]
-    assert g.dealias_keep.tolist() == [True, True, True, False, False, False, True, True]
+    # rfft layout: numpy FFT ordering on the first axis, 0..n/2 on the last
+    sp = TorusGrid(1, 8).spectral
+    assert sp.k[0].tolist() == [0, 1, 2, 3, 4]
+    assert sp.keep.tolist() == [True, True, True, False, False]
+    sp2 = TorusGrid(2, 8).spectral
+    kx, ky = sp2.k
+    assert kx[:, 0].tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
+    assert ky[0].tolist() == [0, 1, 2, 3, 4]
+    assert sp2.keep[:, 0].tolist() == [True, True, True, False, False, False, True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -96,25 +95,34 @@ def test_wavenumber_layout():
 @pytest.mark.parametrize("dim,n", [(1, 64), (1, 256), (2, 32)])
 def test_roundtrip(dim, n):
     f = random_field(TorusGrid(dim, n), seed=dim * 100 + n)
-    back = inverse(forward(f))
-    assert np.max(np.abs(back.values - f.values)) <= 1e-13
+    sp = f.grid.spectral
+    back = sp.inv(sp.fwd(f.values))
+    assert np.max(np.abs(back - f.values)) <= 1e-13
 
 
 def test_forward_normalization():
-    # f = 3 + 2 cos(x): c_0 = 3, c_{+-1} = 1
+    # f = 3 + 2 cos(x): unnormalized rfft c_0 = 3 N, c_1 = N; the mode table
+    # holds the amplitudes 3 and 2 (c_1 counts once more for c_{-1})
     g = TorusGrid(1, 32)
     x = g.nodes()[0]
-    spec = forward(Field(g, 3.0 + 2.0 * np.cos(x)))
-    assert spec.coefficients[0] == pytest.approx(3.0, abs=1e-14)
-    assert spec.coefficients[1] == pytest.approx(1.0, abs=1e-14)
-    assert spec.coefficients[-1] == pytest.approx(1.0, abs=1e-14)
+    f = Field(g, 3.0 + 2.0 * np.cos(x))
+    coeff = g.spectral.fwd(f.values)
+    assert coeff[0] == pytest.approx(3.0 * 32, abs=1e-12)
+    assert coeff[1] == pytest.approx(32.0, abs=1e-12)
+    kvecs, cvals = mode_table(f, 1e-12)
+    assert kvecs[:, 0].tolist() == [0.0, 1.0]
+    assert cvals == pytest.approx([3.0, 2.0], abs=1e-14)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
 def test_parseval(dim, n):
+    # sum |f_j|^2 h^dim = (2pi)^dim sum_k w_k |c_k|^2 / N_total^2 over the half spectrum
     for seed in range(5):
         f = random_field(TorusGrid(dim, n), seed)
-        assert parseval_mismatch(f) <= 1e-12
+        sp = f.grid.spectral
+        spectral = math.sqrt(TWO_PI**dim * float(np.sum(sp.parseval_w * np.abs(sp.fwd(f.values)) ** 2))) / f.grid.n_total
+        quad = lp_norm(f, 2.0)
+        assert abs(quad - spectral) / quad <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +305,15 @@ def test_nonnegativity_pairing():
 
 
 def test_dealias_cutoff_and_idempotence():
-    g = TorusGrid(1, 64)  # cutoff at |k| <= 21
-    x = g.nodes()[0]
-    f = Field(g, np.cos(21 * x) + np.cos(22 * x))
-    spec = dealias(forward(f))
-    kept = inverse(spec)
-    assert np.max(np.abs(kept.values - np.cos(21 * x))) <= 1e-12
-    again = dealias(spec)
-    assert np.max(np.abs(again.coefficients - spec.coefficients)) == 0.0
+    sp = TorusGrid(1, 64).spectral  # cutoff at |k| <= 21
+    x = sp.grid.nodes()[0]
+    coeff = sp.fwd(np.cos(21 * x) + np.cos(22 * x))
+    sp.truncate(coeff)
+    assert np.max(np.abs(sp.inv(coeff) - np.cos(21 * x))) <= 1e-12
+    again = coeff.copy()
+    sp.truncate(again)
+    assert np.array_equal(again, coeff)
+    assert not np.any(coeff[~sp.keep])
 
 
 def test_evaluate_at_matches_closed_form():
@@ -312,9 +321,8 @@ def test_evaluate_at_matches_closed_form():
     x = g.nodes()[0]
     f = Field(g, 2.0 * np.cos(x) - np.sin(3 * x))
     pts = np.array([0.1, 1.7321, 4.0, 6.1])
-    vals = evaluate_at(f, pts)
     exact = 2.0 * np.cos(pts) - np.sin(3 * pts)
-    assert np.max(np.abs(vals - exact)) <= 1e-12
+    assert np.max(np.abs(interpolant(f, pts[:, np.newaxis]) - exact)) <= 1e-12
 
 
 def test_evaluate_at_2d():
@@ -322,19 +330,21 @@ def test_evaluate_at_2d():
     X, Y = g.nodes()
     f = Field(g, np.cos(X + 2 * Y))
     pts = np.array([[0.3, 1.1], [2.0, 0.0], [5.5, 3.3]])
-    assert np.max(np.abs(evaluate_at(f, pts) - np.cos(pts[:, 0] + 2 * pts[:, 1]))) <= 1e-12
+    assert np.max(np.abs(interpolant(f, pts) - np.cos(pts[:, 0] + 2 * pts[:, 1]))) <= 1e-12
 
 
 def test_refine_subsample_roundtrip():
-    g = TorusGrid(1, 64)
-    f = random_field(g, 3, band_limited=True)
-    up = refine(f, 4)
-    assert up.grid.n_points == 256
-    back = subsample(up, 4)
-    assert np.max(np.abs(back.values - f.values)) <= 1e-12
-    # refinement interpolates: value at a fine node equals the interpolant
-    x_fine = up.grid.nodes()[0]
-    assert np.max(np.abs(up.values - evaluate_at(f, x_fine))) <= 1e-11
+    # band-limited and full-spectrum fields (the latter with weight on every
+    # Nyquist mode), in 1-D and 2-D
+    for f in (random_field(TorusGrid(1, 64), 3, band_limited=True), random_field(TorusGrid(1, 64), 4),
+              random_field(TorusGrid(2, 32), 5)):
+        up = refine(f, 4)
+        assert up.grid.n_points == 4 * f.grid.n_points
+        back = subsample(up, 4)
+        assert np.max(np.abs(back.values - f.values)) <= 1e-12
+        # refinement interpolates: value at a fine node equals the interpolant
+        x_fine = np.stack(up.grid.nodes(), axis=-1)
+        assert np.max(np.abs(up.values - interpolant(f, x_fine))) <= 1e-11 * max(1.0, np.max(np.abs(f.values)))
 
 
 def test_refine_2d_exact_on_modes():
