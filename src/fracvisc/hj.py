@@ -24,7 +24,7 @@ import numpy as np
 
 from fracvisc.hamiltonians import HamiltonianSpec, LagrangianSpec, legendre_batch
 from fracvisc.torus import (TWO_PI, Field, TorusGrid, eval_modes, ifrk4_march, mode_table, refine,
-                            second_difference_max, subsample, hessian_max_eig)
+                            second_difference_max, subsample)
 
 __all__ = [
     "ZeroForcing",
@@ -694,6 +694,8 @@ def _riccati_bound(times: np.ndarray, k0: float, theta: float, forcing) -> np.nd
 def semiconcavity_profile(traj: Trajectory) -> SemiconcavityCheck:
     """Compare the measured k(t) profile of a trajectory to the Riccati bound."""
     problem = traj.problem
-    k0 = hessian_max_eig(problem.u0)
+    from fracvisc.torus import hessian_max_eig as _hme
+
+    k0 = _hme(problem.u0)
     bound = _riccati_bound(traj.times, k0, problem.hamiltonian.theta, problem.forcing)
     return SemiconcavityCheck(times=traj.times.copy(), measured=traj.k_profile.copy(), bound=bound)

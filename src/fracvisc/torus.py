@@ -93,19 +93,6 @@ class TorusGrid:
         return RealSpectral(self)
 
 
-def _validate_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.shape != grid.shape:
-        raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
-    if np.iscomplexobj(arr):
-        raise ValueError("Field values must be real")
-    out = np.array(arr, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("values contain NaN or Inf")
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class Field:
     """Real nodal samples of a function on a TorusGrid."""
@@ -114,7 +101,16 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _validate_values(self.grid, self.values))
+        arr = np.asarray(self.values)
+        if arr.shape != self.grid.shape:
+            raise ValueError(f"values shape {arr.shape} does not match grid shape {self.grid.shape}")
+        if np.iscomplexobj(arr):
+            raise ValueError("Field values must be real")
+        out = np.array(arr, dtype=np.float64)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("values contain NaN or Inf")
+        out.setflags(write=False)
+        object.__setattr__(self, "values", out)
 
     def __add__(self, other: "Field") -> "Field":
         _check_same_grid(self.grid, other.grid)
