@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -31,9 +30,11 @@ from fracvisc.rates import (
     fit_entry,
     format_float,
     one_sided_check,
+    one_sided_entry,
     emit_report,
     env_threads,
     run_sweep,
+    write_json,
 )
 from fracvisc.torus import Field, TorusGrid, frac_laplacian, lp_norm
 
@@ -117,9 +118,7 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
         "snapshots": names,
         "config": _config_echo(cfg, out_dir),
     }
-    with open(os.path.join(out_dir, "solve.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "solve.json"), summary)
     _log(f"solve: wrote {len(names)} snapshots and solve.json to {out_dir}")
     return 0
 
@@ -216,10 +215,7 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
             )
             if q == qs[0]:
                 _export_trajectory_dual(dual, out_dir, eps, eta)
-    report = {"checks": checks, "config": _config_echo(cfg, out_dir)}
-    with open(os.path.join(out_dir, "dual_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "dual_report.json"), {"checks": checks, "config": _config_echo(cfg, out_dir)})
     _log(
         f"dual-check: {len(checks)} checks, worst Gronwall ratio {worst_ratio:.4f}, "
         f"worst duality residual {worst_residual:.3e}"
@@ -240,18 +236,8 @@ def _cmd_one_sided(cfg: ExperimentConfig, out_dir: str) -> int:
     result = run_sweep(dataclasses.replace(_build_plan(cfg), s_values=(0.5,)), threads=_threads())
     report = one_sided_check(result)
     os.makedirs(out_dir, exist_ok=True)
-    payload = {
-        "epsilons": [float(e) for e in report.epsilons],
-        "bounds": [float(b) for b in report.bounds],
-        "spread": report.spread,
-        "uniform": report.uniform,
-        "errors": [float(e) for e in report.errors],
-        "slope": None if report.fit is None else report.fit.exponent,
-        "config": _config_echo(cfg, out_dir),
-    }
-    with open(os.path.join(out_dir, "one_sided.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    payload = {**one_sided_entry(report), "config": _config_echo(cfg, out_dir)}
+    write_json(os.path.join(out_dir, "one_sided.json"), payload)
     if report.uniform:
         slope = None if report.fit is None else report.fit.exponent
         _log(f"one-sided: bound spread {report.spread:.3f} (uniform), slope {slope}")
@@ -280,9 +266,7 @@ def _cmd_report(out_dir: str) -> int:
                 raise ConfigError(f"{path}: malformed rates row: {exc}", line=lineno) from None
             slices.setdefault((s, p), []).append((eps, err))
     fits = dict(fit_entry(s, p, *np.array(pts).T) for (s, p), pts in sorted(slices.items()))
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump({"fits": fits, "source": "rates.csv"}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "report.json"), {"fits": fits, "source": "rates.csv"})
     _log(f"report: refit {len(fits)} slices from {path}")
     return 0
 

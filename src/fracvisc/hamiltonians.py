@@ -174,7 +174,6 @@ class LagrangianSpec:
 
     hamiltonian: HamiltonianSpec
     tol: float = 1e-10
-    max_iter: int = 100
 
     def __post_init__(self) -> None:
         if self.hamiltonian.is_zero:
@@ -197,13 +196,14 @@ def legendre_batch(lag: LagrangianSpec, q: np.ndarray) -> np.ndarray:
 
     The supported Hamiltonians are separable, so the inversion decouples per
     component; damping guards the early iterations far from the root.
+    Raises RuntimeError when 100 iterations do not reach lag.tol.
     """
     ham = lag.hamiltonian
     qa = ham._as_points(q)
     p = _newton_start(ham, qa)
     resid = ham.grad(p) - qa
     scale = np.maximum(np.max(np.abs(qa)), 1.0)
-    for _ in range(lag.max_iter):
+    for _ in range(100):
         err = np.max(np.abs(resid))
         if err <= lag.tol * scale:
             break

@@ -39,11 +39,12 @@ __all__ = [
     "TailGuardError",
     "viscous_solve",
     "hopf_lax_oracle",
-    "hopf_lax_minimizers",
     "monotone_reference",
     "SemiconcavityCheck",
     "semiconcavity_profile",
 ]
+
+CURVATURE_SCALE = 0.1  # probe scale of the per-snapshot semiconcavity measurement
 
 
 class BlowUpError(RuntimeError):
@@ -166,11 +167,12 @@ class Trajectory:
     """Snapshots of one solve plus per-snapshot diagnostics.
 
     k_profile[i] is the measured semiconcavity constant of the snapshot:
-    the largest centred second difference quotient at the solver's fixed
-    curvature probe scale (see torus.second_difference_max).  Probing at a
-    fixed physical scale keeps the measurement finite and grid-independent
-    when fronts sharpen below the grid, which genuinely happens for s <= 1/2
-    where the dissipation cannot spread a front into a resolvable layer.
+    the largest centred second difference quotient at the fixed probe
+    scale CURVATURE_SCALE = 0.1 (see torus.second_difference_max).  Probing
+    at a fixed physical scale keeps the measurement finite and
+    grid-independent when fronts sharpen below the grid, which genuinely
+    happens for s <= 1/2 where the dissipation cannot spread a front into a
+    resolvable layer.
     grad_sup_profile[i] is the nodal sup of |Du| of the dealiased snapshot.
     """
 
@@ -247,8 +249,6 @@ def viscous_solve(
     problem: ProblemSpec | ProblemBatch,
     dt_cfl: float = 0.5,
     snapshot_times=None,
-    spectral_damping: tuple[float, int] | None = (3000.0, 8),
-    curvature_scale: float = 0.1,
 ) -> Trajectory | TrajectoryBatch:
     """Integrate the viscous problem with integrating-factor RK4.
 
@@ -264,16 +264,12 @@ def viscous_solve(
     The TrajectoryBatch returned holds, per member, the Trajectory or the
     guard error that viscous_solve gives for that member alone, bitwise.
 
-    spectral_damping = (amp, order) adds the smooth near-cutoff damping of
-    RealSpectral.damping_rate to the integrating factor.  It is essential
-    for weak high-frequency dissipation (s <= 1/2 with small epsilon): the
-    sharp 2/3 truncation otherwise excites a grid-scale wave packet at
-    stagnation points once a front forms, and the packet rectifies through
-    the Hamiltonian into an O(1) error that grid refinement cannot remove.
-    Pass None to disable.
-
-    curvature_scale is the probe scale of the per-snapshot semiconcavity
-    measurement stored in Trajectory.k_profile.
+    The integrating factor includes the smooth near-cutoff damping
+    RealSpectral.damping.  It is essential for weak high-frequency
+    dissipation (s <= 1/2 with small epsilon): the sharp 2/3 truncation
+    otherwise excites a grid-scale wave packet at stagnation points once a
+    front forms, and the packet rectifies through the Hamiltonian into an
+    O(1) error that grid refinement cannot remove.
     """
     single = isinstance(problem, ProblemSpec)
     batch = ProblemBatch((problem,) if single else problem)
@@ -347,7 +343,7 @@ def viscous_solve(
             return False
         snap = Field(grid, vals)
         snaps[i].append(snap)
-        k_prof[i].append(second_difference_max(snap, curvature_scale))
+        k_prof[i].append(second_difference_max(snap, CURVATURE_SCALE))
         sp.gradient(uh, out=du[:, 0], work=dh[0])
         g_prof[i].append(math.sqrt(float(grad_squared(du[:, 0], nl[0]).max())))
         return True
@@ -356,8 +352,7 @@ def viscous_solve(
         failed[i] = BlowUpError(t, "non-finite spectral coefficients")
 
     steps = ifrk4_march(
-        grid, [(p.epsilon, p.s) for p in batch], spectral_damping,
-        sp.fwd(np.stack([p.u0.values for p in batch])), nonlinear,
+        grid, [(p.epsilon, p.s) for p in batch], sp.fwd(np.stack([p.u0.values for p in batch])), nonlinear,
         dt_rule=dt_rule, landings=times, t_ref=max(batch[0].T, 1.0), land=land, nonfinite=nonfinite,
     )
     out = TrajectoryBatch(
@@ -408,11 +403,6 @@ def _golden_refine(obj, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.
     return best, np.minimum(fc, fd)
 
 
-def _require_oracle_applicable(problem: ProblemSpec) -> None:
-    if not getattr(problem.forcing, "is_zero", False):
-        raise ValueError("hopf_lax_oracle requires zero forcing")
-
-
 def _offset_scan(problem: ProblemSpec, t: float) -> tuple[LagrangianSpec, float, np.ndarray]:
     """Lagrangian, scan spacing and candidate offsets of the oracle at time t.
 
@@ -433,8 +423,8 @@ def _offset_scan(problem: ProblemSpec, t: float) -> tuple[LagrangianSpec, float,
 
 
 def _minimize_1d(problem: ProblemSpec, t: float, xs: np.ndarray, kvecs: np.ndarray,
-                 cvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimizing offsets d and values min_d [u0(x - d) + t L(d / t)] at the points xs (1-D)."""
+                 cvals: np.ndarray) -> np.ndarray:
+    """Values min_d [u0(x - d) + t L(d / t)] at the points xs (1-D)."""
     lag, delta, offsets = _offset_scan(problem, t)
     lvals = t * legendre_batch(lag, (offsets / t)[:, np.newaxis])
 
@@ -451,44 +441,32 @@ def _minimize_1d(problem: ProblemSpec, t: float, xs: np.ndarray, kvecs: np.ndarr
         u0v = eval_modes(kvecs, cvals, (xs - d)[..., np.newaxis])
         return u0v + t * legendre_batch(lag, (d / t)[..., np.newaxis])
 
-    return _golden_refine(objective, best_d - delta, best_d + delta, 1e-10)
+    return _golden_refine(objective, best_d - delta, best_d + delta, 1e-10)[1]
 
 
-def hopf_lax_oracle(problem: ProblemSpec, t: float, x_points: np.ndarray | None = None):
-    """Inviscid solution u(x, t) = min_y [ u0(y) + t L((x - y)/t) ].
+def hopf_lax_oracle(problem: ProblemSpec, t: float) -> Field:
+    """Inviscid solution u(x, t) = min_y [ u0(y) + t L((x - y)/t) ] on the problem grid.
 
-    Evaluated on the problem grid (or on explicit x_points of shape
-    (..., dim)) by a coarse scan over candidate offsets followed by
+    Evaluated by a coarse scan over candidate offsets followed by
     golden-section refinement of the minimizing offset to 1e-10.  The scan
     radius t * sup|D_p H| + 2pi covers every candidate minimizer plus one
     full period.  Requires f == 0; for the zero Hamiltonian the solution is
-    u0 itself.  Returns a Field when x_points is None, else an array.
+    u0 itself.
     """
-    _require_oracle_applicable(problem)
+    if not getattr(problem.forcing, "is_zero", False):
+        raise ValueError("hopf_lax_oracle requires zero forcing")
     grid = problem.grid
     if t < 0.0:
         raise ValueError("t must be >= 0")
-
-    def finish(vals_grid: np.ndarray | None, vals_pts: np.ndarray | None):
-        return Field(grid, vals_grid) if x_points is None else vals_pts
-
-    if x_points is None:
-        pts = np.stack(grid.nodes(), axis=-1)
-    else:
-        pts = np.asarray(x_points, dtype=np.float64)
-        if grid.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., np.newaxis]
+    pts = np.stack(grid.nodes(), axis=-1)
     kvecs, cvals = mode_table(problem.u0, 1e-14)
     if t == 0.0 or problem.hamiltonian.is_zero:
-        vals = eval_modes(kvecs, cvals, pts)
-        return finish(vals if x_points is None else None, vals)
+        return Field(grid, eval_modes(kvecs, cvals, pts))
 
     flat_pts = pts.reshape(-1, grid.dim)
     npts = flat_pts.shape[0]
     if grid.dim == 1:
-        _, vals = _minimize_1d(problem, t, flat_pts[:, 0], kvecs, cvals)
-        out = vals.reshape(pts.shape[:-1])
-        return finish(out if x_points is None else None, out)
+        return Field(grid, _minimize_1d(problem, t, flat_pts[:, 0], kvecs, cvals).reshape(grid.shape))
 
     # dim == 2: coarse scan over an offset lattice, then coordinate descent
     lag, delta, offsets = _offset_scan(problem, t)
@@ -526,20 +504,7 @@ def hopf_lax_oracle(problem: ProblemSpec, t: float, x_points: np.ndarray | None 
         width = max(2.0 * moved, 1e-9)
         if moved < 1e-10:
             break
-    out = vals.reshape(pts.shape[:-1])
-    return finish(out if x_points is None else None, out)
-
-
-def hopf_lax_minimizers(problem: ProblemSpec, t: float, x_points: np.ndarray) -> np.ndarray:
-    """Refined minimizing offsets d* = x - y* for diagnostic use (1D only)."""
-    _require_oracle_applicable(problem)
-    if problem.grid.dim != 1:
-        raise ValueError("minimizer extraction is provided for dim == 1 only")
-    if t <= 0.0 or problem.hamiltonian.is_zero:
-        return np.zeros(np.asarray(x_points, dtype=np.float64).shape)
-    kvecs, cvals = mode_table(problem.u0, 1e-14)
-    dstar, _ = _minimize_1d(problem, t, np.asarray(x_points, dtype=np.float64).reshape(-1), kvecs, cvals)
-    return dstar.reshape(np.asarray(x_points).shape)
+    return Field(grid, vals.reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +516,6 @@ def monotone_reference(
     problem: ProblemSpec,
     fine_factor: int = 4,
     snapshot_times=None,
-    curvature_scale: float = 0.1,
 ) -> Trajectory:
     """First-order Lax-Friedrichs reference solve on a refined grid.
 
@@ -594,7 +558,7 @@ def monotone_reference(
         from fracvisc.torus import spectral_gradient as _sg
 
         snaps.append(coarse)
-        k_prof.append(second_difference_max(coarse, curvature_scale))
+        k_prof.append(second_difference_max(coarse, CURVATURE_SCALE))
         g = _sg(coarse)
         g2 = sum(gi.values**2 for gi in g)
         g_prof.append(float(np.sqrt(np.max(g2))))

@@ -56,9 +56,11 @@ __all__ = [
     "target_exponent",
     "OneSidedReport",
     "one_sided_check",
+    "one_sided_entry",
     "emit_report",
     "fit_entry",
     "format_float",
+    "write_json",
 ]
 
 
@@ -176,7 +178,6 @@ class SweepPlan:
     dt_cfl: float = 0.5
     resolution: ResolutionRule = field(default_factory=ResolutionRule)
     n_points: int | None = None
-    record_one_sided: bool = True
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -282,7 +283,7 @@ def _cell_worker(args: tuple) -> tuple[float, float, object]:
     one_sided_error = 0.0
     one_sided_bound = 0.0
     eval_grid = TorusGrid(plan.dim, eval_n)
-    record_os = plan.record_one_sided and s == 0.5
+    record_os = s == 0.5
     for i, t in enumerate(traj.times):
         coarse = subsample(traj.snapshots[i], factor) if factor > 1 else traj.snapshots[i]
         w = coarse.values - ref_values[i]
@@ -480,21 +481,17 @@ class OneSidedReport:
     errors: np.ndarray
     fit: RateFit | None
 
-    @property
-    def applicable(self) -> bool:
-        return self.uniform
-
     def passes(self, min_slope: float = 0.9) -> bool:
         if not self.uniform:
             return True
         return self.fit is not None and self.fit.exponent >= min_slope
 
 
-def one_sided_check(result: SweepResult, s: float = 0.5) -> OneSidedReport:
-    """Assemble the one-sided diagnostics recorded during a sweep."""
+def one_sided_check(result: SweepResult) -> OneSidedReport:
+    """Assemble the one-sided diagnostics that a sweep records at s = 1/2."""
     eps_list, bounds, errors = [], [], []
     for eps in result.plan.epsilons:
-        cell = result.cells.get((s, eps))
+        cell = result.cells.get((0.5, eps))
         if cell is None or cell.one_sided_bound is None:
             continue
         eps_list.append(eps)
@@ -503,7 +500,7 @@ def one_sided_check(result: SweepResult, s: float = 0.5) -> OneSidedReport:
     if len(eps_list) < 3:
         raise ValueError(
             "one_sided_check needs at least 3 cells with recorded one-sided data; "
-            "run the sweep with record_one_sided=True and s = 0.5"
+            "run the sweep with s = 0.5"
         )
     eps_arr = np.asarray(eps_list)
     b_arr = np.asarray(bounds)
@@ -527,6 +524,25 @@ def one_sided_check(result: SweepResult, s: float = 0.5) -> OneSidedReport:
 # ---------------------------------------------------------------------------
 # report emission
 # ---------------------------------------------------------------------------
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write payload as JSON with sorted keys, indent 2 and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def one_sided_entry(report: OneSidedReport) -> dict:
+    """The JSON entry of a one-sided report, as report.json and one_sided.json hold it."""
+    return {
+        "epsilons": [float(e) for e in report.epsilons],
+        "bounds": [float(b) for b in report.bounds],
+        "spread": report.spread,
+        "uniform": report.uniform,
+        "errors": [float(e) for e in report.errors],
+        "slope": None if report.fit is None else report.fit.exponent,
+    }
 
 
 def _p_label(p: float) -> str:
@@ -605,20 +621,10 @@ def emit_report(
         },
     }
     if one_sided is not None:
-        report["one_sided"] = {
-            "epsilons": [float(e) for e in one_sided.epsilons],
-            "bounds": [float(b) for b in one_sided.bounds],
-            "spread": one_sided.spread,
-            "uniform": one_sided.uniform,
-            "errors": [float(e) for e in one_sided.errors],
-            "slope": None if one_sided.fit is None else one_sided.fit.exponent,
-        }
+        report["one_sided"] = one_sided_entry(one_sided)
     if config_echo is not None:
         report["config"] = config_echo
-
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "report.json"), report)
 
     gp = [
         "# gnuplot script: log-log error decay per (s, p) slice",

@@ -357,8 +357,9 @@ class RealSpectral:
             raise ValueError(f"fractional order s must lie in (0, 1], got {s}")
         return self.k2**s
 
-    def damping_rate(self, amp: float, order: int) -> np.ndarray:
-        """Smooth near-cutoff damping rate amp * k_c * (|k|/k_c)^(2*order).
+    @cached_property
+    def damping(self) -> np.ndarray:
+        """Smooth near-cutoff damping rate 3000 k_c (|k|/k_c)^16 that both solvers add to lam.
 
         Sharp spectral truncation of a steep front excites a standing wave
         packet just below the cutoff wherever the transport speed vanishes;
@@ -368,7 +369,9 @@ class RealSpectral:
         resolved modes (|k| < 0.3 k_c say) untouched to far below round-off.
         """
         kc = float(self.grid.n_points // 3)
-        return amp * kc * (self.k2 / (kc * kc)) ** order
+        rate = 3000.0 * kc * (self.k2 / (kc * kc)) ** 8
+        rate.setflags(write=False)
+        return rate
 
     def fwd(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # s= spares rfftn a shape lookup that costs more than a 1024-point transform's tenth
@@ -405,13 +408,14 @@ class RealSpectral:
         return float(np.sum(e[~self.keep])) / total
 
 
-def ifrk4_march(grid: TorusGrid, members, spectral_damping: tuple[float, int] | None, y: np.ndarray, nonlinear,
+@np.errstate(over="ignore", invalid="ignore")  # a blowing-up member is reported by its guard
+def ifrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
                 *, dt_rule, landings: np.ndarray, t_ref: float, land, nonfinite) -> list[int]:
     """Integrating-factor RK4 for d_t y = -lam y + N(y, t), one independent solve per row of y.
 
     Member i starts from the rfft coefficients y[i], with lam = viscosity
     |k|^(2s) for (viscosity, s) = members[i] plus the smooth near-cutoff
-    damping RealSpectral.damping_rate(*spectral_damping) unless that is None.
+    damping RealSpectral.damping.
     The members still marching hold the rows y[:m], advanced in place; the
     rows behind a member that leaves move up.  nonlinear(y, ts, out) writes
     N of the m rows, row j at time ts[j], into out; dt_rule(m), called right
@@ -427,12 +431,7 @@ def ifrk4_march(grid: TorusGrid, members, spectral_damping: tuple[float, int] | 
     of its member marched alone.  Returns each member's number of steps.
     """
     sp = grid.spectral
-    lams = {key: key[0] * sp.symbol(key[1]) for key in members}
-    if spectral_damping is not None:
-        amp, order = spectral_damping
-        if amp < 0.0 or not isinstance(order, int) or order < 1:
-            raise ValueError(f"spectral_damping must be (amp >= 0, integer order >= 1), got {spectral_damping}")
-        lams = {key: lam + sp.damping_rate(amp, order) for key, lam in lams.items()}
+    lams = {key: key[0] * sp.symbol(key[1]) + sp.damping for key in members}
     caches: dict[tuple[float, float], dict] = {key: {} for key in lams}
 
     def factors(key: tuple[float, float], dt: float, landing: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -316,6 +316,13 @@ def test_cli_one_sided(tmp_path):
     assert rep["uniform"] is True
     assert rep["slope"] is not None and rep["slope"] > 0.85
     assert len(rep["epsilons"]) == 5
+    # sweep writes the same one-sided entry into report.json
+    sweep_out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", cfg, "--output", sweep_out]) == 0
+    with open(os.path.join(sweep_out, "report.json")) as fh:
+        swept = json.load(fh)
+    del rep["config"]
+    assert rep == swept["one_sided"]
 
 
 def test_cli_one_sided_requires_half(tmp_path):

@@ -2,6 +2,7 @@
 closed forms, exact transport/diffusion solutions, conservation, Gronwall
 bounds and the duality identity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -130,8 +131,6 @@ def test_build_drift_validation():
     g2 = TorusGrid(1, 128)
     x = g.nodes()[0]
     ta = fake_trajectory(g, 0.2, [np.sin(x)], (0.0,))
-    with pytest.raises(ValueError, match="zeta_nodes"):
-        build_drift(ta, ta, zeta_nodes=2)
     with pytest.raises(ValueError, match="mollify_scale"):
         build_drift(ta, ta, mollify_scale=-0.1)
     tb = fake_trajectory(g2, 0.1, [np.sin(g2.nodes()[0])], (0.0,))
@@ -186,7 +185,7 @@ def test_dual_constant_drift_translates():
     div = np.zeros((times.size,) + g.shape)
     drift = DriftField(
         grid=g, times=times, values=values, div_values=div,
-        eps=0.2, eta=0.0, s=0.5, zeta_nodes=8,
+        eps=0.2, eta=0.0, s=0.5,
     )
     alpha = Field(g, np.exp(np.cos(x)))
     dual = dual_solve(drift, 0.0, alpha, tau)
@@ -216,8 +215,8 @@ def test_dual_validation_and_snapshots():
         dual_solve(drift, 0.1, [alpha, Field(g2, np.ones(g2.shape))], 1.0)
     with pytest.raises(ValueError, match="terminal datum"):
         dual_solve(drift, 0.1, [], 1.0)
-    dual = dual_solve(drift, 0.1, alpha, 1.0, snapshot_times=(0.0, 0.5, 1.0))
-    assert np.allclose(dual.times, (0.0, 0.5, 1.0))
+    dual = dual_solve(drift, 0.1, alpha, 1.0)
+    assert np.allclose(dual.times, (0.0, 1.0))  # the drift's sample times
     assert dual.snapshot_at(1.0) is dual.snapshots[-1]
     with pytest.raises(KeyError):
         dual.snapshot_at(0.25)
@@ -315,7 +314,7 @@ def test_duality_residual_validation():
     dual = dual_solve(drift, 0.1, alpha, 0.5)
     with pytest.raises(ValueError, match="eta"):
         duality_residual(dual, th, te)  # swapped order: eta mismatch
-    dual_mid = dual_solve(drift, 0.1, alpha, 0.5, snapshot_times=(0.1, 0.5))
+    dual_mid = dataclasses.replace(dual, times=dual.times[1:], snapshots=dual.snapshots[1:])
     with pytest.raises(ValueError, match="t = 0"):
         duality_residual(dual_mid, te, th)
 
@@ -328,7 +327,7 @@ def test_gronwall_bound_post_shock_pair():
     dual = dual_solve(drift, 2.0**-5, alpha, 2.0)
     for q in (2.0, 4.0):
         rep = gronwall_check(dual, drift, q)
-        assert rep.ok(0.01), f"q={q}: max ratio {rep.max_ratio}"
+        assert rep.ok(), f"q={q}: max ratio {rep.max_ratio}"
         assert rep.max_ratio <= 1.005
         assert rep.growth_factor < 3.0
         assert rep.norms_q.shape == rep.bounds_q.shape == dual.times.shape
@@ -355,7 +354,7 @@ def test_gronwall_constant_trend_in_q():
         alpha = lp_dual_datum(w_tau, q, "positive")
         dual = dual_solve(drift, 0.05, alpha, 2.0)
         rep = gronwall_check(dual, drift, q)
-        assert rep.ok(0.01), f"q={q}: max ratio {rep.max_ratio}"
+        assert rep.ok(), f"q={q}: max ratio {rep.max_ratio}"
         constants.append(math.exp((q - 1.0) / q * integral))
     print("gronwall norm-scale constants for q=2,4,8,16:", [f"{c:.4f}" for c in constants], f"envelope {envelope:.4f}")
     assert all(b > a for a, b in zip(constants, constants[1:]))

@@ -17,7 +17,6 @@ from fracvisc.hj import (
     Trajectory,
     TrajectoryBatch,
     ZeroForcing,
-    hopf_lax_minimizers,
     hopf_lax_oracle,
     monotone_reference,
     semiconcavity_profile,
@@ -120,8 +119,6 @@ def test_viscous_solve_rejects_inviscid_and_bad_cfl():
         viscous_solve(problem(g, 0.5, 0.0))
     with pytest.raises(ValueError, match="dt_cfl"):
         viscous_solve(problem(g, 0.5, 0.1), dt_cfl=0.7)
-    with pytest.raises(ValueError, match="spectral_damping"):
-        viscous_solve(problem(g, 0.5, 0.1), spectral_damping=(-1.0, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +238,6 @@ def test_hopf_lax_rejects_forcing():
     pr = problem(g, 0.5, 0.0, forcing=ConstantForcing(1.0))
     with pytest.raises(ValueError, match="forcing"):
         hopf_lax_oracle(pr, 1.0)
-
-
-def test_hopf_lax_minimizers_envelope():
-    g = TorusGrid(1, 64)
-    pr = problem(g, 0.5, 0.0)
-    t = 2.0
-    xs = np.array([0.0, 0.5, 2.0, math.pi])
-    ds = hopf_lax_minimizers(pr, t, xs)
-    u = hopf_lax_oracle(pr, t, xs)
-    envelope = np.cos(xs - ds) + ds**2 / (2.0 * t)
-    assert np.max(np.abs(envelope - u)) < 1e-9
-    # the front for u0 = cos sits at x = 0: the two optimal offsets solve
-    # d = 2 sin(d), i.e. |d| = 1.89549...
-    assert abs(abs(ds[0]) - 1.89549) < 2e-3
-    # at the valley x = pi the solution is stationary: offset 0
-    assert abs(ds[-1]) < 1e-6
 
 
 def test_oracle_2d_tensor_structure():
@@ -386,15 +367,14 @@ def test_blowup_guard_triggers():
     g = TorusGrid(1, 64)
     for ham, push in ((ZERO_H, 1e7), (QUAD, 1e306)):
         pr = problem(g, 0.5, 0.1, ham=ham, forcing=ConstantForcing(push), T=1.0)
-        with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError):
             viscous_solve(pr, snapshot_times=tuple(np.linspace(0.0, 1.0, 16)))
 
 
 def test_batch_with_a_non_finite_speed_fails_per_member():
     g = TorusGrid(1, 64)
     members = [problem(g, 0.5, eps, forcing=ConstantForcing(1e306), T=1.0) for eps in (0.1, 0.05)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        batch = viscous_solve(ProblemBatch(members), snapshot_times=tuple(np.linspace(0.0, 1.0, 16)))
+    batch = viscous_solve(ProblemBatch(members), snapshot_times=tuple(np.linspace(0.0, 1.0, 16)))
     assert len(batch) == 2 and all(isinstance(got, BlowUpError) for got in batch)
 
 
