@@ -51,9 +51,7 @@ class DriftField:
     values has shape (n_times, *grid.shape, dim); div_values has shape
     (n_times, *grid.shape).  div_minus_sup[i] = sup_x max(0, -div b(x, t_i))
     is the Gronwall rate at time t_i.  s is the fractional order shared by
-    the generating trajectories (the dual diffusion order).  mollify_scale
-    > 0 means the sampled drift (and hence its divergence) was smoothed by
-    a Gaussian of that physical width; see build_drift.
+    the generating trajectories (the dual diffusion order).
     """
 
     grid: TorusGrid
@@ -63,7 +61,6 @@ class DriftField:
     eps: float
     eta: float
     s: float
-    mollify_scale: float = 0.0
 
     @property
     def sup_speed(self) -> float:
@@ -172,7 +169,6 @@ def build_drift(
         eps=pa.epsilon,
         eta=pb.epsilon,
         s=pa.s,
-        mollify_scale=mollify_scale,
     )
 
 

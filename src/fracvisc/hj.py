@@ -18,6 +18,7 @@ exp(-eps |k|^(2s) dt); the Hamiltonian nonlinearity is evaluated nodally on
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,24 +74,23 @@ class TailGuardError(RuntimeError):
 
 
 class ZeroForcing:
-    """f == 0."""
+    """f == 0; semiconcavity, the largest eigenvalue of D^2 f, is 0."""
 
     is_zero = True
+    semiconcavity = 0.0
 
     def value(self, grid: TorusGrid, t: float) -> np.ndarray:
         return np.zeros(grid.shape)
-
-    def semiconcavity(self, t: float) -> float:
-        return 0.0
 
     def __eq__(self, other):  # forcing equality keeps ProblemSpec comparable
         return isinstance(other, ZeroForcing)
 
 
 class ConstantForcing:
-    """f == c, constant in space and time."""
+    """f == c, constant in space and time; semiconcavity is 0."""
 
     is_zero = False
+    semiconcavity = 0.0
 
     def __init__(self, c: float):
         self.c = float(c)
@@ -98,28 +98,26 @@ class ConstantForcing:
     def value(self, grid: TorusGrid, t: float) -> np.ndarray:
         return np.full(grid.shape, self.c)
 
-    def semiconcavity(self, t: float) -> float:
-        return 0.0
-
     def __eq__(self, other):
         return isinstance(other, ConstantForcing) and self.c == other.c
 
 
 class CosWaveForcing:
-    """f(x, t) = amp * cos(x_1 - omega t), a travelling forcing wave."""
+    """f(x, t) = amp * cos(x_1 - omega t), a travelling forcing wave.
+
+    semiconcavity = |amp| at every t: the largest eigenvalue of D^2 f,
+    attained where the cosine is -1.
+    """
 
     is_zero = False
 
     def __init__(self, amp: float, omega: float):
         self.amp = float(amp)
         self.omega = float(omega)
+        self.semiconcavity = abs(self.amp)
 
     def value(self, grid: TorusGrid, t: float) -> np.ndarray:
         return self.amp * np.cos(grid.x1 - self.omega * t)
-
-    def semiconcavity(self, t: float) -> float:
-        # largest eigenvalue of D^2 f is amp (attained where the cosine is -1)
-        return abs(self.amp)
 
     def __eq__(self, other):
         return (
@@ -157,9 +155,9 @@ class ProblemSpec:
             raise ValueError("u0 lives on a different grid")
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError(f"T must be positive and finite, got {self.T}")
-        for attr in ("value", "semiconcavity"):
-            if not callable(getattr(self.forcing, attr, None)):
-                raise ValueError("forcing must provide value(grid, t) and semiconcavity(t)")
+        c_f = getattr(self.forcing, "semiconcavity", None)
+        if not (callable(getattr(self.forcing, "value", None)) and isinstance(c_f, numbers.Real) and c_f >= 0.0):
+            raise ValueError("forcing must provide value(grid, t) and a real semiconcavity constant >= 0")
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,6 @@ class Trajectory:
     k_profile: np.ndarray
     grad_sup_profile: np.ndarray
     n_steps: int
-    method: str
 
     def snapshot_at(self, t: float) -> Field:
         i = int(np.argmin(np.abs(self.times - t)))
@@ -357,7 +354,7 @@ def viscous_solve(
     )
     out = TrajectoryBatch(
         failed[i] if i in failed else Trajectory(p, times, tuple(snaps[i]), np.asarray(k_prof[i]),
-                                                  np.asarray(g_prof[i]), steps[i], "viscous_ifrk4")
+                                                  np.asarray(g_prof[i]), steps[i])
         for i, p in enumerate(batch)
     )
     if single and isinstance(out[0], Exception):
@@ -403,106 +400,64 @@ def _golden_refine(obj, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.
     return best, np.minimum(fc, fd)
 
 
-def _offset_scan(problem: ProblemSpec, t: float) -> tuple[LagrangianSpec, float, np.ndarray]:
-    """Lagrangian, scan spacing and candidate offsets of the oracle at time t.
-
-    The spacing is a quarter of the finest oscillation of u0; the scan radius
-    t * sup |D_p H(Du0)| + 2pi covers every candidate minimizer plus one period.
-    """
-    from fracvisc.torus import spectral_gradient
-
-    sp = problem.u0.grid.spectral
-    amp = np.abs(sp.fwd(problem.u0.values))
-    sig = amp > 1e-12 * np.max(amp)
-    kmax = max([1.0] + [float(np.max(np.abs(km), where=sig, initial=0.0)) for km in sp.k])
-    g2 = sum(g.values**2 for g in spectral_gradient(problem.u0))
-    radius = t * problem.hamiltonian.grad_sup(float(np.sqrt(np.max(g2)))) + TWO_PI
-    delta = math.pi / (4.0 * kmax)
-    m = int(math.ceil(2.0 * radius / delta)) + 1
-    return LagrangianSpec(problem.hamiltonian, tol=1e-12), delta, np.linspace(-radius, radius, m)
-
-
-def _minimize_1d(problem: ProblemSpec, t: float, xs: np.ndarray, kvecs: np.ndarray,
-                 cvals: np.ndarray) -> np.ndarray:
-    """Values min_d [u0(x - d) + t L(d / t)] at the points xs (1-D)."""
-    lag, delta, offsets = _offset_scan(problem, t)
-    lvals = t * legendre_batch(lag, (offsets / t)[:, np.newaxis])
-
-    # coarse scan in manageable chunks of evaluation points
-    best_d = np.empty(xs.size)
-    chunk = max(1, int(2e6) // offsets.size)
-    for i0 in range(0, xs.size, chunk):
-        x = xs[i0 : i0 + chunk]
-        vals = eval_modes(kvecs, cvals, (x[:, None] - offsets[None, :])[..., np.newaxis])
-        vals = vals + lvals[None, :]
-        best_d[i0 : i0 + chunk] = offsets[np.argmin(vals, axis=1)]
-
-    def objective(d: np.ndarray) -> np.ndarray:
-        u0v = eval_modes(kvecs, cvals, (xs - d)[..., np.newaxis])
-        return u0v + t * legendre_batch(lag, (d / t)[..., np.newaxis])
-
-    return _golden_refine(objective, best_d - delta, best_d + delta, 1e-10)[1]
-
-
 def hopf_lax_oracle(problem: ProblemSpec, t: float) -> Field:
     """Inviscid solution u(x, t) = min_y [ u0(y) + t L((x - y)/t) ] on the problem grid.
 
-    Evaluated by a coarse scan over candidate offsets followed by
-    golden-section refinement of the minimizing offset to 1e-10.  The scan
-    radius t * sup|D_p H| + 2pi covers every candidate minimizer plus one
-    full period.  Requires f == 0; for the zero Hamiltonian the solution is
-    u0 itself.
+    One path serves every dimension.  A coarse scan over a lattice of
+    offsets d = x - y, spaced a quarter of the finest oscillation of u0 and
+    of radius t * sup|D_p H(Du0)| + 2pi (every candidate minimizer plus one
+    full period), is followed by coordinate descent: each pass refines one
+    axis of d at a time by golden section to 1e-10.  In 1-D the first pass
+    is the exact minimization and ends the descent.  Requires f == 0; for
+    the zero Hamiltonian the solution is u0 itself.
     """
+    from fracvisc.torus import spectral_gradient
+
     if not getattr(problem.forcing, "is_zero", False):
         raise ValueError("hopf_lax_oracle requires zero forcing")
     grid = problem.grid
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    pts = np.stack(grid.nodes(), axis=-1)
+    pts = np.stack(grid.nodes(), axis=-1).reshape(-1, grid.dim)
     kvecs, cvals = mode_table(problem.u0, 1e-14)
     if t == 0.0 or problem.hamiltonian.is_zero:
-        return Field(grid, eval_modes(kvecs, cvals, pts))
+        return Field(grid, eval_modes(kvecs, cvals, pts).reshape(grid.shape))
 
-    flat_pts = pts.reshape(-1, grid.dim)
-    npts = flat_pts.shape[0]
-    if grid.dim == 1:
-        return Field(grid, _minimize_1d(problem, t, flat_pts[:, 0], kvecs, cvals).reshape(grid.shape))
+    amp = np.abs(grid.spectral.fwd(problem.u0.values))
+    sig = amp > 1e-12 * np.max(amp)
+    kmax = max([1.0] + [float(np.max(np.abs(km), where=sig, initial=0.0)) for km in grid.spectral.k])
+    g2 = sum(g.values**2 for g in spectral_gradient(problem.u0))
+    radius = t * problem.hamiltonian.grad_sup(float(np.sqrt(np.max(g2)))) + TWO_PI
+    delta = math.pi / (4.0 * kmax)
+    offsets = np.linspace(-radius, radius, int(math.ceil(2.0 * radius / delta)) + 1)
+    lattice = np.stack([d.reshape(-1) for d in np.meshgrid(*[offsets] * grid.dim, indexing="ij")], axis=-1)
+    lag = LagrangianSpec(problem.hamiltonian, tol=1e-12)
+    lvals = t * legendre_batch(lag, lattice / t)
+    best = np.empty_like(pts)
+    chunk = max(1, int(4e6) // len(lattice))
+    for i0 in range(0, len(pts), chunk):
+        xs = pts[i0 : i0 + chunk]
+        vals = eval_modes(kvecs, cvals, xs[:, None, :] - lattice[None, :, :]) + lvals[None, :]
+        best[i0 : i0 + chunk] = lattice[np.argmin(vals, axis=1)]
 
-    # dim == 2: coarse scan over an offset lattice, then coordinate descent
-    lag, delta, offsets = _offset_scan(problem, t)
-    d1, d2 = np.meshgrid(offsets, offsets, indexing="ij")
-    dlat = np.stack([d1.reshape(-1), d2.reshape(-1)], axis=-1)
-    lvals = t * legendre_batch(lag, dlat / t)
-    best = np.empty((npts, 2))
-    chunk = max(1, int(4e6) // dlat.shape[0])
-    for i0 in range(0, npts, chunk):
-        xs = flat_pts[i0 : i0 + chunk]
-        vals = eval_modes(kvecs, cvals, xs[:, None, :] - dlat[None, :, :]) + lvals[None, :]
-        best[i0 : i0 + chunk] = dlat[np.argmin(vals, axis=1)]
-
-    cur = best
-
-    def axis_objective(axis: int, other: np.ndarray):
-        def obj(d: np.ndarray) -> np.ndarray:
-            dd = np.empty((d.size, 2))
+    def along(axis: int):
+        def objective(d: np.ndarray) -> np.ndarray:
+            dd = best.copy()
             dd[:, axis] = d
-            dd[:, 1 - axis] = other
-            return eval_modes(kvecs, cvals, flat_pts - dd) + t * legendre_batch(lag, dd / t)
+            return eval_modes(kvecs, cvals, pts - dd) + t * legendre_batch(lag, dd / t)
 
-        return obj
+        return objective
 
     width = delta
-    vals = None
     for _ in range(60):
         moved = 0.0
-        for axis in (0, 1):
-            obj = axis_objective(axis, cur[:, 1 - axis])
-            d0 = cur[:, axis].copy()
-            dstar, vals = _golden_refine(obj, d0 - width, d0 + width, 1e-11)
+        for axis in range(grid.dim):
+            d0 = best[:, axis].copy()
+            dstar, vals = _golden_refine(along(axis), d0 - width, d0 + width, 1e-10)
             moved = max(moved, float(np.max(np.abs(dstar - d0))))
-            cur[:, axis] = dstar
+            best[:, axis] = dstar
         width = max(2.0 * moved, 1e-9)
-        if moved < 1e-10:
+        if grid.dim == 1 or moved < 1e-10:
             break
     return Field(grid, vals.reshape(grid.shape))
 
@@ -544,7 +499,7 @@ def monotone_reference(
             (np.roll(u, -1, axis=ax) - np.roll(u, 1, axis=ax)) / (2.0 * h)
             for ax in range(dim)
         ]
-        return comps[0][..., np.newaxis] if dim == 1 else np.stack(comps, axis=-1)
+        return np.stack(comps, axis=-1)
 
     snaps: list[Field] = []
     k_prof: list[float] = []
@@ -566,10 +521,7 @@ def monotone_reference(
     for target in times:
         while t < target - 1e-13 * tref:
             p = central_gradient(u)
-            if dim == 1:
-                gsup = float(np.sqrt(np.max(p[..., 0] ** 2)))
-            else:
-                gsup = float(np.sqrt(np.max(p[..., 0] ** 2 + p[..., 1] ** 2)))
+            gsup = float(np.sqrt(np.max(np.sum(p**2, axis=-1))))
             c_visc = max(ham.grad_sup(gsup), 1e-12)
             dt = 0.4 * h / (dim * max(c_visc, 1.0))
             if t + dt >= target - 1e-13 * tref:
@@ -598,7 +550,6 @@ def monotone_reference(
         k_profile=np.asarray(k_prof),
         grad_sup_profile=np.asarray(g_prof),
         n_steps=n_steps,
-        method="lax_friedrichs",
     )
 
 
@@ -611,48 +562,34 @@ def monotone_reference(
 class SemiconcavityCheck:
     """Measured semiconcavity constants against the Riccati comparison bound.
 
-    The bound k(t) solves k' = -theta k^2 + c_f(t), k(0) = k0, where k0
-    bounds the largest eigenvalue of D^2 u0, theta is the convexity lower
-    bound of H and c_f(t) the largest eigenvalue of D^2 f(., t).  For f == 0
-    this is k0 / (1 + theta k0 t).
+    The bound k(t) solves k' = -theta k^2 + c_f, k(0) = k0, where k0 bounds
+    the largest eigenvalue of D^2 u0, theta is the convexity lower bound of
+    H and c_f the forcing's semiconcavity, the largest eigenvalue of
+    D^2 f(., t), a constant for every forcing here.  For c_f = 0 this is
+    k0 / (1 + theta k0 t).
     """
 
     times: np.ndarray
     measured: np.ndarray
     bound: np.ndarray
 
-    def within(self, slack: float) -> bool:
-        return bool(np.all(self.measured <= self.bound + slack))
 
+def _riccati_bound(times: np.ndarray, k0: float, theta: float, c: float) -> np.ndarray:
+    """Closed-form k(t) for k' = -theta k^2 + c, k(0) = k0, with theta, c >= 0.
 
-def _riccati_bound(times: np.ndarray, k0: float, theta: float, forcing) -> np.ndarray:
-    if getattr(forcing, "is_zero", False) or isinstance(forcing, ConstantForcing):
-        if theta == 0.0:
-            return np.full_like(times, k0)
-        denom = 1.0 + theta * k0 * times
-        if np.any(denom <= 0.0):
-            raise ValueError("Riccati bound blows up inside the requested window")
-        return k0 / denom
-    # integrate k' = -theta k^2 + c_f(t) with RK4 on a fine internal grid
-    out = np.empty_like(times)
-    k = k0
-    t = 0.0
-    for i, target in enumerate(times):
-        nsub = max(1, int(math.ceil((target - t) / 1e-3)))
-        dt = (target - t) / nsub if nsub else 0.0
-        for _ in range(nsub):
-            def rhs(tt, kk):
-                return -theta * kk * kk + forcing.semiconcavity(tt)
-
-            a1 = rhs(t, k)
-            a2 = rhs(t + 0.5 * dt, k + 0.5 * dt * a1)
-            a3 = rhs(t + 0.5 * dt, k + 0.5 * dt * a2)
-            a4 = rhs(t + dt, k + dt * a3)
-            k += dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4)
-            t += dt
-        t = target
-        out[i] = k
-    return out
+    With z = sqrt(c theta) t and phi = tanh(z) / z (1 at z = 0) it is
+    (k0 + c t phi) / (1 + theta k0 t phi): bitwise k0 / (1 + theta k0 t) for
+    c = 0 and k0 + c t for theta = 0, otherwise r (k0 + r tanh(theta r t)) /
+    (r + k0 tanh(theta r t)) with r = sqrt(c / theta), without its overflow
+    as theta -> 0.
+    """
+    z = math.sqrt(c * theta) * times
+    phi = np.ones_like(z)
+    np.divide(np.tanh(z), z, out=phi, where=z > 0.0)
+    denom = 1.0 + theta * k0 * times * phi
+    if np.any(denom <= 0.0):
+        raise ValueError("Riccati bound blows up inside the requested window")
+    return (k0 + c * times * phi) / denom
 
 
 def semiconcavity_profile(traj: Trajectory) -> SemiconcavityCheck:
@@ -661,5 +598,5 @@ def semiconcavity_profile(traj: Trajectory) -> SemiconcavityCheck:
     from fracvisc.torus import hessian_max_eig as _hme
 
     k0 = _hme(problem.u0)
-    bound = _riccati_bound(traj.times, k0, problem.hamiltonian.theta, problem.forcing)
+    bound = _riccati_bound(traj.times, k0, problem.hamiltonian.theta, problem.forcing.semiconcavity)
     return SemiconcavityCheck(times=traj.times.copy(), measured=traj.k_profile.copy(), bound=bound)

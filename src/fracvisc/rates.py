@@ -481,10 +481,11 @@ class OneSidedReport:
     errors: np.ndarray
     fit: RateFit | None
 
-    def passes(self, min_slope: float = 0.9) -> bool:
+    def passes(self) -> bool:
+        """True unless the bound is eps-uniform and the one-sided slope falls below 0.9."""
         if not self.uniform:
             return True
-        return self.fit is not None and self.fit.exponent >= min_slope
+        return self.fit is not None and self.fit.exponent >= 0.9
 
 
 def one_sided_check(result: SweepResult) -> OneSidedReport:

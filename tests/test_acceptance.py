@@ -433,7 +433,7 @@ def test_criterion_09_duality_identity(criterion):
 def test_criterion_10_one_sided_conditional(criterion, sweep_half):
     report = one_sided_check(sweep_half)
     slope = None if report.fit is None else report.fit.exponent
-    ok = report.passes(0.9)
+    ok = report.passes()
     if report.uniform:
         detail = (
             f"bound spread {report.spread:.4f} < 0.20, condition active; "

@@ -44,7 +44,6 @@ def fake_trajectory(grid, eps, profiles, times, ham=QUAD, s=0.5):
         k_profile=np.zeros_like(tarr),
         grad_sup_profile=np.zeros_like(tarr),
         n_steps=1,
-        method="fake",
     )
 
 
