@@ -25,8 +25,6 @@ from fracvisc.hamiltonians import LagrangianSpec, legendre_transform, make_hamil
 from fracvisc.hj import (ProblemBatch, ProblemSpec, Trajectory, ZeroForcing, hopf_lax_oracle, monotone_reference,
                          viscous_solve)
 from fracvisc.rates import (
-    ResolutionRule,
-    SweepPlan,
     fit_entry,
     format_float,
     one_sided_check,
@@ -38,29 +36,9 @@ from fracvisc.rates import (
 )
 from fracvisc.torus import Field, TorusGrid, frac_laplacian, lp_norm
 
-_RULE = ResolutionRule()
-
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _build_plan(cfg: ExperimentConfig) -> SweepPlan:
-    return SweepPlan(
-        dim=cfg.dim,
-        s_values=cfg.s_list,
-        epsilons=cfg.epsilon_list,
-        p_values=cfg.p_list,
-        hamiltonian=cfg.hamiltonian(),
-        u0=cfg.u0,
-        forcing=cfg.forcing(),
-        T=cfg.T,
-        snapshot_times=cfg.snapshot_times(),
-        reference=cfg.reference,
-        fine_factor=cfg.fine_factor,
-        dt_cfl=cfg.dt_cfl,
-        n_points=cfg.n_points,
-    )
 
 
 def _config_echo(cfg: ExperimentConfig, output_dir: str) -> dict:
@@ -98,12 +76,12 @@ def _export_trajectory(traj: Trajectory | DualSolution, out_dir: str, prefix: st
 
 
 def _cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
-    s = cfg.s_list[0]
-    eps = cfg.epsilon_list[0]
-    n = cfg.n_points or _RULE.n_for(s, eps)
-    problem = cfg.problem(s, eps, TorusGrid(cfg.dim, n))
-    _log(f"solve: s={s:g} eps={eps:g} n={n} T={cfg.T:g}")
-    traj = viscous_solve(problem, dt_cfl=cfg.dt_cfl, snapshot_times=cfg.snapshot_times())
+    plan = cfg.plan
+    s, eps = plan.s_values[0], plan.epsilons[0]  # the smallest order, the largest viscosity
+    n = plan.n_for(s, eps)
+    _log(f"solve: s={s:g} eps={eps:g} n={n} T={plan.T:g}")
+    traj = viscous_solve(plan.problem(s, eps, TorusGrid(plan.dim, n)), dt_cfl=plan.dt_cfl,
+                         snapshot_times=plan.snapshot_times)
     os.makedirs(out_dir, exist_ok=True)
     names = _export_trajectory(traj, out_dir, "u", f"s{s:g}_eps{eps:g}")
     summary = {
@@ -132,7 +110,7 @@ def _threads() -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
-    plan = _build_plan(cfg)
+    plan = cfg.sweep_plan()
     _log(
         f"sweep: s={list(plan.s_values)} eps ladder of {len(plan.epsilons)} "
         f"entries, reference={plan.reference}"
@@ -155,16 +133,15 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
-    if len(cfg.epsilon_list) < 2:
-        raise ConfigError("dual-check needs at least two entries in epsilon_list")
-    qs = [p for p in cfg.p_list if not math.isinf(p) and p > 1.0]
+    plan = cfg.plan
+    if len(plan.epsilons) < 2:
+        raise cfg.error("dual-check needs at least two entries in epsilon_list", "epsilon_list")
+    qs = [p for p in plan.p_values if not math.isinf(p) and p > 1.0]  # ascending: rho is exported for qs[0]
     if not qs:
-        raise ConfigError("dual-check needs at least one finite p > 1 in p_list")
-    s = cfg.s_list[0]
-    times = cfg.snapshot_times()
-    eps_sorted = sorted(cfg.epsilon_list, reverse=True)
-    pairs = [(eps, eta, TorusGrid(cfg.dim, cfg.n_points or max(_RULE.n_for(s, eps), _RULE.n_for(s, eta))))
-             for eps, eta in zip(eps_sorted[:-1], eps_sorted[1:])]
+        raise cfg.error("dual-check needs at least one finite p > 1 in p_list", "p_list")
+    s = plan.s_values[0]
+    pairs = [(eps, eta, TorusGrid(plan.dim, max(plan.n_for(s, eps), plan.n_for(s, eta))))
+             for eps, eta in zip(plan.epsilons[:-1], plan.epsilons[1:])]
     os.makedirs(out_dir, exist_ok=True)
     checks = []
     worst_ratio = 0.0
@@ -175,8 +152,8 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
         if grid != solved:  # every distinct viscosity of the grid's pairs (they are adjacent) in one solve
             epss = list(dict.fromkeys(e for a, b, g in pairs if g == grid for e in (a, b)))
             trajs = None  # the previous grid's trajectories are no longer needed
-            solved, trajs = grid, dict(zip(epss, viscous_solve(
-                ProblemBatch(cfg.problem(s, e, grid) for e in epss), dt_cfl=cfg.dt_cfl, snapshot_times=times)))
+            solved, trajs = grid, dict(zip(epss, viscous_solve(ProblemBatch(plan.problem(s, e, grid) for e in epss),
+                                                               dt_cfl=plan.dt_cfl, snapshot_times=plan.snapshot_times)))
         traj_eps, traj_eta = trajs[eps], trajs[eta]
         for traj in (traj_eps, traj_eta):
             if isinstance(traj, Exception):
@@ -193,7 +170,7 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
                     pass
         if not data:
             continue
-        duals = dual_solve(drift, eta, [alpha for _, alpha in data], cfg.T, dt_cfl=cfg.dt_cfl)
+        duals = dual_solve(drift, eta, [alpha for _, alpha in data], plan.T, dt_cfl=plan.dt_cfl)
         for (q, _), dual in zip(data, duals):
             rep = gronwall_check(dual, drift, q)
             residual = duality_residual(dual, traj_eps, traj_eta)
@@ -231,9 +208,9 @@ def _export_trajectory_dual(dual: DualSolution, out_dir: str, eps: float, eta: f
 
 
 def _cmd_one_sided(cfg: ExperimentConfig, out_dir: str) -> int:
-    if 0.5 not in cfg.s_list:
-        raise ConfigError("one-sided requires s_list to contain 0.5")
-    result = run_sweep(dataclasses.replace(_build_plan(cfg), s_values=(0.5,)), threads=_threads())
+    if 0.5 not in cfg.plan.s_values:
+        raise cfg.error("one-sided requires s_list to contain 0.5", "s_list")
+    result = run_sweep(dataclasses.replace(cfg.sweep_plan(), s_values=(0.5,)), threads=_threads())
     report = one_sided_check(result)
     os.makedirs(out_dir, exist_ok=True)
     payload = {**one_sided_entry(report), "config": _config_echo(cfg, out_dir)}

@@ -2,20 +2,22 @@
 
 Lines are `key = value`; blank lines and `#` comments are ignored (inline
 `# ...` tails are stripped).  Unknown keys are hard errors that name the
-key and its line number.  parse_config returns an ExperimentConfig whose
-resolved values round-trip exactly through to_lines(), which is what makes
-repeated runs byte-identical.
+key and its line number, and so does every bad value.  parse_config
+returns an ExperimentConfig holding the experiment's SweepPlan, built once;
+its resolved values round-trip exactly through to_lines(), which is what
+makes repeated runs byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from fracvisc.hamiltonians import HamiltonianSpec, make_hamiltonian
-from fracvisc.hj import ConstantForcing, CosWaveForcing, ProblemSpec, ZeroForcing
-from fracvisc.rates import InitialData, make_initial_data
-from fracvisc.torus import TorusGrid
+from fracvisc.hj import ConstantForcing, CosWaveForcing, ZeroForcing
+from fracvisc.rates import InitialData, SweepPlan, check_ladder
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_file"]
 
@@ -37,42 +39,32 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment settings (raw strings kept for exact echo)."""
+    """A parsed config: the experiment's SweepPlan and the settings outside it.
 
-    dim: int
-    n_points: int | None  # None means automatic resolution selection
-    s_list: tuple[float, ...]
-    epsilon_list: tuple[float, ...]
-    hamiltonian_kind: str
-    hamiltonian_params: tuple[float, ...]
-    u0: InitialData
-    forcing_spec: str
-    T: float
-    p_list: tuple[float, ...]
-    snapshot_count: int
-    dt_cfl: float
+    raw keeps the resolved value strings for an exact echo; lines maps each
+    key to the line that set it (None for a default).
+    """
+
+    plan: SweepPlan
     mollify_scale: float
-    reference: str
-    fine_factor: int
     output_dir: str
     seed: int
     raw: tuple[tuple[str, str], ...]
+    lines: dict[str, int | None] = field(compare=False)
 
-    def hamiltonian(self) -> HamiltonianSpec:
-        return make_hamiltonian(self.hamiltonian_kind, self.dim, self.hamiltonian_params)
+    def error(self, message: str, key: str) -> ConfigError:
+        """A ConfigError on key, naming the line that set it."""
+        return ConfigError(message, key=key, line=self.lines[key])
 
-    def forcing(self):
-        return _parse_forcing(self.forcing_spec)
-
-    def problem(self, s: float, eps: float, grid: TorusGrid) -> ProblemSpec:
-        """The configured Cauchy problem at order s and viscosity eps on grid."""
-        return ProblemSpec(grid=grid, s=s, epsilon=eps, hamiltonian=self.hamiltonian(),
-                           u0=self.u0.build(grid), forcing=self.forcing(), T=self.T)
-
-    def snapshot_times(self) -> tuple[float, ...]:
-        import numpy as np
-
-        return tuple(np.linspace(0.0, self.T, self.snapshot_count).tolist())
+    def sweep_plan(self) -> SweepPlan:
+        """The plan, once it passes the checks that only a sweep needs."""
+        try:
+            check_ladder(self.plan.epsilons)
+        except ValueError as exc:
+            raise self.error(str(exc), "epsilon_list") from None
+        if self.plan.reference == "hopf_lax" and not self.plan.forcing.is_zero:
+            raise self.error("the hopf_lax reference requires zero forcing", "forcing")
+        return self.plan
 
     def to_lines(self) -> str:
         """Canonical config text reproducing this configuration."""
@@ -145,26 +137,29 @@ def _parse_epsilons(text: str, key: str, line: int | None) -> tuple[float, ...]:
         count = _parse_int(parts[2], key, line)
         if start <= 0 or not 0 < ratio < 1 or count < 1:
             _fail("geometric ladder needs start > 0, 0 < ratio < 1, count >= 1", key, line)
-        return tuple(start * ratio**i for i in range(count))
-    eps = _parse_float_list(text, key, line)
-    if any(e <= 0 for e in eps):
+        eps = tuple(start * ratio**i for i in range(count))
+    else:
+        eps = _parse_float_list(text, key, line)
+    if any(e <= 0 for e in eps):  # a long geometric ladder underflows to 0
         _fail("viscosities must be positive", key, line)
     return eps
 
 
-def _parse_u0(text: str, key: str, line: int | None) -> InitialData:
+def _parse_u0(text: str, key: str, line: int | None, dim: int) -> InitialData:
+    kind, params = text, ()
     if text.startswith("coeffs:"):
-        params = _parse_float_list(text[len("coeffs:") :], key, line)
-        try:
-            return make_initial_data("coeffs", params)
-        except ValueError as exc:
-            _fail(str(exc), key, line)
-    if text in ("cos", "cos2d", "bump"):
-        return make_initial_data(text)
-    _fail(f"unknown initial data {text!r}; use cos, cos2d, bump or coeffs:...", key, line)
+        kind, params = "coeffs", _parse_float_list(text[len("coeffs:") :], key, line)
+    elif text not in ("cos", "cos2d", "bump"):
+        _fail(f"unknown initial data {text!r}; use cos, cos2d, bump or coeffs:...", key, line)
+    try:
+        u0 = InitialData(kind, params)
+        u0.check_dim(dim)
+    except ValueError as exc:
+        _fail(str(exc), key, line)
+    return u0
 
 
-def _parse_forcing(text: str, line: int | None = None):
+def _parse_forcing(text: str, line: int | None):
     if text == "zero":
         return ZeroForcing()
     if text.startswith("const:"):
@@ -177,17 +172,16 @@ def _parse_forcing(text: str, line: int | None = None):
     _fail(f"unknown forcing {text!r}; use zero, const:c or cos_wave:amp,omega", "forcing", line)
 
 
-def _parse_hamiltonian(text: str, key: str, line: int | None, dim: int) -> tuple[str, tuple[float, ...]]:
+def _parse_hamiltonian(text: str, key: str, line: int | None, dim: int) -> HamiltonianSpec:
     if ":" in text:
         kind, body = text.split(":", 1)
         params = _parse_float_list(body, key, line)
     else:
         kind, params = text, ()
     try:
-        make_hamiltonian(kind, dim, params)
+        return make_hamiltonian(kind, dim, params)
     except ValueError as exc:
         _fail(str(exc), key, line)
-    return kind, params
 
 
 def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
@@ -224,9 +218,9 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     if any(not 0.0 < s <= 1.0 for s in s_list):
         _fail("s values must lie in (0, 1]", "s_list", ln["s_list"])
     epsilon_list = _parse_epsilons(values["epsilon_list"], "epsilon_list", ln["epsilon_list"])
-    kind, params = _parse_hamiltonian(values["hamiltonian"], "hamiltonian", ln["hamiltonian"], dim)
-    u0 = _parse_u0(values["u0"], "u0", ln["u0"])
-    _parse_forcing(values["forcing"], ln["forcing"])
+    hamiltonian = _parse_hamiltonian(values["hamiltonian"], "hamiltonian", ln["hamiltonian"], dim)
+    u0 = _parse_u0(values["u0"], "u0", ln["u0"], dim)
+    forcing = _parse_forcing(values["forcing"], ln["forcing"])
     T = _parse_float(values["T"], "T", ln["T"])
     if T <= 0:
         _fail("T must be positive", "T", ln["T"])
@@ -242,39 +236,21 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     mollify_scale = _parse_float(values["mollify_scale"], "mollify_scale", ln["mollify_scale"])
     if mollify_scale < 0.0:
         _fail("mollify_scale must be >= 0", "mollify_scale", ln["mollify_scale"])
-    ref = values["reference"]
-    fine_factor = 4
-    if ref.startswith("monotone"):
-        if ":" in ref:
-            fine_factor = _parse_int(ref.split(":", 1)[1], "reference", ln["reference"])
-            if fine_factor < 4 or fine_factor & (fine_factor - 1):
-                _fail("monotone fine factor must be a power of two >= 4", "reference", ln["reference"])
-        ref = "monotone"
-    elif ref != "hopf_lax":
-        _fail(f"reference must be hopf_lax or monotone[:factor], got {ref!r}", "reference", ln["reference"])
+    ref, colon, factor = values["reference"].partition(":")
+    if ref not in ("hopf_lax", "monotone") or (colon and ref != "monotone"):
+        _fail(f"reference must be hopf_lax or monotone[:factor], got {values['reference']!r}",
+              "reference", ln["reference"])
+    fine_factor = _parse_int(factor, "reference", ln["reference"]) if colon else 4
+    if fine_factor < 4 or fine_factor & (fine_factor - 1):
+        _fail("monotone fine factor must be a power of two >= 4", "reference", ln["reference"])
     seed = _parse_int(values["seed"], "seed", ln["seed"])
 
+    plan = SweepPlan(dim=dim, s_values=s_list, epsilons=epsilon_list, p_values=p_list, hamiltonian=hamiltonian,
+                     u0=u0, forcing=forcing, T=T, snapshot_times=tuple(np.linspace(0.0, T, snapshot_count).tolist()),
+                     reference=ref, fine_factor=fine_factor, dt_cfl=dt_cfl, n_points=n_points)
     raw = tuple((k, values[k]) for k in _KNOWN_KEYS)
-    return ExperimentConfig(
-        dim=dim,
-        n_points=n_points,
-        s_list=s_list,
-        epsilon_list=epsilon_list,
-        hamiltonian_kind=kind,
-        hamiltonian_params=params,
-        u0=u0,
-        forcing_spec=values["forcing"],
-        T=T,
-        p_list=p_list,
-        snapshot_count=snapshot_count,
-        dt_cfl=dt_cfl,
-        mollify_scale=mollify_scale,
-        reference=ref,
-        fine_factor=fine_factor,
-        output_dir=values["output_dir"],
-        seed=seed,
-        raw=raw,
-    )
+    return ExperimentConfig(plan=plan, mollify_scale=mollify_scale, output_dir=values["output_dir"], seed=seed,
+                            raw=raw, lines=lines_seen)
 
 
 def parse_config_file(path: str) -> ExperimentConfig:

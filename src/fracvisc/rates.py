@@ -43,9 +43,9 @@ from fracvisc.torus import Field, TorusGrid, frac_laplacian, lp_norm, subsample
 
 __all__ = [
     "InitialData",
-    "make_initial_data",
     "ResolutionRule",
     "SweepPlan",
+    "check_ladder",
     "RateRow",
     "CellResult",
     "SweepResult",
@@ -97,28 +97,29 @@ class InitialData:
             raise ValueError(f"unknown initial data kind {self.kind!r}")
         if self.kind == "coeffs" and (not self.params or len(self.params) % 2):
             raise ValueError("coeffs initial data needs an even, non-empty parameter list")
+        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
+
+    def check_dim(self, dim: int) -> None:
+        """Raise ValueError unless this datum can be realized in dim dimensions."""
+        if self.kind == "cos2d" and dim != 2:
+            raise ValueError("cos2d requires dim == 2")
+        if self.kind == "coeffs" and dim != 1:
+            raise ValueError("coeffs initial data is one-dimensional")
 
     def build(self, grid: TorusGrid) -> Field:
+        self.check_dim(grid.dim)
         x = grid.nodes()
         if self.kind == "cos":
             return Field(grid, np.cos(x[0]))
         if self.kind == "cos2d":
-            if grid.dim != 2:
-                raise ValueError("cos2d requires dim == 2")
             return Field(grid, np.cos(x[0]) + np.cos(x[1]))
         if self.kind == "bump":
             return Field(grid, np.exp(4.0 * (np.cos(x[0]) - 1.0)))
-        if grid.dim != 1:
-            raise ValueError("coeffs initial data is one-dimensional")
         vals = np.zeros(grid.shape)
         for i in range(0, len(self.params), 2):
             k = i // 2 + 1
             vals += self.params[i] * np.cos(k * x[0]) + self.params[i + 1] * np.sin(k * x[0])
         return Field(grid, vals)
-
-
-def make_initial_data(kind: str, params: tuple[float, ...] = ()) -> InitialData:
-    return InitialData(kind, tuple(float(v) for v in params))
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +161,21 @@ class ResolutionRule:
         return int(min(max(_pow2ceil(need), self.n_min), self.n_max))
 
 
+def check_ladder(epsilons) -> None:
+    """Raise ValueError unless the viscosities form a ladder a rate can be fitted on."""
+    if len(epsilons) < 5:
+        raise ValueError(f"need at least 5 viscosities, got {len(epsilons)}")
+    if max(epsilons) / min(epsilons) < 16.0 * (1.0 - 1e-12):
+        raise ValueError("viscosities must span at least four octaves")
+
+
 @dataclass(frozen=True)
 class SweepPlan:
-    """Full description of one rate-measurement sweep."""
+    """Full description of one experiment: the problem family, its orders, viscosities and norms.
+
+    The checks that only a sweep needs are run_sweep's: the ladder
+    (check_ladder) and zero forcing for the hopf_lax reference.
+    """
 
     dim: int
     s_values: tuple[float, ...]
@@ -183,12 +196,8 @@ class SweepPlan:
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         eps = tuple(float(e) for e in self.epsilons)
-        if len(eps) < 5:
-            raise ValueError(f"need at least 5 viscosities, got {len(eps)}")
-        if min(eps) <= 0:
+        if not eps or min(eps) <= 0:
             raise ValueError("viscosities must be positive")
-        if max(eps) / min(eps) < 16.0 * (1.0 - 1e-12):
-            raise ValueError("viscosities must span at least four octaves")
         object.__setattr__(self, "epsilons", tuple(sorted(eps, reverse=True)))
         svals = tuple(float(s) for s in self.s_values)
         if not svals or any(not 0.0 < s <= 1.0 for s in svals):
@@ -200,16 +209,13 @@ class SweepPlan:
         object.__setattr__(self, "p_values", tuple(sorted(ps)))
         if self.reference not in ("hopf_lax", "monotone"):
             raise ValueError(f"reference must be 'hopf_lax' or 'monotone', got {self.reference!r}")
-        if self.reference == "hopf_lax" and not getattr(self.forcing, "is_zero", False):
-            raise ValueError("the hopf_lax reference requires zero forcing")
         tsnap = clean_snapshot_times(self.snapshot_times or None, self.T)
         object.__setattr__(self, "snapshot_times", tuple(tsnap.tolist()))
         if self.n_points is not None and (self.n_points < 8 or self.n_points & (self.n_points - 1)):
             raise ValueError("explicit n_points must be a power of two >= 8")
 
-    def problem(self, s: float, eps: float, n: int) -> ProblemSpec:
-        """The Cauchy problem of one cell (eps = 0 for the reference) on n points per axis."""
-        grid = TorusGrid(self.dim, n)
+    def problem(self, s: float, eps: float, grid: TorusGrid) -> ProblemSpec:
+        """The Cauchy problem of one cell (eps = 0 for the reference) on grid."""
         return ProblemSpec(grid=grid, s=s, epsilon=eps, hamiltonian=self.hamiltonian,
                            u0=self.u0.build(grid), forcing=self.forcing, T=self.T)
 
@@ -314,7 +320,8 @@ def _cell_worker(args: tuple) -> tuple[float, float, object]:
 def _grid_worker(args: tuple) -> list[tuple[float, float, object]]:
     """Solve cells of one grid in one batch, then evaluate each (picklable worker)."""
     (plan, n_cell, cells, eval_ns, refs) = args
-    batch = ProblemBatch(plan.problem(s, eps, n_cell) for s, eps in cells)
+    grid = TorusGrid(plan.dim, n_cell)
+    batch = ProblemBatch(plan.problem(s, eps, grid) for s, eps in cells)
     trajs = viscous_solve(batch, dt_cfl=plan.dt_cfl, snapshot_times=plan.snapshot_times)
     return [_cell_worker((plan, s, eps, n_cell, eval_ns[s], refs[eval_ns[s]], traj))
             for (s, eps), traj in zip(cells, trajs)]
@@ -322,7 +329,7 @@ def _grid_worker(args: tuple) -> list[tuple[float, float, object]]:
 
 def _reference_values(plan: SweepPlan, eval_n: int) -> list[np.ndarray]:
     """Inviscid reference snapshots on the evaluation grid; they do not depend on s."""
-    problem = plan.problem(plan.s_values[0], 0.0, eval_n)
+    problem = plan.problem(plan.s_values[0], 0.0, TorusGrid(plan.dim, eval_n))
     if plan.reference == "hopf_lax":
         return [hopf_lax_oracle(problem, t).values for t in plan.snapshot_times]
     traj = monotone_reference(problem, plan.fine_factor, snapshot_times=plan.snapshot_times)
@@ -338,8 +345,11 @@ def run_sweep(plan: SweepPlan, threads: int | None = None) -> SweepResult:
     continues.  With FRACVISC_THREADS > 1 (or threads > 1) the batches are
     solved in a process pool, the cells of a grid dealt into up to threads
     batches so that they still run side by side; results are assembled in
-    sorted order so the output is identical to the sequential path.
+    sorted order so the output is identical to the sequential path.  A plan
+    whose ladder fails check_ladder, or a hopf_lax plan with a forcing (the
+    oracle's own check), raises ValueError before any solve.
     """
+    check_ladder(plan.epsilons)
     if threads is None:
         threads = env_threads()
     if threads < 1:

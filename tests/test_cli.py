@@ -7,6 +7,8 @@ import os
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracvisc.cli import main
 from fracvisc.config import ConfigError, parse_config
@@ -45,15 +47,17 @@ def read_all_bytes(d):
 
 def test_parse_config_defaults_and_overrides():
     cfg = parse_config("s_list = 0.25, 0.5\nT = 1.5\n")
-    assert cfg.s_list == (0.25, 0.5)
-    assert cfg.T == 1.5
-    assert cfg.dim == 1 and cfg.n_points is None
+    plan = cfg.plan
+    assert plan.s_values == (0.25, 0.5)
+    assert plan.T == 1.5
+    assert plan.dim == 1 and plan.n_points is None
     assert cfg.mollify_scale == 0.05
-    assert cfg.hamiltonian().kind == "quadratic"
-    assert len(cfg.snapshot_times()) == cfg.snapshot_count
+    assert plan.hamiltonian.kind == "quadratic"
+    assert len(plan.snapshot_times) == 16 and plan.snapshot_times[-1] == 1.5
     # geometric ladder default: 7 entries, ratio 1/2
-    assert len(cfg.epsilon_list) == 7
-    assert cfg.epsilon_list[1] == pytest.approx(cfg.epsilon_list[0] / 2.0)
+    assert len(plan.epsilons) == 7
+    assert plan.epsilons[1] == pytest.approx(plan.epsilons[0] / 2.0)
+    assert cfg.lines["T"] == 2 and cfg.lines["dim"] is None
 
 
 def test_parse_config_unknown_key_names_key_and_line():
@@ -86,6 +90,10 @@ def test_parse_config_value_errors():
         parse_config("u0 = spike\n")
     with pytest.raises(ConfigError, match="reference"):
         parse_config("reference = characteristics\n")
+    with pytest.raises(ConfigError, match="reference"):
+        parse_config("reference = monotonex\n")
+    with pytest.raises(ConfigError, match="positive"):  # 0.5 * 0.1**400 underflows to 0
+        parse_config("epsilon_list = geometric:0.5,0.1,400\n")
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         parse_config("just words\n")
 
@@ -101,16 +109,61 @@ def test_bad_forcing_value_names_key_and_line(tmp_path, value):
 def test_parse_config_comments_and_echo_roundtrip():
     text = "# experiment\nT = 1.25  # short horizon\n\nseed = 7\n"
     cfg = parse_config(text)
-    assert cfg.T == 1.25 and cfg.seed == 7
+    assert cfg.plan.T == 1.25 and cfg.seed == 7
     again = parse_config(cfg.to_lines())
     assert again == cfg
 
 
 def test_parse_config_monotone_reference_with_factor():
     cfg = parse_config("reference = monotone:8\nforcing = const:0.5\n")
-    assert cfg.reference == "monotone" and cfg.fine_factor == 8
+    assert cfg.plan.reference == "monotone" and cfg.plan.fine_factor == 8
     with pytest.raises(ConfigError, match="fine factor"):
         parse_config("reference = monotone:3\n")
+
+
+# Valid examples for every key; none asks for a ladder or snapshot count that
+# would take long to build.
+VALID = {
+    "dim": ["1", "2"],
+    "n_points": ["auto", "8", "256"],
+    "s_list": ["0.5", "0.25, 0.5", "1"],
+    "epsilon_list": ["geometric:0.0625,0.5,7", "0.3,0.15,0.075,0.0375,0.01875", "0.25"],
+    "hamiltonian": ["quadratic", "zero", "anisotropic_quadratic:1", "anisotropic_quadratic:1,2",
+                    "log_cosh_regularized", "log_cosh_regularized:0.2"],
+    "u0": ["cos", "cos2d", "bump", "coeffs:1,0", "coeffs:0.5,0,0,0.25"],
+    "forcing": ["zero", "const:0.5", "cos_wave:0.5,1.0"],
+    "T": ["2.0", "0.5"],
+    "p_list": ["1.5,2,4,inf", "2", "inf"],
+    "snapshot_count": ["2", "16"],
+    "dt_cfl": ["0.5", "0.25"],
+    "mollify_scale": ["0.05", "0"],
+    "reference": ["hopf_lax", "monotone", "monotone:8"],
+    "output_dir": ["out", "runs/a b"],
+    "seed": ["0", "-7"],
+}
+# Short text from the characters the values are made of; at most 4 characters
+# for snapshot_count, so it asks for at most 9999 snapshots.
+VALUE_CHARS = "0123456789.,:-+e infabcos_#= "
+ENTRY = st.sampled_from(sorted(VALID)).flatmap(lambda key: st.tuples(st.just(key), st.one_of(
+    st.sampled_from(VALID[key]), st.text(VALUE_CHARS, max_size=4 if key == "snapshot_count" else 6))))
+
+
+def test_property_examples_cover_every_key():
+    assert set(VALID) == {key for key, _ in parse_config("").raw}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(ENTRY, max_size=8))
+def test_parse_config_is_total_and_round_trips(entries):
+    # parse_config either returns a config that round-trips through to_lines()
+    # or raises ConfigError naming a key and a line of the text that sets it
+    text = "".join(f"{key} = {value}\n" for key, value in entries)
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        assert exc.line is not None and entries[exc.line - 1][0] == exc.key, str(exc)
+        return
+    assert parse_config(cfg.to_lines()) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +353,13 @@ def test_cli_dual_check_solves_each_grid_when_its_first_pair_comes_up(tmp_path, 
     ]
 
 
-def test_cli_dual_check_needs_pair_and_finite_p(tmp_path):
+def test_cli_dual_check_needs_pair_and_finite_p(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE + "epsilon_list = 0.25\nhamiltonian = quadratic\n")
     assert main(["dual-check", "--config", cfg, "--output", str(tmp_path / "x")]) == 2
+    assert "key 'epsilon_list', line 11" in capsys.readouterr().err
     cfg2 = write_cfg(tmp_path, BASE + "p_list = inf\nhamiltonian = quadratic\n", name="e2.cfg")
     assert main(["dual-check", "--config", cfg2, "--output", str(tmp_path / "y")]) == 2
+    assert "key 'p_list', line 11" in capsys.readouterr().err
 
 
 def test_cli_one_sided(tmp_path):
@@ -325,6 +380,21 @@ def test_cli_one_sided(tmp_path):
     assert rep == swept["one_sided"]
 
 
-def test_cli_one_sided_requires_half(tmp_path):
+def test_cli_one_sided_requires_half(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE + "s_list = 0.75\n")
     assert main(["one-sided", "--config", cfg, "--output", str(tmp_path / "z")]) == 2
+    assert "key 's_list', line 11" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,extra,key", [
+    ("sweep", "epsilon_list = 0.1,0.05,0.025", "epsilon_list"),  # too few rungs
+    ("sweep", "epsilon_list = 0.1,0.09,0.08,0.07,0.06", "epsilon_list"),  # under four octaves
+    ("sweep", "forcing = const:1", "forcing"),  # the hopf_lax reference needs zero forcing
+    ("solve", "u0 = cos2d", "u0"),
+    ("solve", "dim = 2\nu0 = coeffs:1,0", "u0"),
+])
+def test_cli_bad_experiment_exits_2_naming_key_and_line(tmp_path, capsys, command, extra, key):
+    text = BASE + extra + "\n"  # the key is set on the last line
+    assert main([command, "--config", write_cfg(tmp_path, text), "--output", str(tmp_path / "o")]) == 2
+    assert f"key {key!r}, line {len(text.splitlines())}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

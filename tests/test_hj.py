@@ -25,7 +25,7 @@ from fracvisc.hj import (
     semiconcavity_profile,
     viscous_solve,
 )
-from fracvisc.torus import Field, TorusGrid, lp_norm
+from fracvisc.torus import Field, TorusGrid
 
 QUAD = make_hamiltonian("quadratic", 1)
 ZERO_H = make_hamiltonian("zero", 1)
@@ -535,7 +535,7 @@ def test_semiconcavity_uniform_in_epsilon():
         assert np.all(check.measured <= check.bound + 0.05), f"eps={eps}: {check.measured} vs {check.bound}"
 
 
-def test_riccati_bound_with_time_dependent_forcing():
+def test_riccati_bound_with_constant_forcing():
     # constant-coefficient closed form: k' = -k^2 + c has equilibrium sqrt(c)
     g = TorusGrid(1, 128)
     f = CosWaveForcing(amp=0.25, omega=0.0)  # c_f(t) = 0.25 for all t

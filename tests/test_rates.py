@@ -21,7 +21,6 @@ from fracvisc.rates import (
     env_threads,
     fit_rate,
     format_float,
-    make_initial_data,
     one_sided_check,
     run_sweep,
     target_exponent,
@@ -39,7 +38,7 @@ def zero_h_plan(**kw):
         epsilons=tuple(0.3 * 2.0**-k for k in range(5)),
         p_values=(2.0, math.inf),
         hamiltonian=ZERO_H1,
-        u0=make_initial_data("cos"),
+        u0=InitialData("cos"),
         T=1.0,
         n_points=256,
     )
@@ -55,14 +54,14 @@ def zero_h_plan(**kw):
 def test_initial_data_kinds():
     g = TorusGrid(1, 64)
     x = g.nodes()[0]
-    assert np.allclose(make_initial_data("cos").build(g).values, np.cos(x))
-    bump = make_initial_data("bump").build(g)
+    assert np.allclose(InitialData("cos").build(g).values, np.cos(x))
+    bump = InitialData("bump").build(g)
     assert float(np.min(bump.values)) > 0.0 and float(np.max(bump.values)) == pytest.approx(1.0)
-    co = make_initial_data("coeffs", (0.5, 0.0, 0.0, 0.25)).build(g)
+    co = InitialData("coeffs", (0.5, 0.0, 0.0, 0.25)).build(g)
     assert np.allclose(co.values, 0.5 * np.cos(x) + 0.25 * np.sin(2.0 * x))
     g2 = TorusGrid(2, 32)
     xs = g2.nodes()
-    assert np.allclose(make_initial_data("cos2d").build(g2).values, np.cos(xs[0]) + np.cos(xs[1]))
+    assert np.allclose(InitialData("cos2d").build(g2).values, np.cos(xs[0]) + np.cos(xs[1]))
 
 
 def test_initial_data_validation():
@@ -70,10 +69,11 @@ def test_initial_data_validation():
         InitialData("gauss")
     with pytest.raises(ValueError, match="even"):
         InitialData("coeffs", (1.0,))
+    assert [type(v) for v in InitialData("coeffs", (1, 0)).params] == [float, float]
     with pytest.raises(ValueError, match="dim == 2"):
-        make_initial_data("cos2d").build(TorusGrid(1, 32))
+        InitialData("cos2d").build(TorusGrid(1, 32))
     with pytest.raises(ValueError, match="one-dimensional"):
-        make_initial_data("coeffs", (1.0, 0.0)).build(TorusGrid(2, 32))
+        InitialData("coeffs", (1.0, 0.0)).build(TorusGrid(2, 32))
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +107,24 @@ def test_resolution_rule_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_plan_validation():
+def test_sweep_plan_validation(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("run_sweep solved a plan it should have rejected")
+
+    # a short ladder or a forced hopf_lax plan is a valid plan; run_sweep rejects it before any solve
+    monkeypatch.setattr(rates, "viscous_solve", no_solve)
     with pytest.raises(ValueError, match="at least 5"):
-        zero_h_plan(epsilons=(0.4, 0.2, 0.1, 0.05))
+        run_sweep(zero_h_plan(epsilons=(0.4, 0.2, 0.1, 0.05)))
     with pytest.raises(ValueError, match="four octaves"):
-        zero_h_plan(epsilons=(0.4, 0.3, 0.2, 0.15, 0.1))
+        run_sweep(zero_h_plan(epsilons=(0.4, 0.3, 0.2, 0.15, 0.1)))
+    with pytest.raises(ValueError, match="zero forcing"):
+        run_sweep(zero_h_plan(forcing=ConstantForcing(1.0)))
     with pytest.raises(ValueError, match="positive"):
         zero_h_plan(epsilons=(0.4, 0.2, 0.1, 0.05, -0.025))
     with pytest.raises(ValueError, match="s values"):
         zero_h_plan(s_values=(1.5,))
     with pytest.raises(ValueError, match="p values"):
         zero_h_plan(p_values=(0.5,))
-    with pytest.raises(ValueError, match="zero forcing"):
-        zero_h_plan(forcing=ConstantForcing(1.0))
     with pytest.raises(ValueError, match="reference"):
         zero_h_plan(reference="exact")
     with pytest.raises(ValueError, match="power of two"):
@@ -272,7 +277,7 @@ def test_sweep_across_grids_matches_pool_and_solo_solves():
     assert seq.eval_n == pooled.eval_n == {0.25: 256, 0.5: 64}
     assert seq.cells.keys() == pooled.cells.keys()
     for key, cell in seq.cells.items():
-        solo = viscous_solve(plan.problem(*key, cell.n_points), dt_cfl=plan.dt_cfl,
+        solo = viscous_solve(plan.problem(*key, TorusGrid(1, cell.n_points)), dt_cfl=plan.dt_cfl,
                              snapshot_times=plan.snapshot_times)
         for other in (pooled.cells[key], solo):
             assert cell.n_steps == other.n_steps
@@ -321,7 +326,7 @@ def test_sweep_2d_path():
         epsilons=tuple(0.3 * 2.0**-k for k in range(5)),
         p_values=(2.0,),
         hamiltonian=ZERO_H2,
-        u0=make_initial_data("cos2d"),
+        u0=InitialData("cos2d"),
         T=0.5,
         n_points=32,
         snapshot_times=(0.0, 0.25, 0.5),
@@ -336,7 +341,7 @@ def test_sweep_records_guard_failures():
     # an initial datum above the blow-up guard kills every viscous cell at
     # the first snapshot; the reference does not care and the sweep reports
     # the failures instead of raising
-    plan = zero_h_plan(u0=make_initial_data("coeffs", (2.0e6, 0.0)))
+    plan = zero_h_plan(u0=InitialData("coeffs", (2.0e6, 0.0)))
     result = run_sweep(plan)
     assert len(result.failures) == 5
     assert all("BlowUpError" in reason for _, _, reason in result.failures)
