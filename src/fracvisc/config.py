@@ -126,6 +126,13 @@ def _parse_float_list(text: str, key: str, line: int | None, allow_inf: bool = F
     return tuple(out)
 
 
+def _distinct(values: tuple[float, ...], key: str, line: int | None) -> tuple[float, ...]:
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        _fail(f"list entries must not repeat, got {repeated[0]:g} more than once", key, line)
+    return values
+
+
 def _parse_epsilons(text: str, key: str, line: int | None) -> tuple[float, ...]:
     if text.startswith("geometric:"):
         body = text[len("geometric:") :]
@@ -142,7 +149,7 @@ def _parse_epsilons(text: str, key: str, line: int | None) -> tuple[float, ...]:
         eps = _parse_float_list(text, key, line)
     if any(e <= 0 for e in eps):  # a long geometric ladder underflows to 0
         _fail("viscosities must be positive", key, line)
-    return eps
+    return _distinct(eps, key, line)
 
 
 def _parse_u0(text: str, key: str, line: int | None, dim: int) -> InitialData:
@@ -214,7 +221,7 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
         n_points = _parse_int(values["n_points"], "n_points", ln["n_points"])
         if n_points < 8 or n_points & (n_points - 1):
             _fail("n_points must be 'auto' or a power of two >= 8", "n_points", ln["n_points"])
-    s_list = _parse_float_list(values["s_list"], "s_list", ln["s_list"])
+    s_list = _distinct(_parse_float_list(values["s_list"], "s_list", ln["s_list"]), "s_list", ln["s_list"])
     if any(not 0.0 < s <= 1.0 for s in s_list):
         _fail("s values must lie in (0, 1]", "s_list", ln["s_list"])
     epsilon_list = _parse_epsilons(values["epsilon_list"], "epsilon_list", ln["epsilon_list"])
@@ -224,7 +231,8 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     T = _parse_float(values["T"], "T", ln["T"])
     if T <= 0:
         _fail("T must be positive", "T", ln["T"])
-    p_list = _parse_float_list(values["p_list"], "p_list", ln["p_list"], allow_inf=True)
+    p_list = _distinct(_parse_float_list(values["p_list"], "p_list", ln["p_list"], allow_inf=True),
+                       "p_list", ln["p_list"])
     if any(p < 1 for p in p_list):
         _fail("p values must satisfy p >= 1", "p_list", ln["p_list"])
     snapshot_count = _parse_int(values["snapshot_count"], "snapshot_count", ln["snapshot_count"])

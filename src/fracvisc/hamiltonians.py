@@ -4,7 +4,7 @@ All supported kinds are separable with diagonal Hessians, which keeps the
 vectorized Newton inversion used by the Legendre transform exact and cheap.
 Each spec carries certified convexity bounds theta, Theta with
 
-    theta I  <=  D^2 H(p)  <=  Theta I        for |p| <= valid_radius.
+    theta I  <=  D^2 H(p)  <=  Theta I        for |p| <= VALID_RADIUS.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "VALID_RADIUS",
     "HamiltonianSpec",
     "make_hamiltonian",
     "LagrangianSpec",
@@ -23,6 +24,7 @@ __all__ = [
 ]
 
 _KINDS = ("quadratic", "anisotropic_quadratic", "log_cosh_regularized", "zero")
+VALID_RADIUS = 6.0  # |p| within which every spec's theta/Theta bounds are certified
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,6 @@ class HamiltonianSpec:
     kind: str
     dim: int
     params: tuple[float, ...]
-    valid_radius: float
     theta: float
     Theta: float
 
@@ -121,12 +122,7 @@ def _weighted_squares(q: np.ndarray, weights=None, out: np.ndarray | None = None
     return out
 
 
-def make_hamiltonian(
-    kind: str,
-    dim: int,
-    params: tuple[float, ...] = (),
-    valid_radius: float = 6.0,
-) -> HamiltonianSpec:
+def make_hamiltonian(kind: str, dim: int, params: tuple[float, ...] = ()) -> HamiltonianSpec:
     """Build a HamiltonianSpec with analytically certified theta/Theta.
 
     kinds:
@@ -140,8 +136,6 @@ def make_hamiltonian(
         raise ValueError(f"unknown Hamiltonian kind {kind!r}; choose from {_KINDS}")
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    if not (valid_radius > 0.0 and math.isfinite(valid_radius)):
-        raise ValueError(f"valid_radius must be positive and finite, got {valid_radius}")
     params = tuple(float(v) for v in params)
     if kind == "quadratic":
         if params:
@@ -160,12 +154,12 @@ def make_hamiltonian(
             raise ValueError("log_cosh_regularized takes one positive parameter")
         c = params[0]
         theta = 1.0 + c
-        Theta = math.cosh(valid_radius) + c
+        Theta = math.cosh(VALID_RADIUS) + c
     else:  # zero
         if params:
             raise ValueError("zero takes no parameters")
         theta = Theta = 0.0
-    return HamiltonianSpec(kind, dim, params, valid_radius, theta, Theta)
+    return HamiltonianSpec(kind, dim, params, theta, Theta)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ __all__ = [
     "ResolutionRule",
     "SweepPlan",
     "check_ladder",
-    "RateRow",
     "CellResult",
     "SweepResult",
     "run_sweep",
@@ -207,6 +206,9 @@ class SweepPlan:
         if not ps or any((p < 1.0) for p in ps):
             raise ValueError("p values must satisfy p >= 1")
         object.__setattr__(self, "p_values", tuple(sorted(ps)))
+        for name, vals in (("viscosities", eps), ("s values", svals), ("p values", ps)):
+            if len(set(vals)) < len(vals):
+                raise ValueError(f"{name} must not repeat, got {vals}")
         if self.reference not in ("hopf_lax", "monotone"):
             raise ValueError(f"reference must be 'hopf_lax' or 'monotone', got {self.reference!r}")
         tsnap = clean_snapshot_times(self.snapshot_times or None, self.T)
@@ -226,18 +228,8 @@ class SweepPlan:
 
 
 @dataclass(frozen=True)
-class RateRow:
-    s: float
-    p: float
-    epsilon: float
-    error: float
-    norm: str
-    ref_kind: str
-
-
-@dataclass(frozen=True)
 class CellResult:
-    """Diagnostics for one (s, eps) solve within a sweep."""
+    """Diagnostics for one (s, eps) solve within a sweep; errors maps each p to max_t ||u_eps(t) - u(t)||_p."""
 
     s: float
     epsilon: float
@@ -254,20 +246,15 @@ class CellResult:
 @dataclass(frozen=True)
 class SweepResult:
     plan: SweepPlan
-    rows: tuple[RateRow, ...]
     cells: dict
     failures: tuple[tuple[float, float, str], ...]
     eval_n: dict
 
     def errors_for(self, s: float, p: float) -> tuple[np.ndarray, np.ndarray]:
-        """(epsilons, errors) for one (s, p) slice, largest eps first."""
-        eps, err = [], []
-        for row in self.rows:
-            if row.s == s and row.p == p:
-                eps.append(row.epsilon)
-                err.append(row.error)
-        order = np.argsort(eps)[::-1]
-        return np.asarray(eps)[order], np.asarray(err)[order]
+        """(epsilons, errors) of the finished cells of one (s, p) slice, largest eps first."""
+        cells = [self.cells.get((s, eps)) for eps in self.plan.epsilons]
+        cells = [cell for cell in cells if cell is not None and p in cell.errors]
+        return np.array([cell.epsilon for cell in cells]), np.array([cell.errors[p] for cell in cells])
 
 
 def env_threads() -> int:
@@ -337,7 +324,7 @@ def _reference_values(plan: SweepPlan, eval_n: int) -> list[np.ndarray]:
 
 
 def run_sweep(plan: SweepPlan, threads: int | None = None) -> SweepResult:
-    """Execute every (s, eps) cell of the plan and collect error rows.
+    """Execute every (s, eps) cell of the plan and collect its errors.
 
     The cells of one grid are solved in one batch (see viscous_solve), then
     evaluated one by one against the reference of their evaluation grid.
@@ -378,24 +365,7 @@ def run_sweep(plan: SweepPlan, threads: int | None = None) -> SweepResult:
             failures.append((*key, outcomes[key]))
         else:
             cells[key] = outcomes[key]
-
-    ref_kind = plan.reference
-    rows: list[RateRow] = []
-    for s in plan.s_values:
-        for p in plan.p_values:
-            for eps in plan.epsilons:
-                cell = cells.get((s, eps))
-                if cell is None:
-                    continue
-                norm = "sup" if math.isinf(p) else "Lp"
-                rows.append(RateRow(s, p, eps, cell.errors[p], norm, ref_kind))
-    return SweepResult(
-        plan=plan,
-        rows=tuple(rows),
-        cells=cells,
-        failures=tuple(failures),
-        eval_n=eval_ns,
-    )
+    return SweepResult(plan=plan, cells=cells, failures=tuple(failures), eval_n=eval_ns)
 
 
 # ---------------------------------------------------------------------------
@@ -597,25 +567,21 @@ def emit_report(
     """
     os.makedirs(out_dir, exist_ok=True)
     plan = result.plan
-
     lines = ["s,p,epsilon,error,norm,ref_kind"]
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    format_float(row.s),
-                    _p_label(row.p),
-                    format_float(row.epsilon),
-                    format_float(row.error),
-                    row.norm,
-                    row.ref_kind,
-                ]
-            )
-        )
+    fits = {}
+    series = []
+    for s in plan.s_values:
+        for p in plan.p_values:
+            eps, err = result.errors_for(s, p)
+            label, norm = _p_label(p), "sup" if math.isinf(p) else "Lp"
+            lines += [",".join([format_float(s), label, format_float(e), format_float(x), norm, plan.reference])
+                      for e, x in zip(eps, err)]
+            key, entry = fit_entry(s, p, eps, err)
+            fits[key] = entry
+            cond = f"(stringcolumn(2) eq '{label}' && abs($1 - {s:g}) < 1e-12)"
+            series.append(f"  'rates.csv' using ({cond} ? $3 : NaN):4 with linespoints title 's={s:g} p={label}'")
     with open(os.path.join(out_dir, "rates.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-    fits = dict(fit_entry(s, p, *result.errors_for(s, p)) for s in plan.s_values for p in plan.p_values)
 
     report = {
         "fits": fits,
@@ -645,16 +611,8 @@ def emit_report(
         "set datafile separator ','",
         "set key outside",
         "plot \\",
+        ", \\\n".join(series),
     ]
-    series = []
-    for s in plan.s_values:
-        for p in plan.p_values:
-            cond = f"(stringcolumn(2) eq '{_p_label(p)}' && abs($1 - {s:g}) < 1e-12)"
-            series.append(
-                f"  'rates.csv' using ({cond} ? $3 : NaN):4 with linespoints"
-                f" title 's={s:g} p={_p_label(p)}'"
-            )
-    gp.append(", \\\n".join(series))
     with open(os.path.join(out_dir, "plots.gp"), "w") as fh:
         fh.write("\n".join(gp) + "\n")
     return report

@@ -94,6 +94,10 @@ def test_parse_config_value_errors():
         parse_config("reference = monotonex\n")
     with pytest.raises(ConfigError, match="positive"):  # 0.5 * 0.1**400 underflows to 0
         parse_config("epsilon_list = geometric:0.5,0.1,400\n")
+    with pytest.raises(ConfigError, match="repeat"):  # subnormal rungs round onto each other
+        parse_config("epsilon_list = geometric:1e-322,0.99,5\n")
+    with pytest.raises(ConfigError, match="repeat"):
+        parse_config("p_list = 2,inf,inf\n")
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         parse_config("just words\n")
 
@@ -392,6 +396,10 @@ def test_cli_one_sided_requires_half(tmp_path, capsys):
     ("sweep", "forcing = const:1", "forcing"),  # the hopf_lax reference needs zero forcing
     ("solve", "u0 = cos2d", "u0"),
     ("solve", "dim = 2\nu0 = coeffs:1,0", "u0"),
+    ("sweep", "p_list = 2,2\nepsilon_list = 0.1,0.1,0.1,0.1,0.00625", "epsilon_list"),  # repeated entries
+    ("sweep", "p_list = 2,2", "p_list"),
+    ("sweep", "s_list = 0.5,0.5", "s_list"),
+    ("dual-check", "epsilon_list = 0.1,0.1", "epsilon_list"),
 ])
 def test_cli_bad_experiment_exits_2_naming_key_and_line(tmp_path, capsys, command, extra, key):
     text = BASE + extra + "\n"  # the key is set on the last line

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fracvisc.hamiltonians import (
+    VALID_RADIUS,
     HamiltonianSpec,
     LagrangianSpec,
     legendre_batch,
@@ -65,9 +66,9 @@ def test_certified_bounds():
     assert make_hamiltonian("quadratic", 1).Theta == 1.0
     h = make_hamiltonian("anisotropic_quadratic", 2, (2.0, 0.5))
     assert (h.theta, h.Theta) == (0.5, 2.0)
-    lc = make_hamiltonian("log_cosh_regularized", 1, valid_radius=3.0)
+    lc = make_hamiltonian("log_cosh_regularized", 1)
     assert lc.theta == pytest.approx(1.1)
-    assert lc.Theta == pytest.approx(math.cosh(3.0) + 0.1)
+    assert lc.Theta == pytest.approx(math.cosh(6.0) + 0.1)
     z = make_hamiltonian("zero", 2)
     assert z.theta == 0.0 and z.Theta == 0.0 and z.is_zero
 
@@ -153,7 +154,7 @@ def test_monotonicity_of_gradient():
         ("anisotropic_quadratic", 2, (2.0, 0.5)),
         ("log_cosh_regularized", 1, ()),
     ]:
-        spec = make_hamiltonian(kind, dim, params, valid_radius=4.0)
+        spec = make_hamiltonian(kind, dim, params)
         for _ in range(50):
             p1 = rng.uniform(-2.5, 2.5, size=dim)
             p2 = rng.uniform(-2.5, 2.5, size=dim)
@@ -169,11 +170,11 @@ def test_hessian_eigenvalue_sandwich():
         ("anisotropic_quadratic", 2, (0.5, 2.0)),
         ("log_cosh_regularized", 2, ()),
     ]:
-        spec = make_hamiltonian(kind, dim, params, valid_radius=3.0)
+        spec = make_hamiltonian(kind, dim, params)
         for _ in range(50):
             p = rng.uniform(-1.0, 1.0, size=dim)
-            p *= rng.uniform(0, spec.valid_radius) / max(np.linalg.norm(p), 1e-12)
-            if np.linalg.norm(p) > spec.valid_radius:
+            p *= rng.uniform(0, VALID_RADIUS) / max(np.linalg.norm(p), 1e-12)
+            if np.linalg.norm(p) > VALID_RADIUS:
                 continue
             # the Hessian is diagonal (test_grad_hess_match_finite_differences),
             # so its eigenvalues are the diagonal entries

@@ -11,7 +11,7 @@ import pytest
 
 from fracvisc.hamiltonians import make_hamiltonian
 from fracvisc import rates
-from fracvisc.hj import ConstantForcing, ZeroForcing, viscous_solve
+from fracvisc.hj import BlowUpError, ConstantForcing, ZeroForcing, viscous_solve
 from fracvisc.rates import (
     InitialData,
     RateFit,
@@ -44,6 +44,11 @@ def zero_h_plan(**kw):
     )
     args.update(kw)
     return SweepPlan(**args)
+
+
+def cell_errors(result):
+    """Every finished cell's measured errors, keyed by (s, eps)."""
+    return {key: cell.errors for key, cell in result.cells.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +126,12 @@ def test_sweep_plan_validation(monkeypatch):
         run_sweep(zero_h_plan(forcing=ConstantForcing(1.0)))
     with pytest.raises(ValueError, match="positive"):
         zero_h_plan(epsilons=(0.4, 0.2, 0.1, 0.05, -0.025))
+    with pytest.raises(ValueError, match="viscosities must not repeat"):
+        zero_h_plan(epsilons=(0.1, 0.1, 0.1, 0.1, 0.00625))
+    with pytest.raises(ValueError, match="s values must not repeat"):
+        zero_h_plan(s_values=(0.5, 0.5))
+    with pytest.raises(ValueError, match="p values must not repeat"):
+        zero_h_plan(p_values=(2.0, 2.0))
     with pytest.raises(ValueError, match="s values"):
         zero_h_plan(s_values=(1.5,))
     with pytest.raises(ValueError, match="p values"):
@@ -226,12 +237,12 @@ def test_sweep_cell_diagnostics(zero_h_sweep):
 
 def test_sweep_determinism(zero_h_sweep):
     again = run_sweep(zero_h_plan())
-    assert again.rows == zero_h_sweep.rows
+    assert cell_errors(again) == cell_errors(zero_h_sweep)
 
 
 def test_sweep_parallel_matches_sequential(zero_h_sweep):
     pooled = run_sweep(zero_h_plan(), threads=2)
-    assert pooled.rows == zero_h_sweep.rows
+    assert cell_errors(pooled) == cell_errors(zero_h_sweep)
 
 
 def test_sweep_pool_deals_the_cells_of_a_grid_across_workers(monkeypatch, zero_h_sweep):
@@ -257,7 +268,7 @@ def test_sweep_pool_deals_the_cells_of_a_grid_across_workers(monkeypatch, zero_h
     pooled = run_sweep(zero_h_plan(), threads=2)
     eps = zero_h_plan().epsilons
     assert batches == [list(eps[0::2]), list(eps[1::2])]
-    assert pooled.rows == zero_h_sweep.rows
+    assert cell_errors(pooled) == cell_errors(zero_h_sweep)
 
 
 def test_sweep_across_grids_matches_pool_and_solo_solves():
@@ -273,7 +284,7 @@ def test_sweep_across_grids_matches_pool_and_solo_solves():
     seq = run_sweep(plan, threads=1)
     pooled = run_sweep(plan, threads=2)
     assert sorted({c.n_points for c in seq.cells.values()}) == [64, 128, 256]
-    assert seq.rows == pooled.rows and seq.failures == pooled.failures == ()
+    assert cell_errors(seq) == cell_errors(pooled) and seq.failures == pooled.failures == ()
     assert seq.eval_n == pooled.eval_n == {0.25: 256, 0.5: 64}
     assert seq.cells.keys() == pooled.cells.keys()
     for key, cell in seq.cells.items():
@@ -297,7 +308,7 @@ def test_sweep_computes_one_reference_per_evaluation_grid(monkeypatch):
     both = run_sweep(zero_h_plan(s_values=(0.25, 0.5)))
     assert calls == [256]
     apart = [run_sweep(zero_h_plan(s_values=(s,))) for s in (0.25, 0.5)]
-    assert both.rows == tuple(sorted(apart[0].rows + apart[1].rows, key=lambda r: (r.s, r.p, -r.epsilon)))
+    assert cell_errors(both) == {**cell_errors(apart[0]), **cell_errors(apart[1])}
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
@@ -345,7 +356,32 @@ def test_sweep_records_guard_failures():
     result = run_sweep(plan)
     assert len(result.failures) == 5
     assert all("BlowUpError" in reason for _, _, reason in result.failures)
-    assert result.rows == ()
+    assert cell_errors(result) == {}
+
+
+def test_sweep_drops_exactly_the_failed_cell(monkeypatch, zero_h_sweep, tmp_path):
+    # the middle viscosity of the batch blows up; its neighbours still finish
+    plan = zero_h_plan()
+    lost = plan.epsilons[2]
+
+    def one_blows_up(batch, **kw):
+        return [BlowUpError(0.5, "forced") if problem.epsilon == lost else traj
+                for problem, traj in zip(batch, viscous_solve(batch, **kw))]
+
+    monkeypatch.setattr(rates, "viscous_solve", one_blows_up)
+    result = run_sweep(plan)
+    kept = tuple(e for e in plan.epsilons if e != lost)
+    assert [(s, eps) for s, eps, _ in result.failures] == [(0.5, lost)]
+    assert cell_errors(result) == {key: err for key, err in cell_errors(zero_h_sweep).items() if key[1] != lost}
+    for p in plan.p_values:
+        eps, err = result.errors_for(0.5, p)
+        assert tuple(eps) == kept
+        assert list(err) == [zero_h_sweep.cells[(0.5, e)].errors[p] for e in kept]
+    emit_report(result, str(tmp_path))
+    with open(tmp_path / "rates.csv") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    assert [(float(r[2]), r[1]) for r in rows] == [(e, p) for p in ("2", "inf") for e in kept]
+    assert result.errors_for(0.5, 4.0)[0].size == result.errors_for(0.25, 2.0)[0].size == 0
 
 
 # ---------------------------------------------------------------------------
