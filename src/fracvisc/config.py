@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fracvisc.hamiltonians import HamiltonianSpec, make_hamiltonian
-from fracvisc.hj import ConstantForcing, CosWaveForcing, ZeroForcing
+from fracvisc.hj import DT_CFL_MAX, ConstantForcing, CosWaveForcing, ZeroForcing
 from fracvisc.rates import InitialData, SweepPlan, check_ladder
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_file"]
@@ -82,7 +82,7 @@ _DEFAULTS: dict[str, str] = {
     "T": "2.0",
     "p_list": "1.5,2,4,inf",
     "snapshot_count": "16",
-    "dt_cfl": "0.5",
+    "dt_cfl": repr(SweepPlan.dt_cfl),
     "mollify_scale": "0.05",
     "reference": "hopf_lax",
     "output_dir": "out",
@@ -239,8 +239,8 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     if snapshot_count < 2:
         _fail("snapshot_count must be >= 2", "snapshot_count", ln["snapshot_count"])
     dt_cfl = _parse_float(values["dt_cfl"], "dt_cfl", ln["dt_cfl"])
-    if not 0.0 < dt_cfl <= 0.6:
-        _fail("dt_cfl must lie in (0, 0.6]", "dt_cfl", ln["dt_cfl"])
+    if not 0.0 < dt_cfl <= DT_CFL_MAX:
+        _fail(f"dt_cfl must lie in (0, DT_CFL_MAX = {DT_CFL_MAX:.6g}]", "dt_cfl", ln["dt_cfl"])
     mollify_scale = _parse_float(values["mollify_scale"], "mollify_scale", ln["mollify_scale"])
     if mollify_scale < 0.0:
         _fail("mollify_scale must be >= 0", "mollify_scale", ln["mollify_scale"])

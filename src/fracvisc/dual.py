@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fracvisc.hj import Trajectory
+from fracvisc.hj import DT_CFL_MAX, Trajectory
 from fracvisc.torus import Field, TorusGrid, frac_laplacian, ifrk4_march, lp_norm
 
 __all__ = [
@@ -233,8 +233,8 @@ def dual_solve(
     """
     if eta < 0.0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    if not 0.0 < dt_cfl <= 0.6:
-        raise ValueError(f"dt_cfl must lie in (0, 0.6], got {dt_cfl}")
+    if not 0.0 < dt_cfl <= DT_CFL_MAX:
+        raise ValueError(f"dt_cfl must lie in (0, DT_CFL_MAX = {DT_CFL_MAX:.6g}], got {dt_cfl}")
     grid = drift.grid
     alphas = (alpha,) if isinstance(alpha, Field) else tuple(alpha)
     if not alphas:

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 CURVATURE_SCALE = 0.1  # probe scale of the per-snapshot semiconcavity measurement
+DT_CFL_MAX = 3 * math.sqrt(2) / math.pi  # RK4's imaginary-axis bound 2 sqrt(2) at |k| = n/3, h = 2pi/n
 
 
 class BlowUpError(RuntimeError):
@@ -275,8 +276,8 @@ def viscous_solve(
             "viscous_solve requires epsilon > 0; use hopf_lax_oracle or "
             "monotone_reference for the inviscid problem"
         )
-    if not 0.0 < dt_cfl <= 0.6:
-        raise ValueError(f"dt_cfl must lie in (0, 0.6], got {dt_cfl}")
+    if not 0.0 < dt_cfl <= DT_CFL_MAX:
+        raise ValueError(f"dt_cfl must lie in (0, DT_CFL_MAX = {DT_CFL_MAX:.6g}], got {dt_cfl}")
     grid = batch.grid
     ham = batch[0].hamiltonian
     forcing = batch[0].forcing

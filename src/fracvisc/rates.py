@@ -187,7 +187,7 @@ class SweepPlan:
     snapshot_times: tuple[float, ...] = ()
     reference: str = "hopf_lax"
     fine_factor: int = 4
-    dt_cfl: float = 0.5
+    dt_cfl: float = 1.0
     resolution: ResolutionRule = field(default_factory=ResolutionRule)
     n_points: int | None = None
 

@@ -429,6 +429,12 @@ def ifrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
     64 step sizes not shortened for a landing are cached per (viscosity, s),
     as complex arrays.  Each row's numbers are bitwise those
     of its member marched alone.  Returns each member's number of steps.
+
+    Lawson form: fourth order while the solution is smooth, but a mode with
+    lam dt >> 1 (the damping band) leaves a step at about (dt / 6) N_k, not
+    at its slaved value N_k / lam_k.  Once a front feeds that band, the
+    nonlinearity carries this first-order error into the resolved modes, so
+    the time error then shrinks only about like dt (measured in CHANGES.md).
     """
     sp = grid.spectral
     lams = {key: key[0] * sp.symbol(key[1]) + sp.damping for key in members}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fracvisc.cli import main
 from fracvisc.config import ConfigError, parse_config
+from fracvisc.rates import SweepPlan
 
 BASE = """
 dim = 1
@@ -81,7 +82,7 @@ def test_parse_config_value_errors():
     with pytest.raises(ConfigError, match="T"):
         parse_config("T = 0\n")
     with pytest.raises(ConfigError, match="dt_cfl"):
-        parse_config("dt_cfl = 0.9\n")
+        parse_config("dt_cfl = 1.4\n")
     with pytest.raises(ConfigError, match="mollify_scale"):
         parse_config("mollify_scale = -0.5\n")
     with pytest.raises(ConfigError, match="forcing"):
@@ -237,6 +238,21 @@ def test_cli_sweep_and_report(tmp_path):
         refit = json.load(fh)
     assert refit["source"] == "rates.csv"
     assert refit["fits"]["s=0.5,p=2"]["exponent"] == pytest.approx(fit["exponent"], rel=1e-12)
+
+
+def test_cli_forced_sweep_against_the_monotone_reference(tmp_path):
+    # the benchmark's forced layer-pass sweep: a forcing rules out the oracle,
+    # so every error is measured against the Lax-Friedrichs reference
+    cfg = write_cfg(tmp_path, "n_points = 64\nT = 0.5\nsnapshot_count = 3\nepsilon_list = geometric:0.0625,0.5,5\n"
+                              "s_list = 0.75\nforcing = cos_wave:0.5,1.0\nreference = monotone:4\n")
+    out = tmp_path / "mono"
+    assert main(["sweep", "--config", cfg, "--output", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["failures"] == [] and rep["config"]["dt_cfl"] == repr(SweepPlan.dt_cfl)
+    header, *rows = (out / "rates.csv").read_text().splitlines()
+    col = header.split(",").index("ref_kind")
+    kinds = [row.split(",")[col] for row in rows]
+    assert len(kinds) == 5 * 4 and set(kinds) == {"monotone"}
 
 
 def test_cli_report_requires_rates(tmp_path):
@@ -400,6 +416,7 @@ def test_cli_one_sided_requires_half(tmp_path, capsys):
     ("sweep", "p_list = 2,2", "p_list"),
     ("sweep", "s_list = 0.5,0.5", "s_list"),
     ("dual-check", "epsilon_list = 0.1,0.1", "epsilon_list"),
+    ("sweep", "dt_cfl = 1.4", "dt_cfl"),  # past DT_CFL_MAX, RK4's stability limit
 ])
 def test_cli_bad_experiment_exits_2_naming_key_and_line(tmp_path, capsys, command, extra, key):
     text = BASE + extra + "\n"  # the key is set on the last line

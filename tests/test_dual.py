@@ -206,7 +206,7 @@ def test_dual_validation_and_snapshots():
     with pytest.raises(ValueError, match="tau"):
         dual_solve(drift, 0.1, alpha, 2.0)
     with pytest.raises(ValueError, match="dt_cfl"):
-        dual_solve(drift, 0.1, alpha, 1.0, dt_cfl=0.9)
+        dual_solve(drift, 0.1, alpha, 1.0, dt_cfl=1.4)
     g2 = TorusGrid(1, 128)
     with pytest.raises(ValueError, match="grid"):
         dual_solve(drift, 0.1, Field(g2, np.ones(g2.shape)), 1.0)

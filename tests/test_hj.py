@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fracvisc.hamiltonians import make_hamiltonian
 from fracvisc.hj import (
+    DT_CFL_MAX,
     BlowUpError,
     ConstantForcing,
     CosWaveForcing,
@@ -25,6 +26,7 @@ from fracvisc.hj import (
     semiconcavity_profile,
     viscous_solve,
 )
+from fracvisc.rates import SweepPlan
 from fracvisc.torus import Field, TorusGrid
 
 QUAD = make_hamiltonian("quadratic", 1)
@@ -130,7 +132,7 @@ def test_viscous_solve_rejects_inviscid_and_bad_cfl():
     with pytest.raises(ValueError, match="epsilon > 0"):
         viscous_solve(problem(g, 0.5, 0.0))
     with pytest.raises(ValueError, match="dt_cfl"):
-        viscous_solve(problem(g, 0.5, 0.1), dt_cfl=0.7)
+        viscous_solve(problem(g, 0.5, 0.1), dt_cfl=1.4)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +186,33 @@ def test_rk4_order_of_accuracy():
     # dt halvings should approach 2^4
     g = TorusGrid(1, 128)
     pr = problem(g, 0.75, 0.25, T=0.4)
-    sols = [
-        viscous_solve(pr, dt_cfl=c, snapshot_times=(0.4,)).snapshots[-1].values
-        for c in (0.4, 0.2, 0.1)
-    ]
-    e1 = np.max(np.abs(sols[0] - sols[1]))
-    e2 = np.max(np.abs(sols[1] - sols[2]))
-    order = math.log2(e1 / e2)
-    assert 3.7 < order < 4.3
+    for steps in ((0.4, 0.2, 0.1), (1.0, 0.5, 0.25)):  # the second starts at SweepPlan's default
+        sols = [
+            viscous_solve(pr, dt_cfl=c, snapshot_times=(0.4,)).snapshots[-1].values
+            for c in steps
+        ]
+        e1 = np.max(np.abs(sols[0] - sols[1]))
+        e2 = np.max(np.abs(sols[1] - sols[2]))
+        order = math.log2(e1 / e2)
+        assert 3.7 < order < 4.3, (steps, order)
+
+
+def test_time_error_at_the_default_step_is_below_one_percent_of_the_viscous_error():
+    # a post-shock sweep cell at the experiment's step against a solve at
+    # dt_cfl = 0.125 (README calibration table); the error is the cell's own
+    # sup error against the oracle, both maxima over the 16 snapshots
+    g = TorusGrid(1, 2048)
+    pr = problem(g, 0.5, 2.0**-6)
+    traj = viscous_solve(pr, dt_cfl=SweepPlan.dt_cfl)
+    fine = viscous_solve(pr, dt_cfl=0.125)
+    delta = max(np.max(np.abs(a.values - b.values)) for a, b in zip(traj.snapshots, fine.snapshots))
+    error = max(np.max(np.abs(u.values - hopf_lax_oracle(pr, t).values)) for t, u in zip(traj.times, traj.snapshots))
+    assert delta <= 0.01 * error, (delta, error)
+    # the largest step the validators accept trips no guard in 2-D, whose
+    # corner modes |k| = sqrt(2) n / 3 lie past the 1-D stability bound
+    g2 = TorusGrid(2, 64)
+    traj2 = viscous_solve(problem(g2, 0.5, 2.0**-6, ham=make_hamiltonian("quadratic", 2)), dt_cfl=DT_CFL_MAX)
+    assert isinstance(traj2, Trajectory) and len(traj2.snapshots) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +352,24 @@ def test_maximum_principle_no_spurious_trough():
     traj = viscous_solve(problem(g, 0.5, eps, T=2.0), snapshot_times=(1.5, 2.0))
     for snap in traj.snapshots:
         assert float(np.min(snap.values)) > -1.0 - 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8), lip=st.floats(0.05, 1.0),
+       s=st.floats(0.25, 1.0), log2_eps=st.floats(-4.0, -1.0), T=st.floats(0.25, 2.0))
+def test_comparison_with_constants_on_random_band_limited_data(coeffs, lip, s, log2_eps, T):
+    # constants solve the unforced problem (H(0) = 0), so min u0 <= u(t) <= max u0;
+    # modes 1..4 scaled to Lipschitz constant <= lip keep the front resolved at
+    # n = 64, where the bound holds to round-off (tolerance calibration in CHANGES.md)
+    g = TorusGrid(1, 64)
+    x = g.nodes()[0]
+    modes = list(zip((1, 2, 3, 4), coeffs[::2], coeffs[1::2]))
+    weight = max(sum(k * (abs(a) + abs(b)) for k, a, b in modes), 1e-3)
+    u0 = Field(g, lip / weight * sum(a * np.cos(k * x) + b * np.sin(k * x) for k, a, b in modes))
+    traj = viscous_solve(problem(g, s, 2.0**log2_eps, u0=u0, T=T), dt_cfl=SweepPlan.dt_cfl)
+    lo, hi = float(np.min(u0.values)), float(np.max(u0.values))
+    for snap in traj.snapshots:
+        assert lo - 1e-12 <= float(np.min(snap.values)) and float(np.max(snap.values)) <= hi + 1e-12
 
 
 def test_gradient_sup_bounded_uniformly_in_viscosity():
