@@ -183,6 +183,7 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
                     "q": q,
                     "n_points": grid.n_points,
                     "max_ratio": rep.max_ratio,
+                    "max_ratio_before_tau": rep.max_ratio_before_tau,
                     "growth_factor": rep.growth_factor,
                     "gronwall_ok": rep.ok(),
                     "duality_residual": residual,
@@ -226,7 +227,7 @@ def _cmd_one_sided(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def _cmd_report(out_dir: str) -> int:
+def _cmd_report(cfg: ExperimentConfig, out_dir: str) -> int:
     path = os.path.join(out_dir, "rates.csv")
     if not os.path.exists(path):
         raise ConfigError(f"no rates.csv found in {out_dir!r}; run sweep first")
@@ -248,7 +249,7 @@ def _cmd_report(out_dir: str) -> int:
     return 0
 
 
-def _cmd_selftest(cfg: ExperimentConfig) -> int:
+def _cmd_selftest(cfg: ExperimentConfig, out_dir: str) -> int:
     rng = np.random.default_rng(cfg.seed)
     failures = 0
 
@@ -311,20 +312,24 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+# name: (handler, whether --config is required); every handler takes (cfg, out_dir)
+COMMANDS = {
+    "solve": (_cmd_solve, True),
+    "sweep": (_cmd_sweep, True),
+    "dual-check": (_cmd_dual_check, True),
+    "one-sided": (_cmd_one_sided, True),
+    "report": (_cmd_report, False),
+    "selftest": (_cmd_selftest, False),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fracvisc",
         description="Vanishing-viscosity rate experiments for periodic Hamilton-Jacobi equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_cfg in (
-        ("solve", True),
-        ("sweep", True),
-        ("dual-check", True),
-        ("one-sided", True),
-        ("report", False),
-        ("selftest", False),
-    ):
+    for name, (_, needs_cfg) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=needs_cfg, default=None)
         p.add_argument("--output", default=None, help="output directory (overrides config)")
@@ -335,10 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        if args.config is not None:
-            cfg = parse_config_file(args.config)
-        else:
-            cfg = parse_config("", path="<defaults>")
+        cfg = parse_config("", path="<defaults>") if args.config is None else parse_config_file(args.config)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 2
@@ -346,27 +348,15 @@ def main(argv: list[str] | None = None) -> int:
         _log(f"cannot read config: {exc}")
         return 2
 
-    out_dir = args.output or cfg.output_dir
+    handler, _ = COMMANDS[args.command]
     try:
-        if args.command == "solve":
-            return _cmd_solve(cfg, out_dir)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, out_dir)
-        if args.command == "dual-check":
-            return _cmd_dual_check(cfg, out_dir)
-        if args.command == "one-sided":
-            return _cmd_one_sided(cfg, out_dir)
-        if args.command == "report":
-            return _cmd_report(out_dir)
-        if args.command == "selftest":
-            return _cmd_selftest(cfg)
+        return handler(cfg, args.output or cfg.output_dir)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 2
     except Exception as exc:  # solver guards, IO failures: a failed run, not a usage error
         _log(f"error: {type(exc).__name__}: {exc}")
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -328,7 +328,9 @@ class GronwallReport:
         ||rho(t)||_q^q <= exp( (q-1) int_t^tau ||[div b]^-||_inf dr ) ||alpha||_q^q.
 
     ratio[i] = measured / bound, so the estimate holds when max_ratio <= 1
-    (up to quadrature slack).  growth_factor = sup_t ||rho(t)||_q / ||alpha||_q
+    (up to quadrature slack); it is 1 at tau, where rho = alpha, so the
+    solution sets max_ratio_before_tau, the largest ratio over t < tau (NaN
+    without such a time).  growth_factor = sup_t ||rho(t)||_q / ||alpha||_q
     is the constant whose eta-independence the theory asserts.
     """
 
@@ -338,6 +340,7 @@ class GronwallReport:
     bounds_q: np.ndarray
     ratios: np.ndarray
     max_ratio: float
+    max_ratio_before_tau: float
     growth_factor: float
 
     def ok(self) -> bool:  # the estimate holds up to 1% quadrature slack
@@ -363,6 +366,7 @@ def gronwall_check(dual: DualSolution, drift: DriftField, q: float) -> GronwallR
         integral = float(np.trapezoid(vals, ts))
         bounds[i] = math.exp((q - 1.0) * integral) * alpha_q**q
     ratios = norms / np.maximum(bounds, 1e-300)
+    before = ratios[dual.times < dual.tau - 1e-12]
     return GronwallReport(
         q=q,
         times=dual.times.copy(),
@@ -370,6 +374,7 @@ def gronwall_check(dual: DualSolution, drift: DriftField, q: float) -> GronwallR
         bounds_q=bounds,
         ratios=ratios,
         max_ratio=float(np.max(ratios)),
+        max_ratio_before_tau=float(np.max(before)) if before.size else math.nan,
         growth_factor=float(np.max(norms ** (1.0 / q)) / max(alpha_q, 1e-300)),
     )
 

@@ -189,7 +189,8 @@ def legendre_batch(lag: LagrangianSpec, q: np.ndarray) -> np.ndarray:
     """L(q) for q of shape (..., dim), via damped Newton on D_p H(p) = q.
 
     The supported Hamiltonians are separable, so the inversion decouples per
-    component; damping guards the early iterations far from the root.
+    component, and so does the damping that guards the early iterations far
+    from the root: one component at round-off cannot stall another.
     Raises RuntimeError when 100 iterations do not reach lag.tol.
     """
     ham = lag.hamiltonian
@@ -202,12 +203,12 @@ def legendre_batch(lag: LagrangianSpec, q: np.ndarray) -> np.ndarray:
         if err <= lag.tol * scale:
             break
         step = -resid / ham.hess_diag(p)
-        lam = np.ones(p.shape[:-1] + (1,))
+        lam = np.ones(p.shape)
         cur = np.abs(resid)
         for _ in range(40):
             trial = p + lam * step
             tr = ham.grad(trial) - qa
-            bad = np.any(np.abs(tr) > (1.0 - 0.25 * lam) * cur, axis=-1, keepdims=True)
+            bad = np.abs(tr) > (1.0 - 0.25 * lam) * cur
             if not np.any(bad):
                 break
             lam = np.where(bad, 0.5 * lam, lam)

@@ -58,12 +58,16 @@ class BlowUpError(RuntimeError):
 
 
 class TailGuardError(RuntimeError):
-    """Raised when too much spectral energy sits beyond the 2/3 cutoff."""
+    """Raised when too much spectral energy sits beyond the 2/3 cutoff.
+
+    The march truncates and damps that band, so only the datum's own tail
+    trips this guard; an under-resolved front passes it (no resolution check).
+    """
 
     def __init__(self, t: float, fraction: float):
         super().__init__(
             f"spectral tail energy fraction {fraction:.3e} exceeds 1e-6 at t={t:.6g}; "
-            "the run is under-resolved"
+            "the data carry energy beyond the 2/3 cutoff of this grid"
         )
         self.t = t
         self.fraction = fraction
@@ -255,7 +259,8 @@ def viscous_solve(
     factors are recomputed only when the speed estimate actually moves.
     Snapshot times are landed on exactly.  Raises BlowUpError when the
     iterate exceeds 1e6 in sup norm or becomes non-finite, TailGuardError
-    when more than 1e-6 of the spectral energy sits beyond the 2/3 cutoff.
+    when more than 1e-6 of the spectral energy sits beyond the 2/3 cutoff
+    (in practice only at t = 0, see TailGuardError).
 
     A ProblemBatch is marched in one lockstep batch (torus.ifrk4_march), so
     each FFT and Hamiltonian evaluation serves every member still marching.

@@ -112,24 +112,6 @@ class Field:
         out.setflags(write=False)
         object.__setattr__(self, "values", out)
 
-    def __add__(self, other: "Field") -> "Field":
-        _check_same_grid(self.grid, other.grid)
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        _check_same_grid(self.grid, other.grid)
-        return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "Field":
-        return Field(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def _check_same_grid(a: TorusGrid, b: TorusGrid) -> None:
-    if a != b:
-        raise ValueError(f"grid mismatch: {a} vs {b}")
-
 
 def _nyquist_free(k: np.ndarray, n: int) -> np.ndarray:
     """Wavenumbers k with the Nyquist one, n/2 in magnitude, set to zero."""

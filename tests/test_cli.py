@@ -313,6 +313,18 @@ snapshot_count = 16
     assert len(rho_files) == 16
 
 
+def test_cli_dual_check_reports_the_ratio_before_tau(tmp_path):
+    cfg = write_cfg(tmp_path, BASE.replace("n_points = 256", "n_points = 64")
+                    + "epsilon_list = 0.2,0.1\nhamiltonian = quadratic\np_list = 2,4\nT = 2.0\n")
+    out = str(tmp_path / "d")
+    assert main(["dual-check", "--config", cfg, "--output", out]) == 0
+    with open(os.path.join(out, "dual_report.json")) as fh:
+        checks = json.load(fh)["checks"]
+    assert [c["q"] for c in checks] == [2.0, 4.0]
+    for chk in checks:  # the ratio is 1 at tau by construction; before tau the solution sets it
+        assert chk["max_ratio_before_tau"] < 0.999 < chk["max_ratio"] <= 1.01
+
+
 def test_cli_dual_check_solves_each_viscosity_once(tmp_path, monkeypatch):
     import fracvisc.cli as cli
 

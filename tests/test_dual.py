@@ -338,6 +338,20 @@ def test_gronwall_bound_post_shock_pair():
         gronwall_check(dual, drift, 1.0)
 
 
+def test_gronwall_ratio_before_tau_is_set_by_the_solution():
+    # rho(tau) = alpha makes the ratio 1 at tau, so max_ratio reads that point;
+    # over t < tau the ratio stays below it (0.9944 at q = 2, 0.9842 at q = 4)
+    te, th = solve_pair(0.1, 0.05, n=256, T=2.0)
+    drift = build_drift(te, th)
+    w_tau = Field(te.problem.grid, te.snapshots[-1].values - th.snapshots[-1].values)
+    for q in (2.0, 4.0):
+        dual = dual_solve(drift, 0.05, lp_dual_datum(w_tau, q, "positive"), 2.0)
+        rep = gronwall_check(dual, drift, q)
+        assert rep.max_ratio == pytest.approx(1.0, rel=1e-9) and rep.ok()
+        assert rep.max_ratio_before_tau == float(np.max(rep.ratios[rep.times < 2.0]))
+        assert rep.max_ratio_before_tau < 0.999
+
+
 def test_gronwall_constant_trend_in_q():
     # the norm-scale growth constant exp(((q-1)/q) int ||[div b]^-||) rises
     # monotonically with q and never exceeds its algebraic q -> infinity

@@ -481,13 +481,13 @@ def _batch_1d():
 def _batch_2d():
     g = TorusGrid(2, 64)
     q2 = make_hamiltonian("quadratic", 2)
-    return [problem(g, s, eps, ham=q2, u0=amp * cos_field(g), T=0.5)
+    return [problem(g, s, eps, ham=q2, u0=Field(g, amp * cos_field(g).values), T=0.5)
             for s, eps, amp in ((0.5, 0.05, 1.0), (1.0, 0.1, 2.0), (0.75, 0.02, 3.0))]
 
 
 def _batch_large():
     g = TorusGrid(1, 16384)
-    return [problem(g, 0.5, eps, u0=amp * cos_field(g), T=0.01) for eps, amp in ((0.01, 1.0), (0.005, 3.0))]
+    return [problem(g, 0.5, eps, u0=Field(g, amp * cos_field(g).values), T=0.01) for eps, amp in ((0.01, 1.0), (0.005, 3.0))]
 
 
 @pytest.mark.parametrize("members", [_batch_1d, _batch_2d, _batch_large],
@@ -505,6 +505,27 @@ def test_batch_members_equal_solo_solves(members):
     assert batch.n_steps == sum(tr.n_steps for tr in solos)
 
 
+MEMBER = st.tuples(st.floats(0.25, 1.0), st.floats(-5.0, -1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.lists(MEMBER, min_size=2, max_size=3), dim=st.sampled_from([1, 2]),
+       kind=st.sampled_from(["quadratic", "log_cosh_regularized"]), wave=st.booleans(), T=st.floats(0.05, 0.5))
+def test_random_batch_equals_its_solo_solves(members, dim, kind, wave, T):
+    # members (s, log2 eps, a, b) with u0 = a cos x1 + b sin 2 x_dim share grid, H, forcing and T
+    g = TorusGrid(dim, 64)
+    x = g.nodes()
+    ham = make_hamiltonian(kind, dim)
+    forcing = CosWaveForcing(0.5, 1.0) if wave else ZeroForcing()
+    problems = [problem(g, s, 2.0**log2_eps, ham=ham, u0=Field(g, a * np.cos(x[0]) + b * np.sin(2.0 * x[-1])),
+                        forcing=forcing, T=T) for s, log2_eps, a, b in members]
+    times = np.linspace(0.0, T, 4)
+    batch = viscous_solve(ProblemBatch(problems), snapshot_times=times)
+    for p, got in zip(problems, batch):
+        assert isinstance(got, Trajectory)
+        assert_same_trajectory(viscous_solve(p, snapshot_times=times), got)
+
+
 def test_batch_member_tripping_a_guard_leaves_the_others_unchanged():
     g = TorusGrid(1, 64)
     push = ConstantForcing(1.0)
@@ -513,7 +534,7 @@ def test_batch_member_tripping_a_guard_leaves_the_others_unchanged():
     members = [
         problem(g, 0.5, 0.1, forcing=push, T=1.0),
         problem(g, 0.5, 0.05, u0=lifted, forcing=push, T=1.0),
-        problem(g, 0.75, 0.05, u0=2.0 * cos_field(g), forcing=push, T=1.0),
+        problem(g, 0.75, 0.05, u0=Field(g, 2.0 * cos_field(g).values), forcing=push, T=1.0),
         problem(g, 0.5, 0.1, u0=rough, forcing=push, T=1.0),
     ]
     times = np.linspace(0.0, 1.0, 6)
@@ -533,7 +554,7 @@ def test_batch_member_tripping_a_guard_leaves_the_others_unchanged():
 def test_problem_batch_validation():
     g = TorusGrid(1, 32)
     base = problem(g, 0.5, 0.1, T=1.0)
-    assert ProblemBatch([base, problem(g, 0.25, 0.2, u0=2.0 * cos_field(g), T=1.0)]).grid == g
+    assert ProblemBatch([base, problem(g, 0.25, 0.2, u0=Field(g, 2.0 * cos_field(g).values), T=1.0)]).grid == g
     others = [
         problem(TorusGrid(1, 64), 0.5, 0.1, T=1.0),
         problem(g, 0.5, 0.1, ham=ZERO_H, T=1.0),

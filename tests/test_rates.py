@@ -1,4 +1,4 @@
-"""Tests for the sweep/fit harness: initial-data presets, resolution rule,
+"""Tests for the sweep/fit harness: initial-data presets, grid rule,
 plan validation, rate fitting, sweep execution on closed-form problems and
 deterministic report emission."""
 
@@ -15,7 +15,6 @@ from fracvisc.hj import BlowUpError, ConstantForcing, ZeroForcing, viscous_solve
 from fracvisc.rates import (
     InitialData,
     RateFit,
-    ResolutionRule,
     SweepPlan,
     emit_report,
     env_threads,
@@ -82,29 +81,20 @@ def test_initial_data_validation():
 
 
 # ---------------------------------------------------------------------------
-# resolution rule
+# grid rule
 # ---------------------------------------------------------------------------
 
 
 def test_resolution_rule_layer_widths():
-    rule = ResolutionRule()
+    plan = zero_h_plan(n_points=None)
     # s = 1/2: layer width eps, need = 3 * 2pi / eps
-    assert rule.n_for(0.5, 2.0**-6) == 2048
-    assert rule.n_for(0.5, 2.0**-8) == 8192
+    assert plan.n_for(0.5, 2.0**-6) == 2048
+    assert plan.n_for(0.5, 2.0**-8) == 8192
     # large eps clamps at the floor, small eps at the cap
-    assert rule.n_for(0.5, 0.25) == 1024
-    assert rule.n_for(0.25, 2.0**-5) == 16384
+    assert plan.n_for(0.5, 0.25) == 1024
+    assert plan.n_for(0.25, 2.0**-5) == 16384
     # supercritical orders need far fewer points
-    assert rule.n_for(1.0, 2.0**-6) == 1024
-
-
-def test_resolution_rule_validation():
-    with pytest.raises(ValueError, match="factor"):
-        ResolutionRule(factor=0.0)
-    with pytest.raises(ValueError, match="power of two"):
-        ResolutionRule(n_min=300)
-    with pytest.raises(ValueError, match="n_min must not exceed"):
-        ResolutionRule(n_min=4096, n_max=2048)
+    assert plan.n_for(1.0, 2.0**-6) == 1024
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +222,8 @@ def test_sweep_cell_diagnostics(zero_h_sweep):
     # heat flow of cos: curvature probe stays near 1, gradient near 1
     assert 0.9 < cell.k_profile[0] <= 1.0
     assert cell.one_sided_error is not None and cell.one_sided_error > 0.0
-    assert cell.one_sided_bound == pytest.approx(1.0, abs=1e-6)
+    # -(-Delta)^(1/2) u_eps = -exp(-eps t) cos x, largest over t > 0 at the first snapshot t = 1/15
+    assert cell.one_sided_bound == pytest.approx(math.exp(-0.3 / 15.0), rel=1e-10)
 
 
 def test_sweep_determinism(zero_h_sweep):
@@ -271,15 +262,17 @@ def test_sweep_pool_deals_the_cells_of_a_grid_across_workers(monkeypatch, zero_h
     assert cell_errors(pooled) == cell_errors(zero_h_sweep)
 
 
-def test_sweep_across_grids_matches_pool_and_solo_solves():
-    # cells on three grids (64, 128, 256), the 256 one shared by both orders
+def test_sweep_across_grids_matches_pool_and_solo_solves(monkeypatch):
+    # cells on three grids (64, 128, 256), the 256 one shared by both orders;
+    # only the parent process reads the grid rule, so the pool sees the same grids
+    monkeypatch.setattr(rates, "GRID_MIN", 64)
+    monkeypatch.setattr(rates, "GRID_MAX", 256)
     plan = zero_h_plan(
         s_values=(0.25, 0.5),
         hamiltonian=make_hamiltonian("quadratic", 1),
         T=0.5,
         snapshot_times=(0.0, 0.25, 0.5),
         n_points=None,
-        resolution=ResolutionRule(factor=3, n_min=64, n_max=256),
     )
     seq = run_sweep(plan, threads=1)
     pooled = run_sweep(plan, threads=2)
@@ -324,10 +317,22 @@ def test_sweep_threads_from_environment(monkeypatch, value):
 
 def test_one_sided_check_on_heat_flows(zero_h_sweep):
     report = one_sided_check(zero_h_sweep)
-    # sup_t sup_x [-(-Delta)^(1/2) u_eps] = 1 for every eps here
-    assert report.uniform and report.spread < 1e-6
+    # sup_{t>0} sup_x [-(-Delta)^(1/2) u_eps] = exp(-eps / 15), from the first snapshot t = 1/15
+    bounds = np.exp(-report.epsilons / 15.0)
+    np.testing.assert_allclose(report.bounds, bounds, rtol=1e-10)
+    assert report.uniform and report.spread == pytest.approx(1.0 - bounds.min() / bounds.max(), rel=1e-8)
     assert report.fit is not None and report.passes()
     assert report.epsilons.size == 5
+
+
+def test_one_sided_bound_leaves_out_the_datum():
+    # zero H, one snapshot after t = 0: the bounds exp(-eps) run from 0.45 to 0.95
+    # while every t = 0 value is the datum's, 1, so only the t > 0 part can spread
+    plan = zero_h_plan(epsilons=tuple(0.8 * 2.0**-k for k in range(5)), T=1.0, snapshot_times=(0.0, 1.0),
+                       n_points=64)
+    report = one_sided_check(run_sweep(plan))
+    np.testing.assert_allclose(report.bounds, np.exp(-report.epsilons), rtol=1e-10)
+    assert report.spread > 0.2 and not report.uniform and report.passes()
 
 
 def test_sweep_2d_path():
