@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -167,7 +168,7 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one solve plus per-snapshot diagnostics.
+    """Snapshots of one solve; the per-snapshot diagnostics are derived from them on first use.
 
     k_profile[i] is the measured semiconcavity constant of the snapshot:
     the largest centred second difference quotient at the fixed probe
@@ -182,9 +183,17 @@ class Trajectory:
     problem: ProblemSpec
     times: np.ndarray
     snapshots: tuple[Field, ...]
-    k_profile: np.ndarray
-    grad_sup_profile: np.ndarray
     n_steps: int
+
+    @cached_property
+    def k_profile(self) -> np.ndarray:
+        return np.array([second_difference_max(f, CURVATURE_SCALE) for f in self.snapshots])
+
+    @cached_property
+    def grad_sup_profile(self) -> np.ndarray:
+        sp = self.problem.grid.spectral
+        return np.array([math.sqrt(float(np.max(sum(g * g for g in sp.gradient(sp.fwd(f.values))))))
+                         for f in self.snapshots])
 
     def snapshot_at(self, t: float) -> Field:
         i = int(np.argmin(np.abs(self.times - t)))
@@ -290,12 +299,6 @@ def viscous_solve(
     sp = grid.spectral
     h = grid.spacing
 
-    f_static = None
-    if getattr(forcing, "is_zero", False):
-        f_static = 0.0
-    elif isinstance(forcing, ConstantForcing):
-        f_static = forcing.c
-
     # the nonlinear term's buffers, one row per member; du[:, :m] is the
     # dealiased gradient Du of the first m rows
     du = np.empty((grid.dim, len(batch)) + grid.shape)
@@ -319,11 +322,9 @@ def viscous_solve(
         sp.gradient(uh, out=g, work=w)
         ham.value(p, out=v)
         np.negative(v, out=v)
-        if f_static is None:
+        if not getattr(forcing, "is_zero", False):
             for vr, t in zip(v, ts):
                 np.add(vr, forcing.value(grid, t), out=vr)
-        elif f_static != 0.0:
-            np.add(v, f_static, out=v)
         sp.fwd(v, out=out)
         sp.truncate(out)
 
@@ -331,7 +332,7 @@ def viscous_solve(
         sq = grad_squared(rows[m][0], rows[m][3]).reshape(m, -1).max(axis=1)
         return [dt_cfl * h / _quantize_speed(ham.grad_sup(math.sqrt(float(q)))) for q in sq]
 
-    snaps, k_prof, g_prof = ([[] for _ in batch] for _ in range(3))  # per member
+    snaps = [[] for _ in batch]  # per member
     failed: dict[int, RuntimeError] = {}
 
     def land(i: int, uh: np.ndarray, t: float) -> bool:
@@ -344,11 +345,7 @@ def viscous_solve(
         if frac > 1e-6:
             failed[i] = TailGuardError(t, frac)
             return False
-        snap = Field(grid, vals)
-        snaps[i].append(snap)
-        k_prof[i].append(second_difference_max(snap, CURVATURE_SCALE))
-        sp.gradient(uh, out=du[:, 0], work=dh[0])
-        g_prof[i].append(math.sqrt(float(grad_squared(du[:, 0], nl[0]).max())))
+        snaps[i].append(Field(grid, vals))
         return True
 
     def nonfinite(i: int, t: float) -> None:
@@ -359,8 +356,7 @@ def viscous_solve(
         dt_rule=dt_rule, landings=times, t_ref=max(batch[0].T, 1.0), land=land, nonfinite=nonfinite,
     )
     out = TrajectoryBatch(
-        failed[i] if i in failed else Trajectory(p, times, tuple(snaps[i]), np.asarray(k_prof[i]),
-                                                  np.asarray(g_prof[i]), steps[i])
+        failed[i] if i in failed else Trajectory(p, times, tuple(snaps[i]), steps[i])
         for i, p in enumerate(batch)
     )
     if single and isinstance(out[0], Exception):
@@ -508,21 +504,9 @@ def monotone_reference(
         return np.stack(comps, axis=-1)
 
     snaps: list[Field] = []
-    k_prof: list[float] = []
-    g_prof: list[float] = []
     n_steps = 0
     t = 0.0
     tref = max(problem.T, 1.0)
-
-    def record(u: np.ndarray, t: float) -> None:
-        coarse = subsample(Field(fgrid, u), fine_factor)
-        from fracvisc.torus import spectral_gradient as _sg
-
-        snaps.append(coarse)
-        k_prof.append(second_difference_max(coarse, CURVATURE_SCALE))
-        g = _sg(coarse)
-        g2 = sum(gi.values**2 for gi in g)
-        g_prof.append(float(np.sqrt(np.max(g2))))
 
     for target in times:
         while t < target - 1e-13 * tref:
@@ -547,16 +531,9 @@ def monotone_reference(
         sup = float(np.max(np.abs(u)))
         if not np.isfinite(sup) or sup > 1e6:
             raise BlowUpError(t, f"sup|u| = {sup:.3e}")
-        record(u, t)
+        snaps.append(subsample(Field(fgrid, u), fine_factor))
 
-    return Trajectory(
-        problem=problem,
-        times=times,
-        snapshots=tuple(snaps),
-        k_profile=np.asarray(k_prof),
-        grad_sup_profile=np.asarray(g_prof),
-        n_steps=n_steps,
-    )
+    return Trajectory(problem=problem, times=times, snapshots=tuple(snaps), n_steps=n_steps)
 
 
 # ---------------------------------------------------------------------------

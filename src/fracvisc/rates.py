@@ -138,6 +138,8 @@ def check_ladder(epsilons) -> None:
     """Raise ValueError unless the viscosities form a ladder a rate can be fitted on."""
     if len(epsilons) < 5:
         raise ValueError(f"need at least 5 viscosities, got {len(epsilons)}")
+    if max(epsilons) >= 1.0:  # the eps |log eps| model vanishes at eps = 1
+        raise ValueError(f"viscosities must lie below 1, got {max(epsilons):g}")
     if max(epsilons) / min(epsilons) < 16.0 * (1.0 - 1e-12):
         raise ValueError("viscosities must span at least four octaves")
 
@@ -198,22 +200,24 @@ class SweepPlan:
         """The cell's grid: n_points when set, else the grid rule's size."""
         if self.n_points is not None:
             return self.n_points
-        need = GRID_FACTOR * 2.0 * math.pi / eps ** (1.0 / (2.0 * s))
-        return min(max(1 << math.ceil(math.log2(max(1.0, need))), GRID_MIN), GRID_MAX)
+        layer = eps ** (1.0 / (2.0 * s))  # the viscous layer width; it may underflow to a subnormal or 0
+        need = min(GRID_FACTOR * 2.0 * math.pi / layer, GRID_MAX) if layer > 0.0 else GRID_MAX
+        return max(1 << math.ceil(math.log2(max(1.0, need))), GRID_MIN)
 
 
 @dataclass(frozen=True)
 class CellResult:
-    """Diagnostics for one (s, eps) solve within a sweep; errors maps each p to max_t ||u_eps(t) - u(t)||_p."""
+    """Diagnostics for one (s, eps) solve within a sweep.
+
+    errors maps each p to max_t ||u_eps(t) - u(t)||_p; k_profile runs over plan.snapshot_times.
+    """
 
     s: float
     epsilon: float
     n_points: int
     n_steps: int
     errors: dict
-    times: np.ndarray
     k_profile: np.ndarray
-    grad_sup_profile: np.ndarray
     one_sided_error: float | None
     one_sided_bound: float | None
 
@@ -268,9 +272,7 @@ def _cell_worker(args: tuple) -> tuple[float, float, object]:
         n_points=n_cell,
         n_steps=traj.n_steps,
         errors=errors,
-        times=traj.times.copy(),
-        k_profile=traj.k_profile.copy(),
-        grad_sup_profile=traj.grad_sup_profile.copy(),
+        k_profile=traj.k_profile,
         one_sided_error=one_sided_error if record_os else None,
         one_sided_bound=one_sided_bound if record_os else None,
     )
@@ -373,10 +375,10 @@ class RateFit:
 
 
 def fit_rate(epsilons, errors) -> RateFit:
-    """Fit the two rate models through (eps, err) pairs with err > 0."""
+    """Fit the two rate models through the (eps, err) pairs with 0 < eps < 1 and err > 0."""
     eps = np.asarray(epsilons, dtype=np.float64)
     err = np.asarray(errors, dtype=np.float64)
-    ok = np.isfinite(eps) & np.isfinite(err) & (eps > 0) & (err > 0)
+    ok = np.isfinite(eps) & np.isfinite(err) & (eps > 0) & (eps < 1) & (err > 0)
     eps, err = eps[ok], err[ok]
     if eps.size < 3:
         raise ValueError(f"need at least 3 positive samples to fit a rate, got {eps.size}")
@@ -482,9 +484,9 @@ def one_sided_check(result: SweepResult) -> OneSidedReport:
 
 
 def write_json(path: str, payload: dict) -> None:
-    """Write payload as JSON with sorted keys, indent 2 and a final newline."""
+    """Write payload as JSON with sorted keys, indent 2 and a final newline; NaN or inf raises ValueError."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -507,7 +509,7 @@ def _p_label(p: float) -> str:
 def fit_entry(s: float, p: float, eps: np.ndarray, err: np.ndarray) -> tuple[str, dict]:
     """report.json key and entry of one (s, p) slice: both rate fits, target and verdict."""
     key = f"s={s:g},p={_p_label(p)}"
-    if eps.size < 3 or np.any(err <= 0):
+    if np.any(err <= 0) or np.count_nonzero((eps > 0) & (eps < 1) & np.isfinite(err)) < 3:  # fit_rate's samples
         return key, {"status": "insufficient data", "n_points": int(eps.size)}
     fit = fit_rate(eps, err)
     target = target_exponent(s, p)

@@ -407,10 +407,10 @@ def ifrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
     leaves when that returns False or after the last landing, and through
     nonfinite(i, t) (which may raise) right after a step that dt_rule gave
     as zero or NaN, or every 64 steps once its row stops being finite.
-    t_ref scales the landing tolerance 1e-13 t_ref.  The factors of the last
-    64 step sizes not shortened for a landing are cached per (viscosity, s),
-    as complex arrays.  Each row's numbers are bitwise those
-    of its member marched alone.  Returns each member's number of steps.
+    t_ref scales the landing tolerance 1e-13 t_ref.  A row rebuilds its
+    factors exp(-lam dt / 2) and exp(-lam dt) only when its (member, dt)
+    changes, and keeps no others.  Each row's numbers are bitwise those of
+    its member marched alone.  Returns each member's number of steps.
 
     Lawson form: fourth order while the solution is smooth, but a mode with
     lam dt >> 1 (the damping band) leaves a step at about (dt / 6) N_k, not
@@ -420,28 +420,15 @@ def ifrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
     """
     sp = grid.spectral
     lams = {key: key[0] * sp.symbol(key[1]) + sp.damping for key in members}
-    caches: dict[tuple[float, float], dict] = {key: {} for key in lams}
 
-    def factors(key: tuple[float, float], dt: float, landing: bool) -> tuple[np.ndarray, np.ndarray]:
-        cache = caches[key]
-        if dt not in cache:
-            e_half = np.exp(lams[key] * (-0.5 * dt))
-            if len(cache) > 64:
-                cache.clear()
-            cache[dt] = (e_half.astype(complex), (e_half * e_half).astype(complex))
-        return cache.pop(dt) if landing else cache[dt]  # a landing step is a one-off
-
-    def per_row(values: list[float]):  # one scalar when the rows agree, else a broadcasting column
-        if values.count(values[0]) == len(values):
-            return values[0]
-        return np.array(values).reshape((-1,) + (1,) * (y.ndim - 1))
-
-    # stage slopes k1..k4, two partial sums and each row's factors; each
-    # update below repeats the operand order of the expression in its
-    # comment, so results are bitwise those of the plain array expressions
-    bufs = (y,) + tuple(np.empty_like(y) for _ in range(8))
+    # stage slopes k1..k4, two partial sums, and per row its factors and its
+    # 0.5 dt, dt and dt / 6 filled across the row (a column broadcast over the
+    # row misses numpy's contiguous loops); each update below repeats the
+    # operand order of the expression in its comment, so results are bitwise
+    # those of the plain array expressions
+    bufs = (y,) + tuple(np.empty_like(y) for _ in range(11))
     ends = [target - 1e-13 * t_ref for target in landings]
-    # per row: its member, time, next landing and the (member, dt, landing) of its factors
+    # per row: its member, time, next landing and the (member, dt) of its factors
     ids, t, nxt, row_key = list(range(len(members))), [0.0] * len(members), [0] * len(members), []
     steps = [0] * len(members)
     n_steps = m = 0
@@ -464,21 +451,20 @@ def ifrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
             m, row_key = len(stay), [None] * len(stay)
             if not m:
                 return steps
-            ym, k1, k2, k3, k4, a, b, e1, e2 = (arr[:m] for arr in bufs)
+            ym, k1, k2, k3, k4, a, b, e1, e2, h, dt, sixth = (arr[:m] for arr in bufs)
         nonlinear(ym, t, k1)
         dts = list(dt_rule(m))
-        stalled = {r for r, dt in enumerate(dts) if not dt > 0.0}  # these rows leave after this step
+        stalled = {r for r, d in enumerate(dts) if not d > 0.0}  # these rows leave after this step
         for r, i in enumerate(ids):
-            landing = t[r] + dts[r] >= ends[nxt[r]]
-            if landing:
+            if t[r] + dts[r] >= ends[nxt[r]]:  # shorten the step to land on the next landing
                 dts[r] = landings[nxt[r]] - t[r]
-            if row_key[r] != (members[i], dts[r], landing):
-                row_key[r] = (members[i], dts[r], landing)
-                e1[r], e2[r] = factors(*row_key[r])
-        half = [0.5 * dt for dt in dts]
-        t_half = [tr + hr for tr, hr in zip(t, half)]
+            if row_key[r] != (members[i], dts[r]):
+                row_key[r] = (members[i], dts[r])
+                e_half = np.exp(lams[members[i]] * (-0.5 * dts[r]))
+                e1[r], e2[r] = e_half, e_half * e_half
+                h[r], dt[r], sixth[r] = 0.5 * dts[r], dts[r], dts[r] / 6.0
+        t_half = [tr + 0.5 * dr for tr, dr in zip(t, dts)]
         t = [tr + dr for tr, dr in zip(t, dts)]
-        h, dt, sixth = per_row(half), per_row(dts), per_row([dt / 6.0 for dt in dts])
         # k2 = N(e1 * (y + (0.5 * dt) * k1))
         np.multiply(h, k1, out=a)
         np.add(ym, a, out=a)

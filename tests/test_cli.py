@@ -313,7 +313,7 @@ snapshot_count = 16
     assert len(rho_files) == 16
 
 
-def test_cli_dual_check_reports_the_ratio_before_tau(tmp_path):
+def test_cli_dual_check_reports_the_ratio_before_tau(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE.replace("n_points = 256", "n_points = 64")
                     + "epsilon_list = 0.2,0.1\nhamiltonian = quadratic\np_list = 2,4\nT = 2.0\n")
     out = str(tmp_path / "d")
@@ -323,6 +323,8 @@ def test_cli_dual_check_reports_the_ratio_before_tau(tmp_path):
     assert [c["q"] for c in checks] == [2.0, 4.0]
     for chk in checks:  # the ratio is 1 at tau by construction; before tau the solution sets it
         assert chk["max_ratio_before_tau"] < 0.999 < chk["max_ratio"] <= 1.01
+    worst, before = max(c["max_ratio"] for c in checks), max(c["max_ratio_before_tau"] for c in checks)
+    assert f"worst Gronwall ratio {worst:.4f} ({before:.4f} before tau)," in capsys.readouterr().err
 
 
 def test_cli_dual_check_solves_each_viscosity_once(tmp_path, monkeypatch):
@@ -421,6 +423,8 @@ def test_cli_one_sided_requires_half(tmp_path, capsys):
 @pytest.mark.parametrize("command,extra,key", [
     ("sweep", "epsilon_list = 0.1,0.05,0.025", "epsilon_list"),  # too few rungs
     ("sweep", "epsilon_list = 0.1,0.09,0.08,0.07,0.06", "epsilon_list"),  # under four octaves
+    ("sweep", "epsilon_list = 1,0.5,0.25,0.125,0.0625", "epsilon_list"),  # eps |log eps| vanishes at 1
+    ("one-sided", "epsilon_list = 1,0.5,0.25,0.125,0.0625", "epsilon_list"),
     ("sweep", "forcing = const:1", "forcing"),  # the hopf_lax reference needs zero forcing
     ("solve", "u0 = cos2d", "u0"),
     ("solve", "dim = 2\nu0 = coeffs:1,0", "u0"),

@@ -41,8 +41,6 @@ def fake_trajectory(grid, eps, profiles, times, ham=QUAD, s=0.5):
         problem=pr,
         times=tarr,
         snapshots=snaps,
-        k_profile=np.zeros_like(tarr),
-        grad_sup_profile=np.zeros_like(tarr),
         n_steps=1,
     )
 

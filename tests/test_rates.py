@@ -13,16 +13,20 @@ from fracvisc.hamiltonians import make_hamiltonian
 from fracvisc import rates
 from fracvisc.hj import BlowUpError, ConstantForcing, ZeroForcing, viscous_solve
 from fracvisc.rates import (
+    GRID_MAX,
     InitialData,
     RateFit,
     SweepPlan,
+    check_ladder,
     emit_report,
     env_threads,
+    fit_entry,
     fit_rate,
     format_float,
     one_sided_check,
     run_sweep,
     target_exponent,
+    write_json,
 )
 from fracvisc.torus import TorusGrid
 
@@ -95,6 +99,8 @@ def test_resolution_rule_layer_widths():
     assert plan.n_for(0.25, 2.0**-5) == 16384
     # supercritical orders need far fewer points
     assert plan.n_for(1.0, 2.0**-6) == 1024
+    # eps^(1/(2s)) underflows to 0 (1e-7^50) or to a subnormal (4e-7^50): the cap
+    assert [plan.n_for(0.01, eps) for eps in (1e-7, 4e-7, 1.6e-6)] == [GRID_MAX] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +179,21 @@ def test_fit_rate_filters_and_validates():
         fit_rate([0.5, 0.25], [0.1, 0.05])
 
 
+def test_fit_rate_leaves_out_viscosities_from_one_up(tmp_path):
+    # at eps = 1 the eps |log eps| model is 0: its fit would read inf and NaN,
+    # and a "tie" at s = 1/2, p = inf passes whatever the slope
+    eps = np.array([2.0, 1.0, 0.5, 0.25, 0.125, 0.0625])
+    fit = fit_rate(eps, 0.3 * eps**2)
+    assert fit == fit_rate(eps[2:], 0.3 * eps[2:] ** 2)
+    assert fit.n_used == 4 and math.isfinite(fit.prefactor_log) and math.isfinite(fit.residual_power_log)
+    assert fit.preferred == "power" and fit.exponent == pytest.approx(2.0, abs=1e-12)
+    assert fit_entry(0.5, 2.0, eps[:4], 0.3 * eps[:4] ** 2)[1] == {"status": "insufficient data", "n_points": 4}
+    with pytest.raises(ValueError, match="below 1"):
+        check_ladder(tuple(eps[1:]))
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(str(tmp_path / "r.json"), {"residual_power_log": math.nan})
+
+
 def test_accepted_exponent_tie_logic():
     fit = RateFit(
         exponent=0.93, prefactor=1.0, residual_power=0.01,
@@ -218,7 +239,7 @@ def test_sweep_rates_linear_in_eps(zero_h_sweep):
 def test_sweep_cell_diagnostics(zero_h_sweep):
     cell = zero_h_sweep.cells[(0.5, 0.3)]
     assert cell.n_points == 256 and cell.n_steps > 0
-    assert cell.times.shape == cell.k_profile.shape == cell.grad_sup_profile.shape
+    assert cell.k_profile.shape == (len(zero_h_sweep.plan.snapshot_times),)
     # heat flow of cos: curvature probe stays near 1, gradient near 1
     assert 0.9 < cell.k_profile[0] <= 1.0
     assert cell.one_sided_error is not None and cell.one_sided_error > 0.0
@@ -286,7 +307,6 @@ def test_sweep_across_grids_matches_pool_and_solo_solves(monkeypatch):
         for other in (pooled.cells[key], solo):
             assert cell.n_steps == other.n_steps
             assert np.array_equal(cell.k_profile, other.k_profile)
-            assert np.array_equal(cell.grad_sup_profile, other.grad_sup_profile)
 
 
 def test_sweep_computes_one_reference_per_evaluation_grid(monkeypatch):
