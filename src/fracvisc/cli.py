@@ -146,34 +146,34 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
     checks = []
     worst_ratio = worst_before = 0.0
     worst_residual = 0.0
-    solved, trajs = None, {}  # the grid of the last batched solve and its trajectories by viscosity
-    for eps, eta, grid in pairs:
-        _log(f"dual-check: pair eps={eps:g} eta={eta:g} on n={grid.n_points}")
-        if grid != solved:  # every distinct viscosity of the grid's pairs (they are adjacent) in one solve
-            epss = list(dict.fromkeys(e for a, b, g in pairs if g == grid for e in (a, b)))
-            trajs = None  # the previous grid's trajectories are no longer needed
-            solved, trajs = grid, dict(zip(epss, viscous_solve(ProblemBatch(plan.problem(s, e, grid) for e in epss),
-                                                               dt_cfl=plan.dt_cfl, snapshot_times=plan.snapshot_times)))
-        traj_eps, traj_eta = trajs[eps], trajs[eta]
-        for traj in (traj_eps, traj_eta):
-            if isinstance(traj, Exception):
-                raise traj
-        drift = build_drift(traj_eps, traj_eta, mollify_scale=cfg.mollify_scale)
-        w_tau = Field(grid, traj_eps.snapshots[-1].values - traj_eta.snapshots[-1].values)
-        data = []  # (q, terminal datum) for every q whose datum exists
-        for q in qs:
-            for part in ("positive", "negative"):
-                try:
-                    data.append((q, lp_dual_datum(w_tau, q, part)))
-                    break
-                except ValueError:
-                    pass
+    for grid in dict.fromkeys(g for _, _, g in pairs):  # pairs sharing a grid are adjacent
+        grid_pairs = [(eps, eta) for eps, eta, g in pairs if g == grid]
+        epss = list(dict.fromkeys(e for pair in grid_pairs for e in pair))
+        trajs = None  # the previous grid's trajectories are no longer needed
+        trajs = dict(zip(epss, viscous_solve(ProblemBatch(plan.problem(s, e, grid) for e in epss),
+                                             dt_cfl=plan.dt_cfl, snapshot_times=plan.snapshot_times)))
+        data = []  # (eps, eta, drift, q, terminal datum) for every q whose datum exists, in check order
+        for eps, eta in grid_pairs:
+            _log(f"dual-check: pair eps={eps:g} eta={eta:g} on n={grid.n_points}")
+            for e in (eps, eta):
+                if isinstance(trajs[e], Exception):
+                    raise trajs[e]
+            drift = build_drift(trajs[eps], trajs[eta], mollify_scale=cfg.mollify_scale)
+            w_tau = Field(grid, trajs[eps].snapshots[-1].values - trajs[eta].snapshots[-1].values)
+            for q in qs:
+                for part in ("positive", "negative"):
+                    try:
+                        data.append((eps, eta, drift, q, lp_dual_datum(w_tau, q, part)))
+                        break
+                    except ValueError:
+                        pass
         if not data:
             continue
-        duals = dual_solve(drift, eta, [alpha for _, alpha in data], plan.T, dt_cfl=plan.dt_cfl)
-        for (q, _), dual in zip(data, duals):
+        _, etas, drifts, _, alphas = zip(*data)
+        duals = dual_solve(drifts, etas, alphas, plan.T, dt_cfl=plan.dt_cfl)  # every datum of the grid at once
+        for (eps, eta, drift, q, _), dual in zip(data, duals):
             rep = gronwall_check(dual, drift, q)
-            residual = duality_residual(dual, traj_eps, traj_eta)
+            residual = duality_residual(dual, trajs[eps], trajs[eta])
             worst_ratio = max(worst_ratio, rep.max_ratio)
             worst_before = max(worst_before, rep.max_ratio_before_tau)
             worst_residual = max(worst_residual, residual)
@@ -200,6 +200,9 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
         f"({worst_before:.4f} before tau), "
         f"worst duality residual {worst_residual:.3e}"
     )
+    if not checks:  # every pair's w(T) vanished, so no datum was built and nothing was checked
+        _log("dual-check: FAILED, no check ran: w(T) vanishes on every pair")
+        return 1
     if worst_ratio > 1.01 or worst_residual > 0.02:
         _log("dual-check: FAILED thresholds (ratio <= 1.01, residual <= 0.02)")
         return 1

@@ -197,14 +197,12 @@ class DualSolution:
 class DualBatch(tuple):
     """The DualSolutions of one batched dual_solve call, in datum order."""
 
-    @property
-    def n_steps(self) -> int:  # the march is shared, and so is its step count
-        return self[0].n_steps
+    n_steps: int  # each distinct (drift, eta) group's steps once: the sum of one solve per group
 
 
 def dual_solve(
-    drift: DriftField,
-    eta: float,
+    drift: DriftField | Sequence[DriftField],
+    eta: float | Sequence[float],
     alpha: Field | Sequence[Field],
     tau: float,
     dt_cfl: float = 0.5,
@@ -227,30 +225,44 @@ def dual_solve(
     sample times in [0, tau], and on tau.
 
     alpha is one terminal datum, giving a DualSolution, or a sequence of
-    them, giving a DualBatch: one march for all data, the drift interpolated
-    once per stage time, and each datum's numbers bitwise those of its own
-    solve.
+    them, giving a DualBatch.  drift and eta are shared by every datum, or
+    are sequences giving each datum its own (drifts on one grid with shared
+    sample times).  All data march in one torus.ifrk4_march call: each
+    (drift, eta) group keeps its own step, interpolates its drift once per
+    stage time and forms its flux once per contiguous block of its rows,
+    and each datum's numbers are bitwise those of its group's own solve.
     """
-    if eta < 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    if not 0.0 < dt_cfl <= DT_CFL_MAX:
-        raise ValueError(f"dt_cfl must lie in (0, DT_CFL_MAX = {DT_CFL_MAX:.6g}], got {dt_cfl}")
-    grid = drift.grid
     alphas = (alpha,) if isinstance(alpha, Field) else tuple(alpha)
     if not alphas:
         raise ValueError("dual_solve needs at least one terminal datum")
+    drifts = (drift,) * len(alphas) if isinstance(drift, DriftField) else tuple(drift)
+    etas = (eta,) * len(alphas) if np.ndim(eta) == 0 else tuple(eta)
+    if not len(drifts) == len(etas) == len(alphas):
+        raise ValueError("dual_solve needs one drift and one eta per terminal datum")
+    if not min(etas) >= 0.0:
+        raise ValueError(f"eta must be >= 0, got {min(etas)}")
+    if not 0.0 < dt_cfl <= DT_CFL_MAX:
+        raise ValueError(f"dt_cfl must lie in (0, DT_CFL_MAX = {DT_CFL_MAX:.6g}], got {dt_cfl}")
+    grid, dtimes = drifts[0].grid, drifts[0].times
+    if any(d.grid != grid or not np.array_equal(d.times, dtimes) for d in drifts):
+        raise ValueError("the drifts must share one grid and their sample times")
     if any(a.grid != grid for a in alphas):
         raise ValueError("alpha lives on a different grid than the drift")
-    if not (0.0 < tau <= drift.times[-1] * (1.0 + 1e-12)):
-        raise ValueError(f"tau must lie in (0, {drift.times[-1]}], got {tau}")
-    tau = min(tau, float(drift.times[-1]))
-    tsnap = drift.times[drift.times <= tau * (1.0 + 1e-12)]
+    if not (0.0 < tau <= dtimes[-1] * (1.0 + 1e-12)):
+        raise ValueError(f"tau must lie in (0, {dtimes[-1]}], got {tau}")
+    tau = min(tau, float(dtimes[-1]))
+    tsnap = dtimes[dtimes <= tau * (1.0 + 1e-12)]
     tsnap = np.append(tsnap, tau) if tsnap[-1] < tau * (1.0 - 1e-12) else tsnap
     sigmas = np.sort(tau - tsnap)  # reversed-time landing points, ascending
 
     sp = grid.spectral
-    speed = max(1.0, drift.sup_speed)
-    dt0 = dt_cfl * grid.spacing / speed
+    # datum i belongs to the (drift, eta) group named by its first datum
+    # group[i]; per group: its step, and its drift at its last stage time
+    keys = [(id(d), e) for d, e in zip(drifts, etas)]
+    group = [keys.index(k) for k in keys]
+    dt0 = {g: dt_cfl * grid.spacing / max(1.0, drifts[g].sup_speed) for g in group}
+    b = {g: np.empty(grid.shape + (grid.dim,)) for g in dt0}
+    b_sigma = dict.fromkeys(dt0)
 
     def lost(sigma: float) -> RuntimeError:
         return RuntimeError(f"dual solve lost finiteness at sigma={sigma:.6g}")
@@ -258,34 +270,35 @@ def dual_solve(
     def nonfinite(i: int, sigma: float) -> None:
         raise lost(sigma)
 
-    # the nonlinear term's buffers: the dealiased rho of every datum in both
-    # spaces, the drift at the last stage time, one flux component per datum;
-    # the data share every step (a failure raises), so ts[0] is every row's time
+    # the nonlinear term's buffers: the dealiased rho of every row in both
+    # spaces, each flux component of every row; a group's rows share their
+    # time and stay contiguous, since rows keep their order as others leave
     rh_d = np.empty((len(alphas),) + sp.k2.shape, dtype=np.complex128)
     rho = np.empty((len(alphas),) + grid.shape)
-    b = np.empty(grid.shape + (grid.dim,))
-    b_work = np.empty_like(b)
-    b_sigma = None
-    flux = np.empty_like(rho)
+    b_work = np.empty(grid.shape + (grid.dim,))
+    flux = np.empty((grid.dim,) + rho.shape)
     fh = np.empty_like(rh_d)
     minus_ik = [-ik for ik in sp.ik]
 
-    def nonlinear(rh: np.ndarray, ts: list[float], nh: np.ndarray) -> None:
+    def nonlinear(rh: np.ndarray, ids: list[int], ts: list[float], nh: np.ndarray) -> None:
         """-div(b rho) of the dealiased rho into nh, dealiased because ik is."""
-        nonlocal b_sigma
-        np.copyto(rh_d, rh)
-        sp.truncate(rh_d)
-        sp.inv(rh_d, out=rho)
-        sigma = ts[0]
-        if sigma != b_sigma:
-            drift.interpolate(tau - sigma, out=b, work=b_work)
-            b_sigma = sigma
+        m = len(ids)
+        np.copyto(rh_d[:m], rh)
+        sp.truncate(rh_d[:m])
+        sp.inv(rh_d[:m], out=rho[:m])
+        starts = [r for r in range(m) if not r or group[ids[r]] != group[ids[r - 1]]]
+        for r0, r1 in zip(starts, starts[1:] + [m]):  # a block of one group's rows
+            g = group[ids[r0]]
+            if ts[r0] != b_sigma[g]:
+                drifts[g].interpolate(tau - ts[r0], out=b[g], work=b_work)
+                b_sigma[g] = ts[r0]
+            for ax in range(grid.dim):
+                np.multiply(b[g][..., ax], rho[r0:r1], out=flux[ax, r0:r1])
         for ax, mik in enumerate(minus_ik):
-            np.multiply(b[..., ax], rho, out=flux)
-            dst = fh if ax else nh
-            np.multiply(mik, sp.fwd(flux, out=dst), out=dst)
+            dst = fh[:m] if ax else nh
+            np.multiply(mik, sp.fwd(flux[ax, :m], out=dst), out=dst)
             if ax:
-                np.add(nh, fh, out=nh)
+                np.add(nh, dst, out=nh)
 
     out: dict[float, list[Field]] = {}
 
@@ -298,10 +311,10 @@ def dual_solve(
 
     rh = sp.fwd(np.stack([a.values for a in alphas]))
     masses0 = [float(r.flat[0].real) / grid.n_total for r in rh]
-    n_steps = ifrk4_march(
-        grid, [(eta, drift.s)] * len(alphas), rh, nonlinear,
-        dt_rule=lambda m: [dt0] * m, landings=sigmas, t_ref=max(tau, 1.0), land=land, nonfinite=nonfinite,
-    )[0]
+    steps = ifrk4_march(
+        grid, [(e, d.s) for d, e in zip(drifts, etas)], rh, nonlinear, landings=sigmas, t_ref=max(tau, 1.0),
+        dt_rule=lambda ids: [dt0[group[i]] for i in ids], land=land, nonfinite=nonfinite,
+    )
 
     times = np.asarray(sorted(out.keys()))
     solutions = []
@@ -313,10 +326,14 @@ def dual_solve(
         if mass_drift > 1e-12:
             raise RuntimeError(f"dual solve lost mass: relative drift {mass_drift:.3e}")
         solutions.append(DualSolution(
-            grid=grid, eta=eta, s=drift.s, tau=tau, times=times, snapshots=snapshots, alpha=a,
-            min_value=min_value, mass_drift=mass_drift, n_steps=n_steps,
+            grid=grid, eta=etas[i], s=drifts[i].s, tau=tau, times=times, snapshots=snapshots, alpha=a,
+            min_value=min_value, mass_drift=mass_drift, n_steps=steps[i],
         ))
-    return solutions[0] if isinstance(alpha, Field) else DualBatch(solutions)
+    if isinstance(alpha, Field):
+        return solutions[0]
+    batch = DualBatch(solutions)
+    batch.n_steps = sum(steps[g] for g in dt0)
+    return batch
 
 
 @dataclass(frozen=True)

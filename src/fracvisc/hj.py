@@ -316,7 +316,7 @@ def viscous_solve(
     # last as H.value takes it
     rows = [(du[:, :m], np.moveaxis(du[:, :m], 0, -1), dh[:m], nl[:m]) for m in range(len(batch) + 1)]
 
-    def nonlinear(uh: np.ndarray, ts: list[float], out: np.ndarray) -> None:
+    def nonlinear(uh: np.ndarray, ids: list[int], ts: list[float], out: np.ndarray) -> None:
         """Dealiased transform of f - H(Du) into out; Du stays in du."""
         g, p, w, v = rows[len(uh)]
         sp.gradient(uh, out=g, work=w)
@@ -328,7 +328,8 @@ def viscous_solve(
         sp.fwd(v, out=out)
         sp.truncate(out)
 
-    def dt_rule(m: int) -> list[float]:
+    def dt_rule(ids: list[int]) -> list[float]:
+        m = len(ids)
         sq = grad_squared(rows[m][0], rows[m][3]).reshape(m, -1).max(axis=1)
         return [dt_cfl * h / _quantize_speed(ham.grad_sup(math.sqrt(float(q)))) for q in sq]
 

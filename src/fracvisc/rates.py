@@ -200,7 +200,10 @@ class SweepPlan:
         """The cell's grid: n_points when set, else the grid rule's size."""
         if self.n_points is not None:
             return self.n_points
-        layer = eps ** (1.0 / (2.0 * s))  # the viscous layer width; it may underflow to a subnormal or 0
+        try:  # the viscous layer width; it may underflow to a subnormal or 0
+            layer = eps ** (1.0 / (2.0 * s))
+        except OverflowError:  # a layer wider than any float is wider than any grid's need: the floor
+            layer = math.inf
         need = min(GRID_FACTOR * 2.0 * math.pi / layer, GRID_MAX) if layer > 0.0 else GRID_MAX
         return max(1 << math.ceil(math.log2(max(1.0, need))), GRID_MIN)
 

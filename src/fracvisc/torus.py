@@ -399,10 +399,11 @@ def ifrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
     |k|^(2s) for (viscosity, s) = members[i] plus the smooth near-cutoff
     damping RealSpectral.damping.
     The members still marching hold the rows y[:m], advanced in place; the
-    rows behind a member that leaves move up.  nonlinear(y, ts, out) writes
-    N of the m rows, row j at time ts[j], into out; dt_rule(m), called right
-    after the stage-1 evaluation (so it may read that call's buffers),
-    returns their steps.  Each member's steps are shortened to land exactly
+    rows behind a member that leaves move up, so rows keep their members'
+    order.  nonlinear(y, ids, ts, out) writes N of the m rows, row j of
+    member ids[j] at time ts[j], into out; dt_rule(ids), called right after
+    the stage-1 evaluation (so it may read that call's buffers), returns
+    their steps.  Each member's steps are shortened to land exactly
     on each ascending landing, where land(i, y_i, t) is called; member i
     leaves when that returns False or after the last landing, and through
     nonfinite(i, t) (which may raise) right after a step that dt_rule gave
@@ -452,8 +453,8 @@ def ifrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
             if not m:
                 return steps
             ym, k1, k2, k3, k4, a, b, e1, e2, h, dt, sixth = (arr[:m] for arr in bufs)
-        nonlinear(ym, t, k1)
-        dts = list(dt_rule(m))
+        nonlinear(ym, ids, t, k1)
+        dts = list(dt_rule(ids))
         stalled = {r for r, d in enumerate(dts) if not d > 0.0}  # these rows leave after this step
         for r, i in enumerate(ids):
             if t[r] + dts[r] >= ends[nxt[r]]:  # shorten the step to land on the next landing
@@ -469,18 +470,18 @@ def ifrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
         np.multiply(h, k1, out=a)
         np.add(ym, a, out=a)
         np.multiply(e1, a, out=a)
-        nonlinear(a, t_half, k2)
+        nonlinear(a, ids, t_half, k2)
         # k3 = N(e1 * y + (0.5 * dt) * k2)
         np.multiply(e1, ym, out=a)
         np.multiply(h, k2, out=b)
         np.add(a, b, out=a)
-        nonlinear(a, t_half, k3)
+        nonlinear(a, ids, t_half, k3)
         # k4 = N(e2 * y + dt * (e1 * k3)); y holds e2 * y from here on, all the update needs
         np.multiply(e2, ym, out=ym)
         np.multiply(e1, k3, out=b)
         np.multiply(dt, b, out=b)
         np.add(ym, b, out=a)
-        nonlinear(a, t, k4)
+        nonlinear(a, ids, t, k4)
         # y = e2 * y + (dt / 6) * (e2 * k1 + 2 * (e1 * (k2 + k3)) + k4)
         np.add(k2, k3, out=a)
         np.multiply(e1, a, out=a)

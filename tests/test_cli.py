@@ -338,7 +338,7 @@ def test_cli_dual_check_solves_each_viscosity_once(tmp_path, monkeypatch):
         return solve(problem, **kwargs)
 
     def counting_dual(drift, eta, alpha, *args, **kwargs):
-        batches.append((eta, len(alpha)))
+        batches.append((list(eta), len({id(d) for d in drift}), len(alpha)))
         return dual(drift, eta, alpha, *args, **kwargs)
 
     monkeypatch.setattr(cli, "viscous_solve", counting_solve)
@@ -349,8 +349,8 @@ def test_cli_dual_check_solves_each_viscosity_once(tmp_path, monkeypatch):
     assert main(["dual-check", "--config", cfg, "--output", out]) == 0
     # one batched solve on the shared grid holds each viscosity once
     assert solved == [[0.2, 0.1, 0.05]]
-    # and each pair marches the data of its finite q in one batched call
-    assert batches == [(0.1, 2), (0.05, 2)]
+    # and the data of every pair and finite q, each with its pair's drift and eta, march in one call
+    assert batches == [([0.1, 0.1, 0.05, 0.05], 2, 4)]
     with open(os.path.join(out, "dual_report.json")) as fh:
         rep = json.load(fh)
     assert [(c["eta"], c["q"]) for c in rep["checks"]] == [(0.1, 2.0), (0.1, 3.0), (0.05, 2.0), (0.05, 3.0)]
@@ -362,15 +362,18 @@ def test_cli_dual_check_solves_each_grid_when_its_first_pair_comes_up(tmp_path, 
     events, solved = [], []
     solve, dual = cli.viscous_solve, cli.dual_solve
 
+    def gone():
+        return [all(r() is None for r in refs) for refs in solved]
+
     def counting_solve(problem, **kwargs):
-        events.append(("solve", problem.grid.n_points, [p.epsilon for p in problem]))
+        # the trajectories of a grid no later pair uses are gone before the next grid's solve
+        events.append(("solve", problem.grid.n_points, [p.epsilon for p in problem], gone()))
         batch = solve(problem, **kwargs)
         solved.append([weakref.ref(tr) for tr in batch])
         return batch
 
     def counting_dual(drift, eta, alpha, *args, **kwargs):
-        # the trajectories of a grid no later pair uses are already gone
-        events.append(("dual", eta, [all(r() is None for r in refs) for refs in solved]))
+        events.append(("dual", list(eta), gone()))
         return dual(drift, eta, alpha, *args, **kwargs)
 
     monkeypatch.setattr(cli, "viscous_solve", counting_solve)
@@ -379,12 +382,21 @@ def test_cli_dual_check_solves_each_grid_when_its_first_pair_comes_up(tmp_path, 
     cfg = write_cfg(tmp_path, BASE.replace("n_points = 256\n", "")
                     + "epsilon_list = 0.05,0.025,0.0125\nhamiltonian = quadratic\np_list = 2\nT = 0.1\n")
     assert main(["dual-check", "--config", cfg, "--output", str(tmp_path / "d")]) == 0
+    # one dual_solve call per grid
     assert events == [
-        ("solve", 1024, [0.05, 0.025]),
-        ("dual", 0.025, [False]),
-        ("solve", 2048, [0.025, 0.0125]),
-        ("dual", 0.0125, [True, False]),
+        ("solve", 1024, [0.05, 0.025], []),
+        ("dual", [0.025], [False]),
+        ("solve", 2048, [0.025, 0.0125], [True]),
+        ("dual", [0.0125], [True, False]),
     ]
+
+
+def test_cli_dual_check_without_any_check_fails(tmp_path, capsys):
+    # eps^(1/(2s)) overflows, so the pair's grid is the floor, and both viscosities
+    # damp u to its mean at once: w(T) vanishes and no pair has a datum to march
+    cfg = write_cfg(tmp_path, BASE.replace("n_points = 256\n", "") + "s_list = 0.01\nepsilon_list = 1e7,5e6\nT = 0.1\n")
+    assert main(["dual-check", "--config", cfg, "--output", str(tmp_path / "d")]) == 1
+    assert "dual-check: FAILED, no check ran" in capsys.readouterr().err
 
 
 def test_cli_dual_check_needs_pair_and_finite_p(tmp_path, capsys):

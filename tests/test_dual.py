@@ -212,6 +212,11 @@ def test_dual_validation_and_snapshots():
         dual_solve(drift, 0.1, [alpha, Field(g2, np.ones(g2.shape))], 1.0)
     with pytest.raises(ValueError, match="terminal datum"):
         dual_solve(drift, 0.1, [], 1.0)
+    with pytest.raises(ValueError, match="one drift and one eta per terminal datum"):
+        dual_solve([drift], [0.1, 0.1], [alpha, alpha], 1.0)
+    later = dataclasses.replace(drift, times=drift.times + 0.5)
+    with pytest.raises(ValueError, match="sample times"):
+        dual_solve([drift, later], 0.1, [alpha, alpha], 1.0)
     dual = dual_solve(drift, 0.1, alpha, 1.0)
     assert np.allclose(dual.times, (0.0, 1.0))  # the drift's sample times
     assert dual.snapshot_at(1.0) is dual.snapshots[-1]
@@ -239,6 +244,52 @@ def test_batched_dual_equals_single_solves(dim, mollify_scale):
         assert all(np.array_equal(a.values, b.values) for a, b in zip(got.snapshots, one.snapshots))
         assert (got.n_steps, got.min_value, got.mass_drift) == (one.n_steps, one.min_value, one.mass_drift)
     assert batch.n_steps == batch[0].n_steps
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mollify_scale", [0.0, 0.05])
+def test_pairs_marched_in_one_call_equal_their_own_solves(dim, mollify_scale, monkeypatch):
+    import fracvisc.dual as dual_mod
+
+    g = TorusGrid(dim, 128 if dim == 1 else 32)
+    ham = QUAD if dim == 1 else make_hamiltonian("quadratic", 2)
+    x = g.nodes()
+    times = (0.0, 0.25, 0.5)
+    # three pairs whose drift speeds (about amp) set three different steps
+    pairs = []
+    for amp, eps, eta, qs in ((1.5, 0.2, 0.1, (2.0, 3.0)), (3.0, 0.1, 0.05, (2.0,)), (5.0, 0.05, 0.025, (2.0, 4.0))):
+        ua, ub = ([amp * (1.0 + t) * (np.sin(x[0] + c) + (0.5 * np.cos(x[1]) if dim == 2 else 0.0)) for t in times]
+                  for c in (0.0, 0.4))
+        drift = build_drift(fake_trajectory(g, eps, ua, times, ham=ham), fake_trajectory(g, eta, ub, times, ham=ham),
+                            mollify_scale=mollify_scale)
+        w_tau = Field(g, ua[-1] - ub[-1])
+        pairs.append((drift, eta, [lp_dual_datum(w_tau, q) for q in qs]))
+
+    sizes = []  # the rows of each nonlinear evaluation of the batched march
+    march = dual_mod.ifrk4_march
+
+    def recording_march(grid, members, y, nonlinear, **kwargs):
+        def recording(y, ids, ts, out):
+            sizes.append(len(ids))
+            nonlinear(y, ids, ts, out)
+        return march(grid, members, y, recording, **kwargs)
+
+    monkeypatch.setattr(dual_mod, "ifrk4_march", recording_march)
+    batch = dual_solve([d for d, _, data in pairs for _ in data], [e for _, e, data in pairs for _ in data],
+                       [a for _, _, data in pairs for a in data], times[-1])
+    monkeypatch.setattr(dual_mod, "ifrk4_march", march)
+    # each pair's rows leave the march at their own iteration: three batch sizes
+    assert sorted(set(sizes), reverse=True) == [5, 3, 2]
+    ones = [dual_solve(drift, eta, data, times[-1]) for drift, eta, data in pairs]
+    assert len({one.n_steps for one in ones}) == 3
+    assert batch.n_steps == sum(one.n_steps for one in ones)
+    singles = [(eta, one) for (_, eta, _), per_pair in zip(pairs, ones) for one in per_pair]
+    assert len(batch) == len(singles) == 5
+    for got, (eta, one) in zip(batch, singles):
+        assert got.alpha is one.alpha and got.eta == eta
+        assert np.array_equal(got.times, one.times)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(got.snapshots, one.snapshots))
+        assert (got.n_steps, got.min_value, got.mass_drift) == (one.n_steps, one.min_value, one.mass_drift)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from fracvisc import rates
 from fracvisc.hj import BlowUpError, ConstantForcing, ZeroForcing, viscous_solve
 from fracvisc.rates import (
     GRID_MAX,
+    GRID_MIN,
     InitialData,
     RateFit,
     SweepPlan,
@@ -101,6 +102,8 @@ def test_resolution_rule_layer_widths():
     assert plan.n_for(1.0, 2.0**-6) == 1024
     # eps^(1/(2s)) underflows to 0 (1e-7^50) or to a subnormal (4e-7^50): the cap
     assert [plan.n_for(0.01, eps) for eps in (1e-7, 4e-7, 1.6e-6)] == [GRID_MAX] * 3
+    # eps^(1/(2s)) overflows (1e7^50): a layer wider than any grid's need, so the floor
+    assert [plan.n_for(0.01, eps) for eps in (1e7, 5e6)] == [GRID_MIN] * 2
 
 
 # ---------------------------------------------------------------------------
