@@ -2,7 +2,9 @@
 
 Lines are `key = value`; blank lines and `#` comments are ignored (inline
 `# ...` tails are stripped).  Unknown keys are hard errors that name the
-key and its line number, and so does every bad value.  parse_config
+key and its line number, and so does every bad value.  parse_config only
+turns text into values: what makes an experiment valid is SweepPlan's to
+decide, and a PlanError is reported on the config key of its field.  It
 returns an ExperimentConfig holding the experiment's SweepPlan, built once;
 its resolved values round-trip exactly through to_lines(), which is what
 makes repeated runs byte-identical.
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fracvisc.hamiltonians import HamiltonianSpec, make_hamiltonian
-from fracvisc.hj import DT_CFL_MAX, ConstantForcing, CosWaveForcing, ZeroForcing
-from fracvisc.rates import InitialData, SweepPlan, check_ladder
+from fracvisc.hj import ConstantForcing, CosWaveForcing, ZeroForcing
+from fracvisc.rates import InitialData, PlanError, SweepPlan
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_file"]
 
@@ -26,13 +28,9 @@ class ConfigError(ValueError):
     """Invalid configuration input; carries the offending key and line."""
 
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
-        where = ""
-        if key is not None:
-            where += f" (key {key!r}"
-            where += f", line {line})" if line is not None else ")"
-        elif line is not None:
-            where += f" (line {line})"
-        super().__init__(message + where)
+        where = [f"key {key!r}"] if key is not None else []
+        where += [f"line {line}"] if line is not None else []
+        super().__init__(message + (f" ({', '.join(where)})" if where else ""))
         self.key = key
         self.line = line
 
@@ -57,13 +55,11 @@ class ExperimentConfig:
         return ConfigError(message, key=key, line=self.lines[key])
 
     def sweep_plan(self) -> SweepPlan:
-        """The plan, once it passes the checks that only a sweep needs."""
+        """The plan, once it passes the checks that only a sweep needs (SweepPlan.check_sweep)."""
         try:
-            check_ladder(self.plan.epsilons)
-        except ValueError as exc:
-            raise self.error(str(exc), "epsilon_list") from None
-        if self.plan.reference == "hopf_lax" and not self.plan.forcing.is_zero:
-            raise self.error("the hopf_lax reference requires zero forcing", "forcing")
+            self.plan.check_sweep()
+        except PlanError as exc:
+            raise _plan_error(exc, self.lines) from None
         return self.plan
 
     def to_lines(self) -> str:
@@ -89,11 +85,19 @@ _DEFAULTS: dict[str, str] = {
     "seed": "0",
 }
 
-_KNOWN_KEYS = tuple(_DEFAULTS)
+# The config key of each SweepPlan field that goes by another name; the others share theirs.
+_PLAN_KEYS = {"s_values": "s_list", "epsilons": "epsilon_list", "p_values": "p_list",
+              "snapshot_times": "snapshot_count", "fine_factor": "reference"}
 
 
 def _fail(msg: str, key: str, line: int | None) -> None:
     raise ConfigError(msg, key=key, line=line)
+
+
+def _plan_error(exc: PlanError, lines: dict[str, int | None]) -> ConfigError:
+    """exc as a ConfigError on the key, and the line, that set its field."""
+    key = _PLAN_KEYS.get(exc.field, exc.field)
+    return ConfigError(str(exc), key=key, line=lines[key])
 
 
 def _parse_float(text: str, key: str, line: int | None) -> float:
@@ -126,13 +130,6 @@ def _parse_float_list(text: str, key: str, line: int | None, allow_inf: bool = F
     return tuple(out)
 
 
-def _distinct(values: tuple[float, ...], key: str, line: int | None) -> tuple[float, ...]:
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        _fail(f"list entries must not repeat, got {repeated[0]:g} more than once", key, line)
-    return values
-
-
 def _parse_epsilons(text: str, key: str, line: int | None) -> tuple[float, ...]:
     if text.startswith("geometric:"):
         body = text[len("geometric:") :]
@@ -144,26 +141,18 @@ def _parse_epsilons(text: str, key: str, line: int | None) -> tuple[float, ...]:
         count = _parse_int(parts[2], key, line)
         if start <= 0 or not 0 < ratio < 1 or count < 1:
             _fail("geometric ladder needs start > 0, 0 < ratio < 1, count >= 1", key, line)
-        eps = tuple(start * ratio**i for i in range(count))
-    else:
-        eps = _parse_float_list(text, key, line)
-    if any(e <= 0 for e in eps):  # a long geometric ladder underflows to 0
-        _fail("viscosities must be positive", key, line)
-    return _distinct(eps, key, line)
+        return tuple(start * ratio**i for i in range(count))  # a long one underflows to 0: the plan's to reject
+    return _parse_float_list(text, key, line)
 
 
-def _parse_u0(text: str, key: str, line: int | None, dim: int) -> InitialData:
+def _parse_u0(text: str, key: str, line: int | None) -> InitialData:
     kind, params = text, ()
     if text.startswith("coeffs:"):
         kind, params = "coeffs", _parse_float_list(text[len("coeffs:") :], key, line)
-    elif text not in ("cos", "cos2d", "bump"):
-        _fail(f"unknown initial data {text!r}; use cos, cos2d, bump or coeffs:...", key, line)
     try:
-        u0 = InitialData(kind, params)
-        u0.check_dim(dim)
+        return InitialData(kind, params)
     except ValueError as exc:
         _fail(str(exc), key, line)
-    return u0
 
 
 def _parse_forcing(text: str, line: int | None):
@@ -180,11 +169,8 @@ def _parse_forcing(text: str, line: int | None):
 
 
 def _parse_hamiltonian(text: str, key: str, line: int | None, dim: int) -> HamiltonianSpec:
-    if ":" in text:
-        kind, body = text.split(":", 1)
-        params = _parse_float_list(body, key, line)
-    else:
-        kind, params = text, ()
+    kind, colon, body = text.partition(":")
+    params = _parse_float_list(body, key, line) if colon else ()
     try:
         return make_hamiltonian(kind, dim, params)
     except ValueError as exc:
@@ -204,7 +190,7 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
         key, _, val = stripped.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}: unknown key {key!r}", key=key, line=lineno)
         if not val:
             raise ConfigError(f"{path}: empty value", key=key, line=lineno)
@@ -213,50 +199,37 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
 
     ln = lines_seen
     dim = _parse_int(values["dim"], "dim", ln["dim"])
-    if dim not in (1, 2):
+    if dim not in (1, 2):  # before H is built for it
         _fail(f"dim must be 1 or 2, got {dim}", "dim", ln["dim"])
-    if values["n_points"] == "auto":
-        n_points = None
-    else:
-        n_points = _parse_int(values["n_points"], "n_points", ln["n_points"])
-        if n_points < 8 or n_points & (n_points - 1):
-            _fail("n_points must be 'auto' or a power of two >= 8", "n_points", ln["n_points"])
-    s_list = _distinct(_parse_float_list(values["s_list"], "s_list", ln["s_list"]), "s_list", ln["s_list"])
-    if any(not 0.0 < s <= 1.0 for s in s_list):
-        _fail("s values must lie in (0, 1]", "s_list", ln["s_list"])
+    n_points = None if values["n_points"] == "auto" else _parse_int(values["n_points"], "n_points", ln["n_points"])
+    s_list = _parse_float_list(values["s_list"], "s_list", ln["s_list"])
     epsilon_list = _parse_epsilons(values["epsilon_list"], "epsilon_list", ln["epsilon_list"])
     hamiltonian = _parse_hamiltonian(values["hamiltonian"], "hamiltonian", ln["hamiltonian"], dim)
-    u0 = _parse_u0(values["u0"], "u0", ln["u0"], dim)
+    u0 = _parse_u0(values["u0"], "u0", ln["u0"])
     forcing = _parse_forcing(values["forcing"], ln["forcing"])
     T = _parse_float(values["T"], "T", ln["T"])
-    if T <= 0:
-        _fail("T must be positive", "T", ln["T"])
-    p_list = _distinct(_parse_float_list(values["p_list"], "p_list", ln["p_list"], allow_inf=True),
-                       "p_list", ln["p_list"])
-    if any(p < 1 for p in p_list):
-        _fail("p values must satisfy p >= 1", "p_list", ln["p_list"])
+    p_list = _parse_float_list(values["p_list"], "p_list", ln["p_list"], allow_inf=True)
     snapshot_count = _parse_int(values["snapshot_count"], "snapshot_count", ln["snapshot_count"])
     if snapshot_count < 2:
         _fail("snapshot_count must be >= 2", "snapshot_count", ln["snapshot_count"])
     dt_cfl = _parse_float(values["dt_cfl"], "dt_cfl", ln["dt_cfl"])
-    if not 0.0 < dt_cfl <= DT_CFL_MAX:
-        _fail(f"dt_cfl must lie in (0, DT_CFL_MAX = {DT_CFL_MAX:.6g}]", "dt_cfl", ln["dt_cfl"])
-    mollify_scale = _parse_float(values["mollify_scale"], "mollify_scale", ln["mollify_scale"])
-    if mollify_scale < 0.0:
-        _fail("mollify_scale must be >= 0", "mollify_scale", ln["mollify_scale"])
     ref, colon, factor = values["reference"].partition(":")
-    if ref not in ("hopf_lax", "monotone") or (colon and ref != "monotone"):
+    if colon and ref != "monotone":
         _fail(f"reference must be hopf_lax or monotone[:factor], got {values['reference']!r}",
               "reference", ln["reference"])
     fine_factor = _parse_int(factor, "reference", ln["reference"]) if colon else 4
-    if fine_factor < 4 or fine_factor & (fine_factor - 1):
-        _fail("monotone fine factor must be a power of two >= 4", "reference", ln["reference"])
+    try:
+        plan = SweepPlan(dim=dim, s_values=s_list, epsilons=epsilon_list, p_values=p_list, hamiltonian=hamiltonian,
+                         u0=u0, forcing=forcing, T=T, reference=ref, fine_factor=fine_factor, dt_cfl=dt_cfl,
+                         snapshot_times=tuple(np.linspace(0.0, T, snapshot_count).tolist()), n_points=n_points)
+    except PlanError as exc:
+        raise _plan_error(exc, ln) from None
+    # the settings outside the plan, parsed after it so that a plan fault is named first
+    mollify_scale = _parse_float(values["mollify_scale"], "mollify_scale", ln["mollify_scale"])
+    if mollify_scale < 0.0:
+        _fail("mollify_scale must be >= 0", "mollify_scale", ln["mollify_scale"])
     seed = _parse_int(values["seed"], "seed", ln["seed"])
-
-    plan = SweepPlan(dim=dim, s_values=s_list, epsilons=epsilon_list, p_values=p_list, hamiltonian=hamiltonian,
-                     u0=u0, forcing=forcing, T=T, snapshot_times=tuple(np.linspace(0.0, T, snapshot_count).tolist()),
-                     reference=ref, fine_factor=fine_factor, dt_cfl=dt_cfl, n_points=n_points)
-    raw = tuple((k, values[k]) for k in _KNOWN_KEYS)
+    raw = tuple((k, values[k]) for k in _DEFAULTS)
     return ExperimentConfig(plan=plan, mollify_scale=mollify_scale, output_dir=values["output_dir"], seed=seed,
                             raw=raw, lines=lines_seen)
 

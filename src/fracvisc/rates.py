@@ -29,6 +29,7 @@ import numpy as np
 
 from fracvisc.hamiltonians import HamiltonianSpec
 from fracvisc.hj import (
+    DT_CFL_MAX,
     BlowUpError,
     ProblemBatch,
     ProblemSpec,
@@ -46,6 +47,7 @@ __all__ = [
     "GRID_FACTOR",
     "GRID_MIN",
     "GRID_MAX",
+    "PlanError",
     "SweepPlan",
     "check_ladder",
     "CellResult",
@@ -70,6 +72,14 @@ def format_float(x: float) -> str:
     return f"{float(x):.16e}"
 
 
+class PlanError(ValueError):
+    """An experiment SweepPlan rejects; field names the plan field at fault."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 # ---------------------------------------------------------------------------
 # initial data presets
 # ---------------------------------------------------------------------------
@@ -91,17 +101,17 @@ class InitialData:
 
     def __post_init__(self) -> None:
         if self.kind not in ("cos", "cos2d", "bump", "coeffs"):
-            raise ValueError(f"unknown initial data kind {self.kind!r}")
+            raise ValueError(f"unknown initial data {self.kind!r}; use cos, cos2d, bump or coeffs:...")
         if self.kind == "coeffs" and (not self.params or len(self.params) % 2):
             raise ValueError("coeffs initial data needs an even, non-empty parameter list")
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
 
     def check_dim(self, dim: int) -> None:
-        """Raise ValueError unless this datum can be realized in dim dimensions."""
+        """Raise PlanError on u0 unless this datum can be realized in dim dimensions."""
         if self.kind == "cos2d" and dim != 2:
-            raise ValueError("cos2d requires dim == 2")
+            raise PlanError("u0", "cos2d requires dim == 2")
         if self.kind == "coeffs" and dim != 1:
-            raise ValueError("coeffs initial data is one-dimensional")
+            raise PlanError("u0", "coeffs initial data is one-dimensional")
 
     def build(self, grid: TorusGrid) -> Field:
         self.check_dim(grid.dim)
@@ -126,30 +136,33 @@ class InitialData:
 
 # The grid rule: the smallest power of two with at least GRID_FACTOR cells
 # across one viscous layer width eps^(1/(2s)), clamped to [GRID_MIN, GRID_MAX].
-# Calibrated on the quadratic benchmark: solution-level errors are already
+# Calibrated on the quadratic benchmark: the finite-p errors are already
 # converged at factor 3 (doubling or octupling the grid moves them by < 1e-4
 # relative), the 1024 floor keeps the fixed-scale curvature probe free of
 # under-resolution ripples at large s, and past the cap the extra cells only
-# sharpen sub-grid front structure that no solution-level quantity feels.
+# sharpen sub-grid front structure that no L^p error with finite p feels.
+# The sup norm at s = 1/2 is not grid-converged: doubling the grid moves it
+# by about 1% (eps = 2^-8, n 8192 -> 16384: 5.5779e-3 -> 5.5202e-3), which
+# the resolution certificate of ROADMAP item 1 is to measure.
 GRID_FACTOR, GRID_MIN, GRID_MAX = 3.0, 1024, 16384
 
 
 def check_ladder(epsilons) -> None:
-    """Raise ValueError unless the viscosities form a ladder a rate can be fitted on."""
+    """Raise PlanError on epsilons unless the viscosities form a ladder a rate can be fitted on."""
     if len(epsilons) < 5:
-        raise ValueError(f"need at least 5 viscosities, got {len(epsilons)}")
+        raise PlanError("epsilons", f"need at least 5 viscosities, got {len(epsilons)}")
     if max(epsilons) >= 1.0:  # the eps |log eps| model vanishes at eps = 1
-        raise ValueError(f"viscosities must lie below 1, got {max(epsilons):g}")
+        raise PlanError("epsilons", f"viscosities must lie below 1, got {max(epsilons):g}")
     if max(epsilons) / min(epsilons) < 16.0 * (1.0 - 1e-12):
-        raise ValueError("viscosities must span at least four octaves")
+        raise PlanError("epsilons", "viscosities must span at least four octaves")
 
 
 @dataclass(frozen=True)
 class SweepPlan:
     """Full description of one experiment: the problem family, its orders, viscosities and norms.
 
-    The checks that only a sweep needs are run_sweep's: the ladder
-    (check_ladder) and zero forcing for the hopf_lax reference.
+    Construction checks every field and raises PlanError naming the first
+    one at fault; check_sweep adds the checks that only a sweep needs.
     """
 
     dim: int
@@ -168,28 +181,40 @@ class SweepPlan:
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        eps = tuple(float(e) for e in self.epsilons)
-        if not eps or min(eps) <= 0:
-            raise ValueError("viscosities must be positive")
-        object.__setattr__(self, "epsilons", tuple(sorted(eps, reverse=True)))
-        svals = tuple(float(s) for s in self.s_values)
-        if not svals or any(not 0.0 < s <= 1.0 for s in svals):
-            raise ValueError("s values must lie in (0, 1]")
-        object.__setattr__(self, "s_values", tuple(sorted(svals)))
-        ps = tuple(float(p) for p in self.p_values)
-        if not ps or any((p < 1.0) for p in ps):
-            raise ValueError("p values must satisfy p >= 1")
-        object.__setattr__(self, "p_values", tuple(sorted(ps)))
-        for name, vals in (("viscosities", eps), ("s values", svals), ("p values", ps)):
-            if len(set(vals)) < len(vals):
-                raise ValueError(f"{name} must not repeat, got {vals}")
-        if self.reference not in ("hopf_lax", "monotone"):
-            raise ValueError(f"reference must be 'hopf_lax' or 'monotone', got {self.reference!r}")
-        tsnap = clean_snapshot_times(self.snapshot_times or None, self.T)
-        object.__setattr__(self, "snapshot_times", tuple(tsnap.tolist()))
+            raise PlanError("dim", f"dim must be 1 or 2, got {self.dim}")
         if self.n_points is not None and (self.n_points < 8 or self.n_points & (self.n_points - 1)):
-            raise ValueError("explicit n_points must be a power of two >= 8")
+            raise PlanError("n_points", f"explicit n_points must be a power of two >= 8, got {self.n_points}")
+        for name, what, rule, ok in (("s_values", "s values", "must lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+                                     ("epsilons", "viscosities", "must be positive", lambda v: v > 0.0),
+                                     ("p_values", "p values", "must satisfy p >= 1", lambda v: v >= 1.0)):
+            vals = tuple(float(v) for v in getattr(self, name))
+            if not vals or not all(map(ok, vals)):
+                raise PlanError(name, f"{what} {rule}")
+            if len(set(vals)) < len(vals):
+                raise PlanError(name, f"{what} must not repeat, got {vals}")
+            object.__setattr__(self, name, tuple(sorted(vals, reverse=name == "epsilons")))
+        self.u0.check_dim(self.dim)
+        if not 0.0 < self.T < math.inf:
+            raise PlanError("T", f"T must be positive and finite, got {self.T}")
+        if not 0.0 < self.dt_cfl <= DT_CFL_MAX:
+            raise PlanError("dt_cfl", f"dt_cfl must lie in (0, DT_CFL_MAX = {DT_CFL_MAX:.6g}], got {self.dt_cfl}")
+        if self.reference not in ("hopf_lax", "monotone"):
+            raise PlanError("reference", f"reference must be 'hopf_lax' or 'monotone', got {self.reference!r}")
+        ff = self.fine_factor
+        if not isinstance(ff, int) or ff < 4 or ff & (ff - 1):
+            raise PlanError("fine_factor", f"monotone fine factor must be a power of two >= 4, got {ff}")
+        try:
+            tsnap = clean_snapshot_times(self.snapshot_times or None, self.T)
+        except ValueError as exc:
+            raise PlanError("snapshot_times", str(exc)) from None
+        object.__setattr__(self, "snapshot_times", tuple(tsnap.tolist()))
+
+    def check_sweep(self) -> None:
+        """Raise PlanError unless a sweep can run this plan: a ladder check_ladder takes, and
+        zero forcing for the hopf_lax reference, whose oracle needs it."""
+        check_ladder(self.epsilons)
+        if self.reference == "hopf_lax" and not getattr(self.forcing, "is_zero", False):
+            raise PlanError("forcing", "the hopf_lax reference requires zero forcing")
 
     def problem(self, s: float, eps: float, grid: TorusGrid) -> ProblemSpec:
         """The Cauchy problem of one cell (eps = 0 for the reference) on grid."""
@@ -311,10 +336,9 @@ def run_sweep(plan: SweepPlan, threads: int | None = None) -> SweepResult:
     solved in a process pool, the cells of a grid dealt into up to threads
     batches so that they still run side by side; results are assembled in
     sorted order so the output is identical to the sequential path.  A plan
-    whose ladder fails check_ladder, or a hopf_lax plan with a forcing (the
-    oracle's own check), raises ValueError before any solve.
+    that fails plan.check_sweep raises PlanError before any solve.
     """
-    check_ladder(plan.epsilons)
+    plan.check_sweep()
     if threads is None:
         threads = env_threads()
     if threads < 1:

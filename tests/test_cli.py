@@ -445,6 +445,12 @@ def test_cli_one_sided_requires_half(tmp_path, capsys):
     ("sweep", "s_list = 0.5,0.5", "s_list"),
     ("dual-check", "epsilon_list = 0.1,0.1", "epsilon_list"),
     ("sweep", "dt_cfl = 1.4", "dt_cfl"),  # past DT_CFL_MAX, RK4's stability limit
+    # rules SweepPlan makes, reported on the config key of the field at fault
+    ("solve", "T = 0", "T"),
+    ("solve", "n_points = 100", "n_points"),
+    ("solve", "s_list = 1.5", "s_list"),
+    ("solve", "p_list = 0.5", "p_list"),
+    ("solve", "reference = monotone:3", "reference"),  # the plan's fine_factor
 ])
 def test_cli_bad_experiment_exits_2_naming_key_and_line(tmp_path, capsys, command, extra, key):
     text = BASE + extra + "\n"  # the key is set on the last line

@@ -16,6 +16,7 @@ from fracvisc.rates import (
     GRID_MAX,
     GRID_MIN,
     InitialData,
+    PlanError,
     RateFit,
     SweepPlan,
     check_ladder,
@@ -141,6 +142,13 @@ def test_sweep_plan_validation(monkeypatch):
         zero_h_plan(n_points=100)
     with pytest.raises(ValueError, match="snapshot times"):
         zero_h_plan(snapshot_times=(0.0, 2.0))
+    # the rules a config used to make alone; each names the plan field at fault
+    for bad, name, rule in ((dict(T=0.0), "T", "T must be positive"), (dict(T=math.inf), "T", "T must be positive"),
+                            (dict(dt_cfl=5.0), "dt_cfl", "dt_cfl must lie"), (dict(dt_cfl=-1.0), "dt_cfl", "dt_cfl"),
+                            (dict(reference="monotone", fine_factor=3), "fine_factor", "fine factor")):
+        with pytest.raises(PlanError, match=rule) as exc:
+            zero_h_plan(**bad)
+        assert exc.value.field == name
     plan = zero_h_plan()
     assert plan.epsilons[0] == max(plan.epsilons)
     assert len(plan.snapshot_times) == 16 and plan.snapshot_times[-1] == 1.0
