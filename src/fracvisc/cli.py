@@ -2,7 +2,7 @@
 
     fracvisc <subcommand> --config <path> [--output <dir>]
 
-Subcommands: solve, sweep, dual-check, one-sided, report, selftest.
+Subcommands: solve, sweep, dual-check, selftest.
 Diagnostics go to stderr; data products (CSV/JSON/gnuplot) go to files in
 the output directory.  Exit codes: 0 success, 1 a numerical check failed,
 2 configuration or usage error.  FRACVISC_THREADS controls sweep
@@ -12,7 +12,6 @@ parallelism (default 1).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -24,16 +23,7 @@ from fracvisc.dual import DualSolution, build_drift, dual_solve, duality_residua
 from fracvisc.hamiltonians import LagrangianSpec, legendre_transform, make_hamiltonian
 from fracvisc.hj import (ProblemBatch, ProblemSpec, Trajectory, ZeroForcing, hopf_lax_oracle, monotone_reference,
                          viscous_solve)
-from fracvisc.rates import (
-    fit_entry,
-    format_float,
-    one_sided_check,
-    one_sided_entry,
-    emit_report,
-    env_threads,
-    run_sweep,
-    write_json,
-)
+from fracvisc.rates import emit_report, env_threads, format_float, one_sided_check, run_sweep, write_json
 from fracvisc.torus import Field, TorusGrid, frac_laplacian, lp_norm
 
 
@@ -123,7 +113,12 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         try:
             one_sided = one_sided_check(result)
         except ValueError:
-            one_sided = None
+            _log("sweep: one-sided check skipped: fewer than 3 s=0.5 cells finished")
+        else:
+            slope = None if one_sided.fit is None else f"{one_sided.fit.exponent:.3f}"
+            bound = "uniform" if one_sided.uniform else ">= 0.2, rate check not applicable"
+            verdict = "passed" if one_sided.passes() else "FAILED (uniform bound but slope < 0.9)"
+            _log(f"sweep: one-sided bound spread {one_sided.spread:.3f} ({bound}), slope {slope}: {verdict}")
     emit_report(result, out_dir, config_echo=_config_echo(cfg, out_dir), one_sided=one_sided)
     _log(f"sweep: wrote rates.csv, report.json, plots.gp to {out_dir}")
     if not result.cells:
@@ -213,47 +208,6 @@ def _export_trajectory_dual(dual: DualSolution, out_dir: str, eps: float, eta: f
     _export_trajectory(dual, out_dir, "rho", f"eps{eps:g}_eta{eta:g}")
 
 
-def _cmd_one_sided(cfg: ExperimentConfig, out_dir: str) -> int:
-    if 0.5 not in cfg.plan.s_values:
-        raise cfg.error("one-sided requires s_list to contain 0.5", "s_list")
-    result = run_sweep(dataclasses.replace(cfg.sweep_plan(), s_values=(0.5,)), threads=_threads())
-    report = one_sided_check(result)
-    os.makedirs(out_dir, exist_ok=True)
-    payload = {**one_sided_entry(report), "config": _config_echo(cfg, out_dir)}
-    write_json(os.path.join(out_dir, "one_sided.json"), payload)
-    if report.uniform:
-        slope = None if report.fit is None else report.fit.exponent
-        _log(f"one-sided: bound spread {report.spread:.3f} (uniform), slope {slope}")
-        if not report.passes():
-            _log("one-sided: FAILED (uniform bound but slope < 0.9)")
-            return 1
-    else:
-        _log(f"one-sided: bound spread {report.spread:.3f} >= 0.2; rate check not applicable")
-    return 0
-
-
-def _cmd_report(cfg: ExperimentConfig, out_dir: str) -> int:
-    path = os.path.join(out_dir, "rates.csv")
-    if not os.path.exists(path):
-        raise ConfigError(f"no rates.csv found in {out_dir!r}; run sweep first")
-    slices: dict[tuple[float, float], list[tuple[float, float]]] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "s,p,epsilon,error,norm,ref_kind":
-            raise ConfigError(f"{path} does not look like a rates table")
-        for lineno, line in enumerate(fh, start=2):
-            try:  # a wrong field count or a non-numeric field raises ValueError
-                s, p, eps, err, _norm, _ref_kind = line.strip().split(",")
-                s, p, eps, err = float(s), float(p), float(eps), float(err)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: malformed rates row: {exc}", line=lineno) from None
-            slices.setdefault((s, p), []).append((eps, err))
-    fits = dict(fit_entry(s, p, *np.array(pts).T) for (s, p), pts in sorted(slices.items()))
-    write_json(os.path.join(out_dir, "report.json"), {"fits": fits, "source": "rates.csv"})
-    _log(f"report: refit {len(fits)} slices from {path}")
-    return 0
-
-
 def _cmd_selftest(cfg: ExperimentConfig, out_dir: str) -> int:
     rng = np.random.default_rng(cfg.seed)
     failures = 0
@@ -322,8 +276,6 @@ COMMANDS = {
     "solve": (_cmd_solve, True),
     "sweep": (_cmd_sweep, True),
     "dual-check": (_cmd_dual_check, True),
-    "one-sided": (_cmd_one_sided, True),
-    "report": (_cmd_report, False),
     "selftest": (_cmd_selftest, False),
 }
 

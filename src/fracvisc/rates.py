@@ -59,7 +59,6 @@ __all__ = [
     "target_exponent",
     "OneSidedReport",
     "one_sided_check",
-    "one_sided_entry",
     "emit_report",
     "fit_entry",
     "format_float",
@@ -517,18 +516,6 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def one_sided_entry(report: OneSidedReport) -> dict:
-    """The JSON entry of a one-sided report, as report.json and one_sided.json hold it."""
-    return {
-        "epsilons": [float(e) for e in report.epsilons],
-        "bounds": [float(b) for b in report.bounds],
-        "spread": report.spread,
-        "uniform": report.uniform,
-        "errors": [float(e) for e in report.errors],
-        "slope": None if report.fit is None else report.fit.exponent,
-    }
-
-
 def _p_label(p: float) -> str:
     return "inf" if math.isinf(p) else f"{p:g}"
 
@@ -601,7 +588,15 @@ def emit_report(
         },
     }
     if one_sided is not None:
-        report["one_sided"] = one_sided_entry(one_sided)
+        report["one_sided"] = {
+            "epsilons": [float(e) for e in one_sided.epsilons],
+            "bounds": [float(b) for b in one_sided.bounds],
+            "spread": one_sided.spread,
+            "uniform": one_sided.uniform,
+            "errors": [float(e) for e in one_sided.errors],
+            "slope": None if one_sided.fit is None else one_sided.fit.exponent,
+            "passed": one_sided.passes(),
+        }
     if config_echo is not None:
         report["config"] = config_echo
     write_json(os.path.join(out_dir, "report.json"), report)

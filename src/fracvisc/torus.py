@@ -196,15 +196,19 @@ def lp_norm(f: Field, p: float) -> float:
     """Discrete L^p quadrature norm; p = inf gives the nodal sup norm.
 
     For finite p the norm is (sum |f_j|^p h^dim)^(1/p) with no division by
-    the torus volume, so constants satisfy ||c||_p = |c| (2pi)^(dim/p).
+    the torus volume, so constants satisfy ||c||_p = |c| (2pi)^(dim/p).  The
+    sum is taken over |f| / sup|f|, so it neither under- nor overflows at
+    large p.
     """
-    if math.isinf(p):
-        return float(np.max(np.abs(f.values)))
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
+    a = np.abs(f.values)
+    m = float(np.max(a))
+    if math.isinf(p) or not 0.0 < m < math.inf:  # the sup norm, a zero field, or a non-finite one
+        return m
     h_vol = f.grid.spacing**f.grid.dim
-    return float((np.sum(np.abs(f.values) ** p) * h_vol) ** (1.0 / p))
+    return m * float((np.sum((a / m) ** p) * h_vol) ** (1.0 / p))
 
 
 def _split_nyquist_row(coeff: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -209,10 +209,11 @@ def test_cli_solve_writes_snapshots_deterministically(tmp_path):
     assert meta["config"]["hamiltonian"] == "zero"
 
 
-def test_cli_sweep_and_report(tmp_path):
+def test_cli_sweep_and_report(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--config", cfg, "--output", out]) == 0
+    assert "sweep: one-sided bound spread" in capsys.readouterr().err
     names = set(os.listdir(out))
     assert {"rates.csv", "report.json", "plots.gp"} <= names
 
@@ -220,7 +221,10 @@ def test_cli_sweep_and_report(tmp_path):
         rep = json.load(fh)
     fit = rep["fits"]["s=0.5,p=2"]
     assert fit["passed"] is True and 0.85 < fit["exponent"] < 1.05
-    assert rep["one_sided"]["uniform"] is True
+    one_sided = rep["one_sided"]
+    assert one_sided["uniform"] is True and one_sided["passed"] is True
+    assert one_sided["slope"] is not None and one_sided["slope"] > 0.85
+    assert len(one_sided["epsilons"]) == 5
 
     # identical rerun into a second directory: data files byte-identical
     out2 = str(tmp_path / "sweep2")
@@ -232,13 +236,6 @@ def test_cli_sweep_and_report(tmp_path):
             b = fh.read()
         assert a == b
 
-    # report refits from rates.csv alone and reproduces the exponents
-    assert main(["report", "--output", out]) == 0
-    with open(os.path.join(out, "report.json")) as fh:
-        refit = json.load(fh)
-    assert refit["source"] == "rates.csv"
-    assert refit["fits"]["s=0.5,p=2"]["exponent"] == pytest.approx(fit["exponent"], rel=1e-12)
-
 
 def test_cli_forced_sweep_against_the_monotone_reference(tmp_path):
     # the benchmark's forced layer-pass sweep: a forcing rules out the oracle,
@@ -249,30 +246,27 @@ def test_cli_forced_sweep_against_the_monotone_reference(tmp_path):
     assert main(["sweep", "--config", cfg, "--output", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["failures"] == [] and rep["config"]["dt_cfl"] == repr(SweepPlan.dt_cfl)
+    assert "one_sided" not in rep  # s = 0.75 records no one-sided data
     header, *rows = (out / "rates.csv").read_text().splitlines()
     col = header.split(",").index("ref_kind")
     kinds = [row.split(",")[col] for row in rows]
     assert len(kinds) == 5 * 4 and set(kinds) == {"monotone"}
 
 
-def test_cli_report_requires_rates(tmp_path):
-    assert main(["report", "--output", str(tmp_path / "empty")]) == 2
-
-
-RATES_HEADER = "s,p,epsilon,error,norm,ref_kind\n"
-GOOD_ROW = "5.0e-01,2,1.0e-01,2.0e-02,L2,oracle\n"
-
-
-@pytest.mark.parametrize("bad_row, why", [
-    ("not,a,row\n", "expected 6, got 3"),
-    ("5.0e-01,2,1.0e-01,abc,L2,oracle\n", "could not convert"),
-], ids=["field-count", "non-numeric"])
-def test_cli_report_rejects_malformed_rows(tmp_path, capsys, bad_row, why):
-    (tmp_path / "rates.csv").write_text(RATES_HEADER + GOOD_ROW + bad_row)
-    assert main(["report", "--output", str(tmp_path)]) == 2
+def test_cli_sweep_skips_the_one_sided_check_without_cells(tmp_path, capsys):
+    # a datum above the blow-up guard kills every cell, so no s = 0.5 cell is left to check
+    cfg = write_cfg(tmp_path, BASE + "u0 = coeffs:2e6,0\n")
+    assert main(["sweep", "--config", cfg, "--output", str(tmp_path / "s")]) == 1
     err = capsys.readouterr().err
-    assert "rates.csv" in err and "line 3" in err and why in err
-    assert not (tmp_path / "report.json").exists()
+    assert "sweep: one-sided check skipped" in err and "sweep: every cell failed" in err
+    assert "one_sided" not in json.loads((tmp_path / "s" / "report.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["one-sided", "report"])
+def test_cli_retired_commands_exit_2(tmp_path, command):
+    cfg = write_cfg(tmp_path, BASE)
+    assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
@@ -408,35 +402,10 @@ def test_cli_dual_check_needs_pair_and_finite_p(tmp_path, capsys):
     assert "key 'p_list', line 11" in capsys.readouterr().err
 
 
-def test_cli_one_sided(tmp_path):
-    cfg = write_cfg(tmp_path, BASE)
-    out = str(tmp_path / "os")
-    assert main(["one-sided", "--config", cfg, "--output", out]) == 0
-    with open(os.path.join(out, "one_sided.json")) as fh:
-        rep = json.load(fh)
-    assert rep["uniform"] is True
-    assert rep["slope"] is not None and rep["slope"] > 0.85
-    assert len(rep["epsilons"]) == 5
-    # sweep writes the same one-sided entry into report.json
-    sweep_out = str(tmp_path / "sweep")
-    assert main(["sweep", "--config", cfg, "--output", sweep_out]) == 0
-    with open(os.path.join(sweep_out, "report.json")) as fh:
-        swept = json.load(fh)
-    del rep["config"]
-    assert rep == swept["one_sided"]
-
-
-def test_cli_one_sided_requires_half(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BASE + "s_list = 0.75\n")
-    assert main(["one-sided", "--config", cfg, "--output", str(tmp_path / "z")]) == 2
-    assert "key 's_list', line 11" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command,extra,key", [
     ("sweep", "epsilon_list = 0.1,0.05,0.025", "epsilon_list"),  # too few rungs
     ("sweep", "epsilon_list = 0.1,0.09,0.08,0.07,0.06", "epsilon_list"),  # under four octaves
     ("sweep", "epsilon_list = 1,0.5,0.25,0.125,0.0625", "epsilon_list"),  # eps |log eps| vanishes at 1
-    ("one-sided", "epsilon_list = 1,0.5,0.25,0.125,0.0625", "epsilon_list"),
     ("sweep", "forcing = const:1", "forcing"),  # the hopf_lax reference needs zero forcing
     ("solve", "u0 = cos2d", "u0"),
     ("solve", "dim = 2\nu0 = coeffs:1,0", "u0"),

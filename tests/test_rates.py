@@ -16,6 +16,7 @@ from fracvisc.rates import (
     GRID_MAX,
     GRID_MIN,
     InitialData,
+    OneSidedReport,
     PlanError,
     RateFit,
     SweepPlan,
@@ -455,6 +456,23 @@ def test_emit_report_files_and_determinism(zero_h_sweep, tmp_path):
     assert rep_loaded["config"] == {"note": "x"}
     assert rep_loaded["one_sided"]["uniform"] is True
     assert rep_loaded["eval_n"] == {"0.5": 256}
+
+
+@pytest.mark.parametrize("spread, slope, passed", [
+    (0.05, 0.5, False),  # uniform bound, slope below 0.9
+    (0.05, None, False),  # uniform bound, no fit
+    (0.5, 0.5, True),  # the bound spreads, so the rate check does not apply
+], ids=["uniform-slow", "uniform-no-fit", "not-uniform"])
+def test_emit_report_one_sided_pass_flag(zero_h_sweep, tmp_path, spread, slope, passed):
+    fit = None if slope is None else RateFit(exponent=slope, prefactor=1.0, residual_power=0.01, prefactor_log=1.0,
+                                             residual_power_log=0.1, preferred="power", n_used=5)
+    eps = np.array(zero_h_sweep.plan.epsilons)
+    one_sided = OneSidedReport(epsilons=eps, bounds=np.ones_like(eps), spread=spread, uniform=spread < 0.2,
+                               errors=np.sqrt(eps), fit=fit)
+    emit_report(zero_h_sweep, str(tmp_path), one_sided=one_sided)
+    entry = json.loads((tmp_path / "report.json").read_text())["one_sided"]
+    assert entry["passed"] is passed
+    assert entry["slope"] == slope and entry["spread"] == spread
 
 
 def test_format_float_canonical():

@@ -1,8 +1,11 @@
-"""The README's library example runs as printed (on a coarser grid)."""
+"""The README's library example runs as printed (on a coarser grid), and its
+Quick start lists the CLI's subcommands."""
 
 import math
 import pathlib
 import re
+
+from fracvisc.cli import COMMANDS
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +18,9 @@ def test_readme_library_snippet_runs(capsys):
     exec(compile(code.replace("TorusGrid(1, 2048)", "TorusGrid(1, 256)"), str(README), "exec"), {})
     gap = float(capsys.readouterr().out)
     assert math.isfinite(gap) and gap < 0.1
+
+
+def test_readme_quick_start_lists_every_command():
+    quick_start = README.read_text().split("## Quick start", 1)[1]
+    block = re.search(r"```\n(.*?)```", quick_start, flags=re.S).group(1)
+    assert set(re.findall(r"^fracvisc (\S+)", block, flags=re.M)) == set(COMMANDS)

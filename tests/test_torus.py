@@ -261,6 +261,13 @@ def test_lp_norm_cosine():
     assert lp_norm(f, 2.0) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert lp_norm(f, 4.0) == pytest.approx((0.75 * math.pi) ** 0.25, rel=1e-12)
     assert lp_norm(f, math.inf) == pytest.approx(1.0)
+    # large p on small and large amplitudes: |f|^p alone under- or overflows
+    for p in (128.0, 1024.0):
+        unit = lp_norm(f, p)
+        for amp in (1e-3, 1e3):
+            val = lp_norm(Field(g, amp * f.values), p)
+            assert math.isfinite(val) and val > 0.0
+            assert val == pytest.approx(amp * unit, rel=1e-12)
 
 
 def test_lp_norm_rejects_p_below_one():
