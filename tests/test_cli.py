@@ -209,11 +209,10 @@ def test_cli_solve_writes_snapshots_deterministically(tmp_path):
     assert meta["config"]["hamiltonian"] == "zero"
 
 
-def test_cli_sweep_and_report(tmp_path, capsys):
+def test_cli_sweep_and_report(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--config", cfg, "--output", out]) == 0
-    assert "sweep: one-sided bound spread" in capsys.readouterr().err
     names = set(os.listdir(out))
     assert {"rates.csv", "report.json", "plots.gp"} <= names
 
@@ -221,10 +220,6 @@ def test_cli_sweep_and_report(tmp_path, capsys):
         rep = json.load(fh)
     fit = rep["fits"]["s=0.5,p=2"]
     assert fit["passed"] is True and 0.85 < fit["exponent"] < 1.05
-    one_sided = rep["one_sided"]
-    assert one_sided["uniform"] is True and one_sided["passed"] is True
-    assert one_sided["slope"] is not None and one_sided["slope"] > 0.85
-    assert len(one_sided["epsilons"]) == 5
 
     # identical rerun into a second directory: data files byte-identical
     out2 = str(tmp_path / "sweep2")
@@ -235,6 +230,18 @@ def test_cli_sweep_and_report(tmp_path, capsys):
         with open(os.path.join(out2, name), "rb") as fh:
             b = fh.read()
         assert a == b
+
+
+def test_cli_one_sided(tmp_path, capsys):
+    # an s = 0.5 sweep records the one-sided bound check in report.json
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "os"
+    assert main(["sweep", "--config", cfg, "--output", str(out)]) == 0
+    assert "sweep: one-sided bound spread" in capsys.readouterr().err
+    one_sided = json.loads((out / "report.json").read_text())["one_sided"]
+    assert one_sided["uniform"] is True and one_sided["passed"] is True
+    assert one_sided["slope"] is not None and one_sided["slope"] > 0.85
+    assert len(one_sided["epsilons"]) == 5
 
 
 def test_cli_forced_sweep_against_the_monotone_reference(tmp_path):
