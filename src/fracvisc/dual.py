@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fracvisc.hj import DT_CFL_MAX, Trajectory
-from fracvisc.torus import Field, TorusGrid, frac_laplacian, ifrk4_march, lp_norm
+from fracvisc.torus import Field, TorusGrid, frac_laplacian, etdrk4_march, lp_norm
 
 __all__ = [
     "DriftField",
@@ -207,7 +207,7 @@ def dual_solve(
     tau: float,
     dt_cfl: float = 0.5,
 ) -> DualSolution | DualBatch:
-    """Integrate the backward dual equation with integrating-factor RK4.
+    """Integrate the backward dual equation with ETDRK4 (torus.etdrk4_march).
 
     In the reversed time sigma = tau - t the equation becomes
 
@@ -218,16 +218,16 @@ def dual_solve(
     in time between its samples; products b rho are formed nodally from
     dealiased factors and the flux divergence is dealiased again.  Mass is
     conserved exactly at the spectral origin; small negative undershoots of
-    rho are kept (not clipped) and reported through min_value.  The
-    integrating factor includes the same smooth near-cutoff damping as the
-    forward solver (see viscous_solve); it does not touch the k = 0 mode,
-    so mass conservation is unaffected.  Snapshots land on the drift's
-    sample times in [0, tau], and on tau.
+    rho are kept (not clipped) and reported through min_value.  The exact
+    linear part includes the same smooth near-cutoff damping as the forward
+    solver (see viscous_solve); it does not touch the k = 0 mode, so mass
+    conservation is unaffected.  Snapshots land on the drift's sample times
+    in [0, tau], and on tau.
 
     alpha is one terminal datum, giving a DualSolution, or a sequence of
     them, giving a DualBatch.  drift and eta are shared by every datum, or
     are sequences giving each datum its own (drifts on one grid with shared
-    sample times).  All data march in one torus.ifrk4_march call: each
+    sample times).  All data march in one torus.etdrk4_march call: each
     (drift, eta) group keeps its own step, interpolates its drift once per
     stage time and forms its flux once per contiguous block of its rows,
     and each datum's numbers are bitwise those of its group's own solve.
@@ -311,7 +311,7 @@ def dual_solve(
 
     rh = sp.fwd(np.stack([a.values for a in alphas]))
     masses0 = [float(r.flat[0].real) / grid.n_total for r in rh]
-    steps = ifrk4_march(
+    steps = etdrk4_march(
         grid, [(e, d.s) for d, e in zip(drifts, etas)], rh, nonlinear, landings=sigmas, t_ref=max(tau, 1.0),
         dt_rule=lambda ids: [dt0[group[i]] for i in ids], land=land, nonfinite=nonfinite,
     )

@@ -6,13 +6,13 @@ The initial value problem treated here is
 
 on the torus [0, 2pi)^dim.  Three solution paths are provided:
 
-* viscous_solve       pseudospectral integrating-factor RK4 for eps > 0
+* viscous_solve       pseudospectral ETDRK4 for eps > 0
 * hopf_lax_oracle     variational formula for eps = 0 (convex H, f == 0)
 * monotone_reference  Lax-Friedrichs finite differences on a refined grid
 
-The stiff linear part is integrated exactly through the Fourier-side factor
-exp(-eps |k|^(2s) dt); the Hamiltonian nonlinearity is evaluated nodally on
-2/3-dealiased gradients and transformed back with the same dealiasing.
+The stiff linear part, eps |k|^(2s) plus a near-cutoff damping, is taken
+exactly by ETDRK4 (torus.etdrk4_march); the Hamiltonian nonlinearity is evaluated
+nodally on 2/3-dealiased gradients and transformed back with the same dealiasing.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from fracvisc.hamiltonians import HamiltonianSpec, LagrangianSpec, legendre_batch
-from fracvisc.torus import (TWO_PI, Field, TorusGrid, eval_modes, ifrk4_march, mode_table, refine,
+from fracvisc.torus import (TWO_PI, Field, TorusGrid, eval_modes, etdrk4_march, mode_table, refine,
                             second_difference_max, subsample)
 
 __all__ = [
@@ -47,7 +47,10 @@ __all__ = [
 ]
 
 CURVATURE_SCALE = 0.1  # probe scale of the per-snapshot semiconcavity measurement
-DT_CFL_MAX = 3 * math.sqrt(2) / math.pi  # RK4's imaginary-axis bound 2 sqrt(2) at |k| = n/3, h = 2pi/n
+# The cap the damping band allows: with dt <= dt_cfl 2pi/n and k_c = n/3, the damping 3000 k_c r^16 of a
+# mode at r = |k|/k_c times dt is at most 2000 pi dt_cfl r^16, below 1 up to r* = (2000 pi dt_cfl)^(-1/16) at
+# any n; RK4's imaginary-axis bound 2 sqrt(2) on that mode's phase per step (2 pi / 3) r* dt_cfl gives the cap.
+DT_CFL_MAX = (3 * math.sqrt(2) / math.pi * (2000 * math.pi) ** (1 / 16)) ** (16 / 15)
 
 
 class BlowUpError(RuntimeError):
@@ -261,23 +264,23 @@ def viscous_solve(
     dt_cfl: float = 0.5,
     snapshot_times=None,
 ) -> Trajectory | TrajectoryBatch:
-    """Integrate the viscous problem with integrating-factor RK4.
+    """Integrate the viscous problem with ETDRK4 (torus.etdrk4_march).
 
     The time step adapts as dt = dt_cfl * h / max(1, sup |D_p H(Du)|); the
-    speed is rounded up onto a geometric ladder so the (costly) integrating
-    factors are recomputed only when the speed estimate actually moves.
+    speed is rounded up onto a geometric ladder so dt, and with it the
+    step's ETDRK4 weights, changes only when the speed estimate moves.
     Snapshot times are landed on exactly.  Raises BlowUpError when the
     iterate exceeds 1e6 in sup norm or becomes non-finite, TailGuardError
     when more than 1e-6 of the spectral energy sits beyond the 2/3 cutoff
     (in practice only at t = 0, see TailGuardError).
 
-    A ProblemBatch is marched in one lockstep batch (torus.ifrk4_march), so
+    A ProblemBatch is marched in one lockstep batch, so
     each FFT and Hamiltonian evaluation serves every member still marching.
     The TrajectoryBatch returned holds, per member, the Trajectory or the
     guard error that viscous_solve gives for that member alone, bitwise.
 
-    The integrating factor includes the smooth near-cutoff damping
-    RealSpectral.damping.  It is essential for weak high-frequency
+    The exactly integrated linear part includes the smooth near-cutoff
+    damping RealSpectral.damping.  It is essential for weak high-frequency
     dissipation (s <= 1/2 with small epsilon): the sharp 2/3 truncation
     otherwise excites a grid-scale wave packet at stagnation points once a
     front forms, and the packet rectifies through the Hamiltonian into an
@@ -352,7 +355,7 @@ def viscous_solve(
     def nonfinite(i: int, t: float) -> None:
         failed[i] = BlowUpError(t, "non-finite spectral coefficients")
 
-    steps = ifrk4_march(
+    steps = etdrk4_march(
         grid, [(p.epsilon, p.s) for p in batch], sp.fwd(np.stack([p.u0.values for p in batch])), nonlinear,
         dt_rule=dt_rule, landings=times, t_ref=max(batch[0].T, 1.0), land=land, nonfinite=nonfinite,
     )

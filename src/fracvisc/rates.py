@@ -175,7 +175,7 @@ class SweepPlan:
     snapshot_times: tuple[float, ...] = ()
     reference: str = "hopf_lax"
     fine_factor: int = 4
-    dt_cfl: float = 1.0
+    dt_cfl: float = 2.0
     n_points: int | None = None
 
     def __post_init__(self) -> None:

@@ -7,7 +7,7 @@ RealSpectral, built once per grid, holds its wavenumbers, 2/3 dealiasing,
 Parseval weights and transforms.  The diagnostics below are Fourier
 multipliers on it that take a Nyquist mode, at the nodes, as the cosine
 through its samples.  Both time-dependent solvers march with its one
-integrating-factor RK4 integrator, ifrk4_march.
+exponential time-differencing RK4 integrator, etdrk4_march.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
     "refine",
     "subsample",
     "RealSpectral",
-    "ifrk4_march",
+    "etdrk4_march",
 ]
 
 
@@ -291,7 +291,7 @@ def subsample(f: Field, factor: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# rfft backend and the integrating-factor RK4 march of the spectral solvers
+# rfft backend and the ETDRK4 march of the spectral solvers
 # ---------------------------------------------------------------------------
 
 
@@ -394,10 +394,47 @@ class RealSpectral:
         return float(np.sum(e[~self.keep])) / total
 
 
+def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi_1, phi_2, phi_3 of a real array z, with phi_j(z) = sum_k z^k / (k + j)!.
+
+    For |z| >= 1: phi_1 = expm1(z) / z and phi_(j+1) = (phi_j - 1/j!) / z.  Below, where
+    those cancel, phi_3 is its 20-term series and phi_2 = 1/2 + z phi_3, phi_1 = 1 + z phi_2.
+    """
+    small = np.abs(z) < 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 lies in the series branch
+        p1 = np.expm1(z) / z
+        p2 = (p1 - 1.0) / z
+        p3 = (p2 - 0.5) / z
+    zs, s3 = z[small], 0.0
+    for k in range(19, -1, -1):  # Horner
+        s3 = s3 * zs + 1.0 / math.factorial(k + 3)
+    s2 = 0.5 + zs * s3
+    p1[small], p2[small], p3[small] = 1.0 + zs * s2, s2, s3
+    return p1, p2, p3
+
+
+def _etdrk4_weights(lam: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
+    """ETDRK4 weights E2, Q, f1, 2 f2, f3 of d_t y = -lam y + N for the step dt, in place for peak memory.
+
+    With z = -lam dt: E2 = exp(z / 2), Q = (dt / 2) phi_1(z / 2) = -expm1(z / 2) / lam,
+    f1 = dt (phi_1 - 3 phi_2 + 4 phi_3), f2 = dt (phi_2 - 2 phi_3) and f3 = dt (4 phi_3 - phi_2).
+    """
+    z = lam * -dt
+    p1, p2, p3 = _phi_functions(z)
+    z *= 0.5
+    q = np.divide(np.expm1(z), -lam, out=np.full_like(lam, 0.5 * dt), where=lam > 0.0)
+    f3 = dt * (4.0 * p3 - p2)
+    p1 -= 3.0 * p2 - 4.0 * p3
+    p1 *= dt
+    p2 -= 2.0 * p3
+    p2 *= 2.0 * dt
+    return np.exp(z, out=z), q, p1, p2, f3
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a blowing-up member is reported by its guard
-def ifrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
-                *, dt_rule, landings: np.ndarray, t_ref: float, land, nonfinite) -> list[int]:
-    """Integrating-factor RK4 for d_t y = -lam y + N(y, t), one independent solve per row of y.
+def etdrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
+                 *, dt_rule, landings: np.ndarray, t_ref: float, land, nonfinite) -> list[int]:
+    """ETDRK4 for d_t y = -lam y + N(y, t), one independent solve per row of y.
 
     Member i starts from the rfft coefficients y[i], with lam = viscosity
     |k|^(2s) for (viscosity, s) = members[i] plus the smooth near-cutoff
@@ -412,28 +449,26 @@ def ifrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
     leaves when that returns False or after the last landing, and through
     nonfinite(i, t) (which may raise) right after a step that dt_rule gave
     as zero or NaN, or every 64 steps once its row stops being finite.
-    t_ref scales the landing tolerance 1e-13 t_ref.  A row rebuilds its
-    factors exp(-lam dt / 2) and exp(-lam dt) only when its (member, dt)
-    changes, and keeps no others.  Each row's numbers are bitwise those of
-    its member marched alone.  Returns each member's number of steps.
+    t_ref scales the landing tolerance 1e-13 t_ref.  A row takes new
+    weights (_etdrk4_weights) only when its (member, dt) changes, built once
+    per step for every row that shares them, and keeps no others.  Each
+    row's numbers are bitwise those of its member marched alone.  Returns
+    each member's number of steps.
 
-    Lawson form: fourth order while the solution is smooth, but a mode with
-    lam dt >> 1 (the damping band) leaves a step at about (dt / 6) N_k, not
-    at its slaved value N_k / lam_k.  Once a front feeds that band, the
-    nonlinearity carries this first-order error into the resolved modes, so
-    the time error then shrinks only about like dt (measured in CHANGES.md).
+    The step is Cox and Matthews' (J. Comput. Phys. 176, 2002), exact in the
+    linear part, so a damped mode (lam dt >> 1) leaves it near N_k / lam_k:
+    a = E2 y + Q N(y), b = E2 y + Q N(a), c = E2 a + Q (2 N(b) - N(y)) and
+    y <- E y + f1 N(y) + 2 f2 (N(a) + N(b)) + f3 N(c), with E = E2 E2.
     """
     sp = grid.spectral
     lams = {key: key[0] * sp.symbol(key[1]) + sp.damping for key in members}
 
-    # stage slopes k1..k4, two partial sums, and per row its factors and its
-    # 0.5 dt, dt and dt / 6 filled across the row (a column broadcast over the
-    # row misses numpy's contiguous loops); each update below repeats the
-    # operand order of the expression in its comment, so results are bitwise
-    # those of the plain array expressions
+    # stage values N(y), N(a), N(b), N(c), two stage buffers, and per row its
+    # weights filled across the row (a column broadcast over the row misses
+    # numpy's contiguous loops)
     bufs = (y,) + tuple(np.empty_like(y) for _ in range(11))
     ends = [target - 1e-13 * t_ref for target in landings]
-    # per row: its member, time, next landing and the (member, dt) of its factors
+    # per row: its member, time, next landing and the (member, dt) of its weights
     ids, t, nxt, row_key = list(range(len(members))), [0.0] * len(members), [0] * len(members), []
     steps = [0] * len(members)
     n_steps = m = 0
@@ -456,45 +491,47 @@ def ifrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
             m, row_key = len(stay), [None] * len(stay)
             if not m:
                 return steps
-            ym, k1, k2, k3, k4, a, b, e1, e2, h, dt, sixth = (arr[:m] for arr in bufs)
-        nonlinear(ym, ids, t, k1)
+            ym, n1, n2, n3, n4, a, b, e2, q, f1, f2, f3 = (arr[:m] for arr in bufs)
+        nonlinear(ym, ids, t, n1)
         dts = list(dt_rule(ids))
         stalled = {r for r, d in enumerate(dts) if not d > 0.0}  # these rows leave after this step
+        built = {}
         for r, i in enumerate(ids):
             if t[r] + dts[r] >= ends[nxt[r]]:  # shorten the step to land on the next landing
                 dts[r] = landings[nxt[r]] - t[r]
             if row_key[r] != (members[i], dts[r]):
-                row_key[r] = (members[i], dts[r])
-                e_half = np.exp(lams[members[i]] * (-0.5 * dts[r]))
-                e1[r], e2[r] = e_half, e_half * e_half
-                h[r], dt[r], sixth[r] = 0.5 * dts[r], dts[r], dts[r] / 6.0
+                row_key[r] = key = (members[i], dts[r])
+                if key not in built:
+                    built[key] = _etdrk4_weights(lams[members[i]], dts[r])
+                for w, v in zip((e2, q, f1, f2, f3), built[key]):
+                    w[r] = v
         t_half = [tr + 0.5 * dr for tr, dr in zip(t, dts)]
         t = [tr + dr for tr, dr in zip(t, dts)]
-        # k2 = N(e1 * (y + (0.5 * dt) * k1))
-        np.multiply(h, k1, out=a)
-        np.add(ym, a, out=a)
-        np.multiply(e1, a, out=a)
-        nonlinear(a, ids, t_half, k2)
-        # k3 = N(e1 * y + (0.5 * dt) * k2)
-        np.multiply(e1, ym, out=a)
-        np.multiply(h, k2, out=b)
-        np.add(a, b, out=a)
-        nonlinear(a, ids, t_half, k3)
-        # k4 = N(e2 * y + dt * (e1 * k3)); y holds e2 * y from here on, all the update needs
+        # a = E2 y + Q N(y), with y holding E2 y until the update
         np.multiply(e2, ym, out=ym)
-        np.multiply(e1, k3, out=b)
-        np.multiply(dt, b, out=b)
-        np.add(ym, b, out=a)
-        nonlinear(a, ids, t, k4)
-        # y = e2 * y + (dt / 6) * (e2 * k1 + 2 * (e1 * (k2 + k3)) + k4)
-        np.add(k2, k3, out=a)
-        np.multiply(e1, a, out=a)
-        np.multiply(2.0, a, out=a)
-        np.multiply(e2, k1, out=b)
-        np.add(b, a, out=b)
-        np.add(b, k4, out=b)
-        np.multiply(sixth, b, out=b)
-        np.add(ym, b, out=ym)
+        np.multiply(q, n1, out=a)
+        np.add(ym, a, out=a)
+        nonlinear(a, ids, t_half, n2)
+        # b = E2 y + Q N(a)
+        np.multiply(q, n2, out=b)
+        np.add(ym, b, out=b)
+        nonlinear(b, ids, t_half, n3)
+        # c = E2 a + Q (2 N(b) - N(y)), into b
+        np.multiply(e2, a, out=a)
+        np.multiply(2.0, n3, out=b)
+        np.subtract(b, n1, out=b)
+        np.multiply(q, b, out=b)
+        np.add(a, b, out=b)
+        nonlinear(b, ids, t, n4)
+        # y = E2 (E2 y) + f1 N(y) + 2 f2 (N(a) + N(b)) + f3 N(c)
+        np.multiply(e2, ym, out=ym)
+        np.multiply(f1, n1, out=a)
+        np.add(ym, a, out=ym)
+        np.add(n2, n3, out=a)
+        np.multiply(f2, a, out=a)
+        np.add(ym, a, out=ym)
+        np.multiply(f3, n4, out=a)
+        np.add(ym, a, out=ym)
         n_steps += 1
         bad = stalled
         if n_steps % 64 == 0 and not np.all(np.isfinite(ym)):

@@ -82,7 +82,7 @@ def test_parse_config_value_errors():
     with pytest.raises(ConfigError, match="T"):
         parse_config("T = 0\n")
     with pytest.raises(ConfigError, match="dt_cfl"):
-        parse_config("dt_cfl = 1.4\n")
+        parse_config("dt_cfl = 2.6\n")
     with pytest.raises(ConfigError, match="mollify_scale"):
         parse_config("mollify_scale = -0.5\n")
     with pytest.raises(ConfigError, match="forcing"):
@@ -420,7 +420,7 @@ def test_cli_dual_check_needs_pair_and_finite_p(tmp_path, capsys):
     ("sweep", "p_list = 2,2", "p_list"),
     ("sweep", "s_list = 0.5,0.5", "s_list"),
     ("dual-check", "epsilon_list = 0.1,0.1", "epsilon_list"),
-    ("sweep", "dt_cfl = 1.4", "dt_cfl"),  # past DT_CFL_MAX, RK4's stability limit
+    ("sweep", "dt_cfl = 2.6", "dt_cfl"),  # past DT_CFL_MAX, the cap the damping band allows
     # rules SweepPlan makes, reported on the config key of the field at fault
     ("solve", "T = 0", "T"),
     ("solve", "n_points = 100", "n_points"),

@@ -204,7 +204,7 @@ def test_dual_validation_and_snapshots():
     with pytest.raises(ValueError, match="tau"):
         dual_solve(drift, 0.1, alpha, 2.0)
     with pytest.raises(ValueError, match="dt_cfl"):
-        dual_solve(drift, 0.1, alpha, 1.0, dt_cfl=1.4)
+        dual_solve(drift, 0.1, alpha, 1.0, dt_cfl=2.6)
     g2 = TorusGrid(1, 128)
     with pytest.raises(ValueError, match="grid"):
         dual_solve(drift, 0.1, Field(g2, np.ones(g2.shape)), 1.0)
@@ -266,7 +266,7 @@ def test_pairs_marched_in_one_call_equal_their_own_solves(dim, mollify_scale, mo
         pairs.append((drift, eta, [lp_dual_datum(w_tau, q) for q in qs]))
 
     sizes = []  # the rows of each nonlinear evaluation of the batched march
-    march = dual_mod.ifrk4_march
+    march = dual_mod.etdrk4_march
 
     def recording_march(grid, members, y, nonlinear, **kwargs):
         def recording(y, ids, ts, out):
@@ -274,10 +274,10 @@ def test_pairs_marched_in_one_call_equal_their_own_solves(dim, mollify_scale, mo
             nonlinear(y, ids, ts, out)
         return march(grid, members, y, recording, **kwargs)
 
-    monkeypatch.setattr(dual_mod, "ifrk4_march", recording_march)
+    monkeypatch.setattr(dual_mod, "etdrk4_march", recording_march)
     batch = dual_solve([d for d, _, data in pairs for _ in data], [e for _, e, data in pairs for _ in data],
                        [a for _, _, data in pairs for a in data], times[-1])
-    monkeypatch.setattr(dual_mod, "ifrk4_march", march)
+    monkeypatch.setattr(dual_mod, "etdrk4_march", march)
     # each pair's rows leave the march at their own iteration: three batch sizes
     assert sorted(set(sizes), reverse=True) == [5, 3, 2]
     ones = [dual_solve(drift, eta, data, times[-1]) for drift, eta, data in pairs]

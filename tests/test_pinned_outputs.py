@@ -1,11 +1,12 @@
 """Solver outputs pinned to recorded numbers.
 
-The values below were recorded before viscous_solve and dual_solve moved
-onto the shared rfft backend and integrating-factor RK4 march of
-fracvisc.torus.  That rewrite keeps every operation and its operand order,
-so it reproduces them bit for bit; the 1e-13 tolerance only leaves room for
-FFT rounding on other platforms.  A change that moves one of these numbers
-changes the numerics and must say so.
+The viscous and dual values were recorded when the shared march of
+fracvisc.torus became ETDRK4 (etdrk4_march), at the library default
+dt_cfl = 0.5; the step counts did not change.  Against an ETDRK4 solve at
+dt_cfl = 1/32 the new snapshot samples and k values lie as close as the
+integrating-factor RK4 ones they replace or closer, in every case.  The
+1e-13 tolerance only leaves room for FFT rounding on other platforms.  A
+change that moves one of these numbers changes the numerics and must say so.
 
 The Hopf-Lax oracle pins were recorded before the 1-D minimizer and the
 2-D coordinate descent were merged into one path.  The 1-D values are
@@ -51,40 +52,40 @@ PINNED_VISCOUS = {
     "cos-wave-1d": (
         13,
         [
-            1.1761243267258632, 0.675836299671767, -0.2132140212625677, -0.9087695068110384,
-            -1.1910028138098705, -0.9852496142201873, -0.33111659312504965, 0.5776897397189105,
+            1.176124151186396, 0.6758362776600864, -0.21321396465682602, -0.9087694742216899,
+            -1.1910028093872516, -0.9852495782923407, -0.3311165658204616, 0.5776896720148017,
         ],
-        0.8079029986098761,
-        1.1926774211866775,
+        0.8079030329922734,
+        1.1926780630956282,
     ),
     "log-cosh-const-1d": (
         21,
         [
-            -0.035487939072268375, 0.8002785205861217, 0.8369606272269848, 0.8002785205861217,
-            -0.035487939072267834, -0.7988280245378495, -1.0836507272812188, -0.7988280245378497,
+            -0.03548280608120818, 0.8002924298597838, 0.8369702202912591, 0.8002924298597838,
+            -0.035482806081207637, -0.7988272296747023, -1.0836495132482362, -0.7988272296747025,
         ],
-        0.9506125254125104,
-        1.2860269541333067,
+        0.9505053829487988,
+        1.2861064840360628,
     ),
     "quadratic-1d": (
         22,
         [
-            0.9211586357117303, 0.28276205561205814, -0.37801069662881953, -0.8113581391606516,
-            -0.9603834905810869, -0.8113581391606516, -0.37801069662881975, 0.2827620556120579,
+            0.9211715838263204, 0.28273896380869823, -0.37799861874172436, -0.8113583418225867,
+            -0.9603849491613947, -0.8113583418225868, -0.3779986187417246, 0.2827389638086979,
         ],
-        0.4899202458127099,
-        0.9661346599667461,
+        0.48968608798853475,
+        0.9664621645441307,
     ),
     "quadratic-2d": (
         15,
         [
-            1.8883001242295414, 0.7269305061282169, -0.012179652684750963, 0.7269305061282164,
-            0.7269305061282167, -0.4344391119731077, -1.1735492707860755, -0.434439111973108,
-            -0.012179652684751074, -1.1735492707860755, -1.9126594295990433, -1.173549270786076,
-            0.7269305061282165, -0.434439111973108, -1.1735492707860757, -0.43443911197310836,
+            1.8883000664321892, 0.7269304728811692, -0.012179684009684166, 0.7269304728811687,
+            0.7269304728811692, -0.43443912066985096, -1.1735492775607042, -0.4344391206698513,
+            -0.012179684009684055, -1.1735492775607042, -1.9126594344515575, -1.1735492775607046,
+            0.7269304728811689, -0.4344391206698513, -1.1735492775607046, -0.43443912066985163,
         ],
-        0.6441173320262019,
-        1.3436565854121083,
+        0.6441177867492065,
+        1.343656803624815,
     ),
 }
 
@@ -92,8 +93,8 @@ PINNED_VISCOUS = {
 PINNED_DUAL = (
     24,
     [
-        0.0049662318539029915, 0.006928453867217854, 0.015355671346376108, 0.632519922236664,
-        1.206760739378954, 0.6325199222366665, 0.015355671346375556, 0.006928453867218021,
+        0.004963603709358, 0.0069343047865284, 0.015371498890003402, 0.6325212668031138,
+        1.2067615060549146, 0.6325212668031155, 0.015371498890003263, 0.006934304786528567,
     ],
 )
 

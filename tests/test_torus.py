@@ -7,6 +7,7 @@ exactly in the continuum and must hold to near machine precision here.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from fracvisc.torus import (
     Field,
     TorusGrid,
+    _phi_functions,
     eval_modes,
     frac_laplacian,
     hessian_max_eig,
@@ -374,3 +376,25 @@ def test_batched_transforms_equal_single_ones(dim, n):
         assert all(np.array_equal(c, sp.fwd(v)) for c, v in zip(coeff, batch))
         back = sp.inv(coeff, out=np.empty_like(batch))
         assert all(np.array_equal(b, sp.inv(c)) for b, c in zip(back, coeff))
+
+
+def test_phi_functions_match_their_exact_series():
+    # phi_j(z) = sum_k z^k / (k + j)! in exact rationals: both branches of
+    # _phi_functions (the series below |z| = 1, the expm1 forms from there),
+    # both sides of the switch; 200 terms, since at z = -50 a 60-term sum is
+    # still far from its limit
+    zs = [-1e-12, -1e-6, -0.5, -(1 - 1e-6), -(1 + 1e-6), -3.0, -50.0]
+    phis = _phi_functions(np.array(zs))
+    for i, z in enumerate(zs):
+        zf = Fraction(z)
+        for j, phi in enumerate(phis, start=1):
+            exact = float(sum(zf**k / math.factorial(k + j) for k in range(200)))
+            assert abs(phi[i] - exact) <= 1e-14 * abs(exact), (z, j, phi[i], exact)
+    # far in the damping band: exp(-1e9) is 0 in any float, so phi_j(z) is
+    # -(sum_{k<j} z^k / k!) / z^j exactly, near 1/|z|, 1/|z| and 1/(2|z|)
+    zf = Fraction(-10**9)
+    for j, phi in enumerate(_phi_functions(np.array([-1e9])), start=1):
+        exact = float(-sum(zf**k / math.factorial(k) for k in range(j)) / zf**j)
+        assert abs(phi[0] - exact) <= 1e-14 * exact, (j, phi[0], exact)
+    # z = 0, the mean mode, is exact
+    np.testing.assert_array_equal([phi[0] for phi in _phi_functions(np.zeros(1))], [1.0, 0.5, 1.0 / 6.0])
