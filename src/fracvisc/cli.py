@@ -23,7 +23,7 @@ from fracvisc.dual import DualSolution, build_drift, dual_solve, duality_residua
 from fracvisc.hamiltonians import LagrangianSpec, legendre_transform, make_hamiltonian
 from fracvisc.hj import (ProblemBatch, ProblemSpec, Trajectory, ZeroForcing, hopf_lax_oracle, monotone_reference,
                          viscous_solve)
-from fracvisc.rates import emit_report, env_threads, format_float, one_sided_check, run_sweep, write_json
+from fracvisc.rates import emit_report, env_threads, one_sided_check, run_sweep, write_json
 from fracvisc.torus import Field, TorusGrid, frac_laplacian, lp_norm
 
 
@@ -38,17 +38,15 @@ def _config_echo(cfg: ExperimentConfig, output_dir: str) -> dict:
 
 
 def _snapshot_csv(field: Field, path: str) -> None:
-    vals = field.values
+    # one string per file; "%.16e" renders a float exactly as format_float does
+    vals = field.values.tolist()
+    if field.grid.dim == 1:
+        text = "i,value\n" + "".join(["%d,%.16e\n" % iv for iv in enumerate(vals)])
+    else:
+        text = "i,j,value\n" + "".join(["%d,%d,%.16e\n" % (i, j, v)
+                                         for i, row in enumerate(vals) for j, v in enumerate(row)])
     with open(path, "w") as fh:
-        if field.grid.dim == 1:
-            fh.write("i,value\n")
-            for i, v in enumerate(vals):
-                fh.write(f"{i},{format_float(v)}\n")
-        else:
-            fh.write("i,j,value\n")
-            for i in range(vals.shape[0]):
-                for j in range(vals.shape[1]):
-                    fh.write(f"{i},{j},{format_float(vals[i, j])}\n")
+        fh.write(text)
 
 
 def _export_trajectory(traj: Trajectory | DualSolution, out_dir: str, prefix: str, tag: str) -> list[str]:

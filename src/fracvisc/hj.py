@@ -50,6 +50,8 @@ CURVATURE_SCALE = 0.1  # probe scale of the per-snapshot semiconcavity measureme
 # The cap the damping band allows: with dt <= dt_cfl 2pi/n and k_c = n/3, the damping 3000 k_c r^16 of a
 # mode at r = |k|/k_c times dt is at most 2000 pi dt_cfl r^16, below 1 up to r* = (2000 pi dt_cfl)^(-1/16) at
 # any n; RK4's imaginary-axis bound 2 sqrt(2) on that mode's phase per step (2 pi / 3) r* dt_cfl gives the cap.
+# ETDRK4's own amplification factor on advection at speed 1 over the kept modes stays <= 1 up to dt_cfl
+# 2.78 in 1-D and 2.79-2.82 in 2-D (tests/test_torus.py), so the cap sits at 0.875-0.889 of that edge.
 DT_CFL_MAX = (3 * math.sqrt(2) / math.pi * (2000 * math.pi) ** (1 / 16)) ** (16 / 15)
 
 

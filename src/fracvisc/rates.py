@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,7 +174,7 @@ class SweepPlan:
     snapshot_times: tuple[float, ...] = ()
     reference: str = "hopf_lax"
     fine_factor: int = 4
-    dt_cfl: float = 2.0
+    dt_cfl: float = DT_CFL_MAX
     n_points: int | None = None
 
     def __post_init__(self) -> None:
@@ -355,6 +354,8 @@ def run_sweep(plan: SweepPlan, threads: int | None = None) -> SweepResult:
     if threads == 1:
         per_grid = [_grid_worker(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only a pooled sweep pays
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             per_grid = list(pool.map(_grid_worker, jobs))
     outcomes = {(s, eps): out for results in per_grid for s, eps, out in results}

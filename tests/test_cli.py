@@ -4,15 +4,21 @@ codes, emitted files, determinism of reruns, and error reporting."""
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracvisc.cli import main
+import fracvisc
+from fracvisc.cli import _snapshot_csv, main
 from fracvisc.config import ConfigError, parse_config
-from fracvisc.rates import SweepPlan
+from fracvisc.rates import SweepPlan, format_float
+from fracvisc.torus import Field, TorusGrid
 
 BASE = """
 dim = 1
@@ -207,6 +213,29 @@ def test_cli_solve_writes_snapshots_deterministically(tmp_path):
     meta = json.loads(files1["solve.json"])
     assert meta["n_points"] == 256 and len(meta["times"]) == 3
     assert meta["config"]["hamiltonian"] == "zero"
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_snapshot_csv_renders_each_value_as_format_float(tmp_path, dim):
+    vals = np.array([-0.0, 5e-324, 1e300, -1e300, 1.0 / 3.0, -2.5e-7, 0.0, math.pi])
+    field = Field(TorusGrid(dim, 8), vals if dim == 1 else np.array([np.roll(vals, i) for i in range(8)]))
+    path = tmp_path / "snap.csv"
+    _snapshot_csv(field, str(path))
+    if dim == 1:
+        lines = ["i,value"] + [f"{i},{format_float(v)}" for i, v in enumerate(field.values)]
+    else:
+        lines = ["i,j,value"] + [f"{i},{j},{format_float(field.values[i, j])}" for i in range(8) for j in range(8)]
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a pooled sweep imports the pool when it starts; every other command skips its cost
+    src = str(pathlib.Path(fracvisc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, fracvisc.cli; "
+            "print(*[m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""
 
 
 def test_cli_sweep_and_report(tmp_path):

@@ -186,7 +186,7 @@ def test_rk4_order_of_accuracy():
     # dt halvings should approach 2^4
     g = TorusGrid(1, 128)
     pr = problem(g, 0.75, 0.25, T=0.4)
-    for steps in ((0.4, 0.2, 0.1), (1.0, 0.5, 0.25)):  # the second starts at SweepPlan's default
+    for steps in ((0.4, 0.2, 0.1), (1.0, 0.5, 0.25)):  # the second starts at 1.0, twice the library default
         sols = [
             viscous_solve(pr, dt_cfl=c, snapshot_times=(0.4,)).snapshots[-1].values
             for c in steps
@@ -207,18 +207,18 @@ def test_time_error_at_the_default_step_is_below_one_permille_of_the_viscous_err
         pr = problem(TorusGrid(1, n), s, eps)
         traj = viscous_solve(pr, dt_cfl=SweepPlan.dt_cfl)
         fine = viscous_solve(pr, dt_cfl=0.125)
+        assert len(traj.snapshots) == len(fine.snapshots) == 16
         delta = max(np.max(np.abs(a.values - b.values)) for a, b in zip(traj.snapshots, fine.snapshots))
         error = max(np.max(np.abs(u.values - hopf_lax_oracle(pr, t).values))
                     for t, u in zip(traj.times, traj.snapshots))
         assert delta <= 1e-3 * error, (s, eps, n, delta, error)
-    # the largest step the validators accept trips no guard, in 1-D (the
-    # second cell) and in 2-D, whose corner modes |k| = sqrt(2) n / 3 lie
-    # deep in the damping band
-    traj1 = viscous_solve(pr, dt_cfl=DT_CFL_MAX)
+    # the largest step the validators accept, which the default is, trips no
+    # guard in 1-D (the cells above) nor in 2-D, whose corner modes
+    # |k| = sqrt(2) n / 3 lie deep in the damping band
+    assert SweepPlan.dt_cfl == DT_CFL_MAX
     g2 = TorusGrid(2, 64)
     traj2 = viscous_solve(problem(g2, 0.5, 2.0**-6, ham=make_hamiltonian("quadratic", 2)), dt_cfl=DT_CFL_MAX)
-    for traj in (traj1, traj2):
-        assert isinstance(traj, Trajectory) and len(traj.snapshots) == 16
+    assert isinstance(traj2, Trajectory) and len(traj2.snapshots) == 16
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 plan validation, rate fitting, sweep execution on closed-form problems and
 deterministic report emission."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -288,7 +289,7 @@ def test_sweep_pool_deals_the_cells_of_a_grid_across_workers(monkeypatch, zero_h
             batches.extend([eps for _, eps in job[2]] for job in jobs)
             return map(fn, jobs)
 
-    monkeypatch.setattr(rates, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)  # run_sweep imports it there
     pooled = run_sweep(zero_h_plan(), threads=2)
     eps = zero_h_plan().epsilons
     assert batches == [list(eps[0::2]), list(eps[1::2])]

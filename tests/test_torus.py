@@ -12,9 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fracvisc.hj import DT_CFL_MAX
 from fracvisc.torus import (
     Field,
     TorusGrid,
+    _etdrk4_weights,
     _phi_functions,
     eval_modes,
     frac_laplacian,
@@ -398,3 +400,26 @@ def test_phi_functions_match_their_exact_series():
         assert abs(phi[0] - exact) <= 1e-14 * exact, (j, phi[0], exact)
     # z = 0, the mean mode, is exact
     np.testing.assert_array_equal([phi[0] for phi in _phi_functions(np.zeros(1))], [1.0, 0.5, 1.0 / 6.0])
+
+
+def _etdrk4_amplification(dim: int, n: int, dt_cfl: float) -> np.ndarray:
+    """|R| of one ETDRK4 step on d_t y = -damping y + i |k| y over the kept modes, dt = dt_cfl 2 pi / n.
+
+    The linear model is advection at speed 1, the smallest speed the step rule's ladder rounds up to;
+    the modes beyond the cutoff carry no nonlinearity, so their R = exp(-damping dt) is at most 1.
+    """
+    sp = TorusGrid(dim, n).spectral
+    c = 1j * np.sqrt(sp.k2[sp.keep])
+    e2, q, f1, f2, f3 = _etdrk4_weights(sp.damping[sp.keep], dt_cfl * TWO_PI / n)  # f2 holds 2 f2
+    a = e2 + q * c
+    b = e2 + q * c * a
+    cc = e2 * a + q * c * (2.0 * b - 1.0)
+    return np.abs(e2 * e2 + c * (f1 + f2 * (a + b) + f3 * cc))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1024), (1, 16384), (2, 64), (2, 256)])
+def test_etdrk4_is_stable_at_the_step_cap(dim, n):
+    # the cap DT_CFL_MAX, derived from the damping band, lies inside the march's own
+    # stability edge (about 2.78 in 1-D, 2.79-2.82 in 2-D), which 2.9 lies beyond
+    assert np.max(_etdrk4_amplification(dim, n, DT_CFL_MAX)) <= 1.0 + 1e-12
+    assert np.max(_etdrk4_amplification(dim, n, 2.9)) > 1.0
