@@ -77,6 +77,7 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
         "epsilon": eps,
         "n_points": n,
         "n_steps": traj.n_steps,
+        "grid_schedule": traj.grid_schedule,
         "times": [float(t) for t in traj.times],
         "sup_norms": [float(np.max(np.abs(f.values))) for f in traj.snapshots],
         "k_profile": [float(k) for k in traj.k_profile],

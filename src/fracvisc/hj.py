@@ -6,13 +6,15 @@ The initial value problem treated here is
 
 on the torus [0, 2pi)^dim.  Three solution paths are provided:
 
-* viscous_solve       pseudospectral ETDRK4 for eps > 0
+* viscous_solve       pseudospectral ETDRK4 for eps > 0, marched coarse to fine
 * hopf_lax_oracle     variational formula for eps = 0 (convex H, f == 0)
 * monotone_reference  Lax-Friedrichs finite differences on a refined grid
 
 The stiff linear part, eps |k|^(2s) plus a near-cutoff damping, is taken
 exactly by ETDRK4 (torus.etdrk4_march); the Hamiltonian nonlinearity is evaluated
 nodally on 2/3-dealiased gradients and transformed back with the same dealiasing.
+A problem's grid is its solve's final grid: above GRID_MIN points per axis the
+march starts coarser and doubles the grid as the spectrum reaches its damping band.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from fracvisc.hamiltonians import HamiltonianSpec, LagrangianSpec, legendre_batch
-from fracvisc.torus import (TWO_PI, Field, TorusGrid, eval_modes, etdrk4_march, mode_table, refine,
+from fracvisc.torus import (TWO_PI, Field, TorusGrid, eval_modes, etdrk4_march, mode_table, prolong, refine,
                             second_difference_max, subsample)
 
 __all__ = [
@@ -53,6 +55,10 @@ CURVATURE_SCALE = 0.1  # probe scale of the per-snapshot semiconcavity measureme
 # ETDRK4's own amplification factor on advection at speed 1 over the kept modes stays <= 1 up to dt_cfl
 # 2.78 in 1-D and 2.79-2.82 in 2-D (tests/test_torus.py), so the cap sits at 0.875-0.889 of that edge.
 DT_CFL_MAX = (3 * math.sqrt(2) / math.pi * (2000 * math.pi) ** (1 / 16)) ** (16 / 15)
+GRID_MIN = 1024  # points per axis: viscous_solve's coarsest grid, and the floor of the sweep's grid rule
+# viscous_solve doubles a member's grid once more than this share of its spectral energy sits in the
+# grid's damping band |k| >= 0.3 k_c, where RealSpectral.damping starts to act (calibrated in the README)
+PROMOTE_TOL = 1e-24
 
 
 class BlowUpError(RuntimeError):
@@ -183,12 +189,15 @@ class Trajectory:
     happens for s <= 1/2 where the dissipation cannot spread a front into a
     resolvable layer.
     grad_sup_profile[i] is the nodal sup of |Du| of the dealiased snapshot.
+    grid_schedule lists the grids viscous_solve marched on, one
+    (n_points, entry time, steps) per grid; n_steps is their total.
     """
 
     problem: ProblemSpec
     times: np.ndarray
     snapshots: tuple[Field, ...]
     n_steps: int
+    grid_schedule: tuple[tuple[int, float, int], ...] = ()
 
     @cached_property
     def k_profile(self) -> np.ndarray:
@@ -261,23 +270,39 @@ def clean_snapshot_times(snapshot_times, T: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _band_check(sp, n: int):
+    """Whether contiguous coefficients on sp's grid hold more than PROMOTE_TOL of their Parseval energy
+    at |k| >= 0.3 k_c, k_c = n // 3: the damping band of the grid with n points per axis."""
+    edge = 0.3 * (n // 3)
+    w = np.repeat((sp.parseval_w * ((sp.k2 >= edge * edge) - PROMOTE_TOL)).ravel(), 2)  # per float of the view
+    return lambda coeff: float(np.dot(coeff.reshape(-1).view(np.float64) ** 2, w)) > 0.0
+
+
 def viscous_solve(
     problem: ProblemSpec | ProblemBatch,
     dt_cfl: float = 0.5,
     snapshot_times=None,
 ) -> Trajectory | TrajectoryBatch:
-    """Integrate the viscous problem with ETDRK4 (torus.etdrk4_march).
+    """Integrate the viscous problem with ETDRK4 (torus.etdrk4_march), coarse to fine.
 
-    The time step adapts as dt = dt_cfl * h / max(1, sup |D_p H(Du)|); the
-    speed is rounded up onto a geometric ladder so dt, and with it the
-    step's ETDRK4 weights, changes only when the speed estimate moves.
-    Snapshot times are landed on exactly.  Raises BlowUpError when the
-    iterate exceeds 1e6 in sup norm or becomes non-finite, TailGuardError
-    when more than 1e-6 of the spectral energy sits beyond the 2/3 cutoff
-    (in practice only at t = 0, see TailGuardError).
+    The time step adapts as dt = dt_cfl * h / max(1, sup |D_p H(Du)|), h
+    the spacing of the grid marched on; the speed is rounded up onto a
+    geometric ladder so dt, and with it the step's ETDRK4 weights, changes
+    only when the speed estimate moves.  Snapshot times are landed on
+    exactly.  Raises BlowUpError when the iterate exceeds 1e6 in sup norm or
+    becomes non-finite, TailGuardError when more than 1e-6 of the datum's
+    spectral energy on problem.grid sits beyond its 2/3 cutoff (see
+    TailGuardError).
 
-    A ProblemBatch is marched in one lockstep batch, so
-    each FFT and Hamiltonian evaluation serves every member still marching.
+    Above GRID_MIN points per axis a member marches on GRID_MIN, 2 GRID_MIN,
+    ... up to problem.grid, its final grid.  It starts on the coarsest whose
+    damping band |k| >= 0.3 k_c holds at most PROMOTE_TOL of its datum's
+    energy, and doubles its grid (torus.prolong) before the first step that
+    finds more there.  Snapshots are prolongated to problem.grid, and
+    Trajectory.grid_schedule records the grids.
+
+    A ProblemBatch is marched in one lockstep batch per grid, so
+    each FFT and Hamiltonian evaluation serves every member marching there.
     The TrajectoryBatch returned holds, per member, the Trajectory or the
     guard error that viscous_solve gives for that member alone, bitwise.
 
@@ -297,72 +322,104 @@ def viscous_solve(
         )
     if not 0.0 < dt_cfl <= DT_CFL_MAX:
         raise ValueError(f"dt_cfl must lie in (0, DT_CFL_MAX = {DT_CFL_MAX:.6g}], got {dt_cfl}")
-    grid = batch.grid
+    final = batch.grid
     ham = batch[0].hamiltonian
     forcing = batch[0].forcing
     times = clean_snapshot_times(snapshot_times, batch[0].T)
-    sp = grid.spectral
-    h = grid.spacing
+    fsp = final.spectral
+    sizes = [final.n_points]  # the grids a member may march on, coarsest first
+    while sizes[0] > GRID_MIN:
+        sizes.insert(0, sizes[0] // 2)
 
-    # the nonlinear term's buffers, one row per member; du[:, :m] is the
-    # dealiased gradient Du of the first m rows
-    du = np.empty((grid.dim, len(batch)) + grid.shape)
-    dh = np.empty((len(batch),) + sp.k2.shape, dtype=np.complex128)
-    nl = np.empty((len(batch),) + grid.shape)
-
-    def grad_squared(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """|Du|^2 of the gradient components g into out."""
-        np.multiply(g[0], g[0], out=out)
-        for gj in g[1:]:
-            np.add(out, gj * gj, out=out)
-        return out
-
-    # by m: the buffers of the first m rows, Du also with the component axis
-    # last as H.value takes it
-    rows = [(du[:, :m], np.moveaxis(du[:, :m], 0, -1), dh[:m], nl[:m]) for m in range(len(batch) + 1)]
-
-    def nonlinear(uh: np.ndarray, ids: list[int], ts: list[float], out: np.ndarray) -> None:
-        """Dealiased transform of f - H(Du) into out; Du stays in du."""
-        g, p, w, v = rows[len(uh)]
-        sp.gradient(uh, out=g, work=w)
-        ham.value(p, out=v)
-        np.negative(v, out=v)
-        if not getattr(forcing, "is_zero", False):
-            for vr, t in zip(v, ts):
-                np.add(vr, forcing.value(grid, t), out=vr)
-        sp.fwd(v, out=out)
-        sp.truncate(out)
-
-    def dt_rule(ids: list[int]) -> list[float]:
-        m = len(ids)
-        sq = grad_squared(rows[m][0], rows[m][3]).reshape(m, -1).max(axis=1)
-        return [dt_cfl * h / _quantize_speed(ham.grad_sup(math.sqrt(float(q)))) for q in sq]
-
+    # per grid, the members that march on it: (member, start time, rfft coefficients on that grid)
+    entries = [[] for _ in sizes]
+    for i, p in enumerate(batch):
+        y0 = fsp.fwd(p.u0.values)
+        j = next((j for j, n in enumerate(sizes[:-1]) if not _band_check(fsp, n)(y0)), len(sizes) - 1)
+        coarse = subsample(p.u0, final.n_points // sizes[j])
+        entries[j].append((i, 0.0, coarse.grid.spectral.fwd(coarse.values)))
     snaps = [[] for _ in batch]  # per member
+    schedule = [[] for _ in batch]
     failed: dict[int, RuntimeError] = {}
 
-    def land(i: int, uh: np.ndarray, t: float) -> bool:
-        vals = sp.inv(uh)
-        sup = float(np.max(np.abs(vals)))
-        if not np.isfinite(sup) or sup > 1e6:
-            failed[i] = BlowUpError(t, f"sup|u| = {sup:.3e}")
-            return False
-        frac = sp.tail_fraction(uh)
-        if frac > 1e-6:
-            failed[i] = TailGuardError(t, frac)
-            return False
-        snaps[i].append(Field(grid, vals))
-        return True
+    def march(grid: TorusGrid, here: list, promoted: list | None) -> None:
+        """March the members here on grid; those that outgrow it join promoted on the next grid."""
+        sp = grid.spectral
+        h = grid.spacing
+        ids_here = [i for i, _, _ in here]
+        over = None if promoted is None else _band_check(sp, grid.n_points)
 
-    def nonfinite(i: int, t: float) -> None:
-        failed[i] = BlowUpError(t, "non-finite spectral coefficients")
+        # the nonlinear term's buffers, one row per member; du[:, :m] is the
+        # dealiased gradient Du of the first m rows
+        du = np.empty((grid.dim, len(here)) + grid.shape)
+        dh = np.empty((len(here),) + sp.k2.shape, dtype=np.complex128)
+        nl = np.empty((len(here),) + grid.shape)
 
-    steps = etdrk4_march(
-        grid, [(p.epsilon, p.s) for p in batch], sp.fwd(np.stack([p.u0.values for p in batch])), nonlinear,
-        dt_rule=dt_rule, landings=times, t_ref=max(batch[0].T, 1.0), land=land, nonfinite=nonfinite,
-    )
+        # by m: the buffers of the first m rows, Du also with the component axis
+        # last as H.value takes it
+        rows = [(du[:, :m], np.moveaxis(du[:, :m], 0, -1), dh[:m], nl[:m]) for m in range(len(here) + 1)]
+
+        def nonlinear(uh: np.ndarray, ids: list[int], ts: list[float], out: np.ndarray) -> None:
+            """Dealiased transform of f - H(Du) into out; Du stays in du."""
+            g, p, w, v = rows[len(uh)]
+            sp.gradient(uh, out=g, work=w)
+            ham.value(p, out=v)
+            np.negative(v, out=v)
+            if not getattr(forcing, "is_zero", False):
+                for vr, t in zip(v, ts):
+                    np.add(vr, forcing.value(grid, t), out=vr)
+            sp.fwd(v, out=out)
+            sp.truncate(out)
+
+        def dt_rule(ids: list[int]) -> list[float]:
+            m = len(ids)
+            g, v = rows[m][0], rows[m][3]
+            np.multiply(g[0], g[0], out=v)  # |Du|^2
+            for gj in g[1:]:
+                np.add(v, gj * gj, out=v)
+            sq = v.reshape(m, -1).max(axis=1)
+            return [dt_cfl * h / _quantize_speed(ham.grad_sup(math.sqrt(float(q)))) for q in sq]
+
+        def land(r: int, uh: np.ndarray, t: float) -> bool:
+            i = ids_here[r]
+            if grid != final:
+                uh = prolong(uh, grid, final.n_points // grid.n_points)
+            vals = fsp.inv(uh)
+            sup = float(np.max(np.abs(vals)))
+            if not np.isfinite(sup) or sup > 1e6:
+                failed[i] = BlowUpError(t, f"sup|u| = {sup:.3e}")
+                return False
+            frac = fsp.tail_fraction(uh)
+            if frac > 1e-6:
+                failed[i] = TailGuardError(t, frac)
+                return False
+            snaps[i].append(Field(final, vals))
+            return True
+
+        def leave(r: int, uh: np.ndarray, t: float) -> bool:
+            if not over(uh):
+                return False
+            promoted.append((ids_here[r], t, prolong(uh, grid, 2)))
+            return True
+
+        def nonfinite(r: int, t: float) -> None:
+            failed[ids_here[r]] = BlowUpError(t, "non-finite spectral coefficients")
+
+        steps = etdrk4_march(
+            grid, [(batch[i].epsilon, batch[i].s) for i in ids_here], np.stack([c for _, _, c in here]), nonlinear,
+            dt_rule=dt_rule, landings=times, t_ref=max(batch[0].T, 1.0), t0=[t for _, t, _ in here],
+            land=land, nonfinite=nonfinite, leave=None if promoted is None else leave,
+        )
+        for (i, t, _), n_steps in zip(here, steps):
+            schedule[i].append((grid.n_points, float(t), n_steps))
+
+    for j, n in enumerate(sizes):  # each grid, with its buffers, goes before the next grid's come
+        if entries[j]:
+            grid = final if n == final.n_points else TorusGrid(final.dim, n)
+            march(grid, entries[j], entries[j + 1] if j + 1 < len(sizes) else None)
     out = TrajectoryBatch(
-        failed[i] if i in failed else Trajectory(p, times, tuple(snaps[i]), steps[i])
+        failed[i] if i in failed else Trajectory(p, times, tuple(snaps[i]), sum(st for _, _, st in schedule[i]),
+                                                 tuple(schedule[i]))
         for i, p in enumerate(batch)
     )
     if single and isinstance(out[0], Exception):

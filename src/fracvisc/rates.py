@@ -29,6 +29,7 @@ import numpy as np
 from fracvisc.hamiltonians import HamiltonianSpec
 from fracvisc.hj import (
     DT_CFL_MAX,
+    GRID_MIN,
     BlowUpError,
     ProblemBatch,
     ProblemSpec,
@@ -134,6 +135,7 @@ class InitialData:
 
 # The grid rule: the smallest power of two with at least GRID_FACTOR cells
 # across one viscous layer width eps^(1/(2s)), clamped to [GRID_MIN, GRID_MAX].
+# It gives the cell's final grid: viscous_solve marches from GRID_MIN up to it.
 # Calibrated on the quadratic benchmark: the finite-p errors are already
 # converged at factor 3 (doubling or octupling the grid moves them by < 1e-4
 # relative), the 1024 floor keeps the fixed-scale curvature probe free of
@@ -142,7 +144,7 @@ class InitialData:
 # The sup norm at s = 1/2 is not grid-converged: doubling the grid moves it
 # by about 1% (eps = 2^-8, n 8192 -> 16384: 5.5779e-3 -> 5.5202e-3), which
 # the resolution certificate of ROADMAP item 1 is to measure.
-GRID_FACTOR, GRID_MIN, GRID_MAX = 3.0, 1024, 16384
+GRID_FACTOR, GRID_MAX = 3.0, 16384
 
 
 def check_ladder(epsilons) -> None:
@@ -235,13 +237,15 @@ class SweepPlan:
 class CellResult:
     """Diagnostics for one (s, eps) solve within a sweep.
 
-    errors maps each p to max_t ||u_eps(t) - u(t)||_p; k_profile runs over plan.snapshot_times.
+    errors maps each p to max_t ||u_eps(t) - u(t)||_p; k_profile runs over plan.snapshot_times;
+    grid_schedule is the solve's Trajectory.grid_schedule.
     """
 
     s: float
     epsilon: float
     n_points: int
     n_steps: int
+    grid_schedule: tuple
     errors: dict
     k_profile: np.ndarray
     one_sided_error: float | None
@@ -297,6 +301,7 @@ def _cell_worker(args: tuple) -> tuple[float, float, object]:
         epsilon=eps,
         n_points=n_cell,
         n_steps=traj.n_steps,
+        grid_schedule=traj.grid_schedule,
         errors=errors,
         k_profile=traj.k_profile,
         one_sided_error=one_sided_error if record_os else None,
@@ -584,6 +589,7 @@ def emit_report(
             f"s={s:g},eps={eps:g}": {
                 "n_points": cell.n_points,
                 "n_steps": cell.n_steps,
+                "grid_schedule": cell.grid_schedule,
             }
             for (s, eps), cell in sorted(result.cells.items())
         },

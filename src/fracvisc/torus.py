@@ -31,6 +31,7 @@ __all__ = [
     "mode_table",
     "eval_modes",
     "refine",
+    "prolong",
     "subsample",
     "RealSpectral",
     "etdrk4_march",
@@ -263,17 +264,24 @@ def refine(f: Field, factor: int) -> Field:
         raise ValueError(f"factor must be a power-of-two integer >= 1, got {factor}")
     if factor == 1:
         return f
-    grid = f.grid
-    n = grid.n_points
-    fine = TorusGrid(grid.dim, n * factor)
-    # the fine half spectrum holds the last-axis Nyquist at +n/2 and implies its partner
-    coeff = grid.spectral.fwd(f.values) * float(factor**grid.dim)
-    coeff[..., -1] *= 0.5
-    if grid.dim == 2:
+    fine = TorusGrid(f.grid.dim, f.grid.n_points * factor)
+    coeff = prolong(f.grid.spectral.fwd(f.values), f.grid, factor)
+    return Field(fine, np.fft.irfftn(coeff, s=fine.shape, axes=f.grid.spectral.axes))
+
+
+def prolong(coeff: np.ndarray, grid: TorusGrid, factor: int) -> np.ndarray:
+    """rfft coefficients of one field on grid, zero-padded onto the grid factor times finer per axis and scaled
+    by factor^dim, so they stand for the same trigonometric interpolant; Nyquist modes split as in refine."""
+    n, fine = grid.n_points, grid.n_points * factor
+    coeff = coeff * float(factor**grid.dim)
+    coeff[..., -1] *= 0.5  # the fine half spectrum holds the last-axis Nyquist at +n/2 and implies its partner
+    out = np.zeros((fine,) * (grid.dim - 1) + (fine // 2 + 1,), dtype=np.complex128)
+    if grid.dim == 1:
+        out[:n // 2 + 1] = coeff
+    else:
         rows, kx = _split_nyquist_row(coeff, n)
-        coeff = np.zeros((fine.n_points, n // 2 + 1), dtype=complex)
-        coeff[kx] = rows
-    return Field(fine, np.fft.irfftn(coeff, s=fine.shape, axes=grid.spectral.axes))
+        out[kx, :n // 2 + 1] = rows
+    return out
 
 
 def subsample(f: Field, factor: int) -> Field:
@@ -432,11 +440,12 @@ def _etdrk4_weights(lam: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blowing-up member is reported by its guard
-def etdrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
-                 *, dt_rule, landings: np.ndarray, t_ref: float, land, nonfinite) -> list[int]:
+def etdrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear, *, dt_rule, landings: np.ndarray,
+                 t_ref: float, land, nonfinite, t0=None, leave=None) -> list[int]:
     """ETDRK4 for d_t y = -lam y + N(y, t), one independent solve per row of y.
 
-    Member i starts from the rfft coefficients y[i], with lam = viscosity
+    Member i starts from the rfft coefficients y[i] at time t0[i] (0 when t0
+    is None) and lands on every landing from there on, with lam = viscosity
     |k|^(2s) for (viscosity, s) = members[i] plus the smooth near-cutoff
     damping RealSpectral.damping.
     The members still marching hold the rows y[:m], advanced in place; the
@@ -449,11 +458,14 @@ def etdrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
     leaves when that returns False or after the last landing, and through
     nonfinite(i, t) (which may raise) right after a step that dt_rule gave
     as zero or NaN, or every 64 steps once its row stops being finite.
-    t_ref scales the landing tolerance 1e-13 t_ref.  A row takes new
-    weights (_etdrk4_weights) only when its (member, dt) changes, built once
-    per step for every row that shares them, and keeps no others.  Each
-    row's numbers are bitwise those of its member marched alone.  Returns
-    each member's number of steps.
+    When given, leave(i, y_i, t) is asked before each of member i's steps
+    and before its landings at t: True makes it leave there, and the caller
+    keeps what it needs of y_i (viscous_solve moves it to a finer grid's
+    march, so grid need not be the member's final one).  t_ref scales the
+    landing tolerance 1e-13 t_ref.  A row takes new weights (_etdrk4_weights)
+    only when its (member, dt) changes, built once per step for every row
+    that shares them, and keeps no others.  Each row's numbers are bitwise
+    those of its member marched alone.  Returns each member's number of steps.
 
     The step is Cox and Matthews' (J. Comput. Phys. 176, 2002), exact in the
     linear part, so a damped mode (lam dt >> 1) leaves it near N_k / lam_k:
@@ -469,14 +481,16 @@ def etdrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear,
     bufs = (y,) + tuple(np.empty_like(y) for _ in range(11))
     ends = [target - 1e-13 * t_ref for target in landings]
     # per row: its member, time, next landing and the (member, dt) of its weights
-    ids, t, nxt, row_key = list(range(len(members))), [0.0] * len(members), [0] * len(members), []
+    ids, row_key = list(range(len(members))), []
+    t = [0.0] * len(members) if t0 is None else list(t0)
+    nxt = [int(np.searchsorted(landings, tr - 1e-13 * t_ref, side="right")) for tr in t]
     steps = [0] * len(members)
     n_steps = m = 0
     bad = ()  # rows found non-finite
     while True:
         stay = []
         for r, i in enumerate(ids):
-            ok = r not in bad
+            ok = r not in bad and not (leave and leave(i, y[r], t[r]))
             while ok and nxt[r] < len(landings) and not t[r] < ends[nxt[r]]:
                 t[r] = landings[nxt[r]]
                 nxt[r] += 1

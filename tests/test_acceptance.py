@@ -14,6 +14,7 @@ two minutes on one core.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ ZERO_H = make_hamiltonian("zero", 1)
 T_END = 2.0
 SNAP_17 = tuple(float(t) for t in np.linspace(0.0, T_END, 17))
 P_SET = (1.5, 2.0, 4.0, math.inf)
+CORES = len(os.sched_getaffinity(0))  # the criterion 03 and 04 sweeps run pooled; their output is the same
 
 
 def _plan(s: float, epsilons: tuple[float, ...]) -> SweepPlan:
@@ -66,20 +68,20 @@ def _plan(s: float, epsilons: tuple[float, ...]) -> SweepPlan:
 @pytest.fixture(scope="module")
 def sweep_half():
     """Critical-order sweep, eps = 2^-4 .. 2^-10 (seven octaves of data)."""
-    return run_sweep(_plan(0.5, tuple(2.0**-k for k in range(4, 11))))
+    return run_sweep(_plan(0.5, tuple(2.0**-k for k in range(4, 11))), threads=CORES)
 
 
 @pytest.fixture(scope="module")
 def sweep_quarter():
     """Supercritical order s = 0.25; a half-octave ladder keeps every rung's
     viscous layer near grid scale while still spanning four octaves."""
-    return run_sweep(_plan(0.25, tuple(2.0 ** (-k / 2.0) for k in range(4, 13))))
+    return run_sweep(_plan(0.25, tuple(2.0 ** (-k / 2.0) for k in range(4, 13))), threads=CORES)
 
 
 @pytest.fixture(scope="module")
 def sweep_subcritical():
     """Subcritical order s = 0.75."""
-    return run_sweep(_plan(0.75, tuple(2.0**-k for k in range(4, 10))))
+    return run_sweep(_plan(0.75, tuple(2.0**-k for k in range(4, 10))), threads=CORES)
 
 
 @pytest.fixture(scope="module")

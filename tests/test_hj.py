@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracvisc import hj
 from fracvisc.hamiltonians import make_hamiltonian
 from fracvisc.hj import (
     DT_CFL_MAX,
@@ -587,6 +588,64 @@ def test_batch_member_tripping_a_guard_leaves_the_others_unchanged():
         else:
             assert_same_trajectory(solo, got)
     assert batch.n_steps == batch[0].n_steps + batch[2].n_steps
+
+
+# ---------------------------------------------------------------------------
+# coarse-to-fine march
+# ---------------------------------------------------------------------------
+
+
+def test_batch_promoting_at_different_times_equals_solo_solves():
+    g = TorusGrid(1, 8192)
+    members = [problem(g, 0.5, eps, T=1.0) for eps in (2.0**-4, 2.0**-8)]
+    times = np.linspace(0.0, 1.0, 6)
+    batch = viscous_solve(ProblemBatch(members), dt_cfl=DT_CFL_MAX, snapshot_times=times)
+    solos = [viscous_solve(p, dt_cfl=DT_CFL_MAX, snapshot_times=times) for p in members]
+    for solo, got in zip(solos, batch):
+        assert_same_trajectory(solo, got)
+        assert got.grid_schedule == solo.grid_schedule
+        assert [n for n, _, _ in got.grid_schedule] == [1024, 2048, 4096, 8192]
+        assert got.n_steps == sum(steps for _, _, steps in got.grid_schedule)
+        assert all(snap.grid == g for snap in got.snapshots)
+    entries = [[t for _, t, _ in tr.grid_schedule[1:]] for tr in batch]
+    assert all(a != b for a, b in zip(*entries))  # the members promote at different times
+
+
+def test_datum_outside_the_coarse_band_starts_on_its_final_grid(monkeypatch):
+    # a k = 300 mode lies past 0.3 k_c of n = 1024 (k_c = 341), so the solve marches on n = 2048 alone
+    g = TorusGrid(1, 2048)
+    x = g.nodes()[0]
+    pr = problem(g, 0.5, 2.0**-6, u0=Field(g, np.cos(x) + 1e-3 * np.cos(300 * x)), T=0.05)
+    traj = viscous_solve(pr, dt_cfl=DT_CFL_MAX, snapshot_times=(0.0, 0.05))
+    assert traj.grid_schedule == ((2048, 0.0, traj.n_steps),)
+    monkeypatch.setattr(hj, "GRID_MIN", 2048)
+    assert_same_trajectory(traj, viscous_solve(pr, dt_cfl=DT_CFL_MAX, snapshot_times=(0.0, 0.05)))
+
+
+@pytest.mark.parametrize("s, eps", [(0.25, 2.0**-4), (0.5, 2.0**-6), (1.0, 2.0**-5)])
+def test_coarse_to_fine_stays_within_its_bound_of_the_final_grid_solve(monkeypatch, s, eps):
+    # README calibration: the coarse-to-fine solve stays within 1e-7 of the solve on its final grid alone
+    pr = problem(TorusGrid(1, 2048), s, eps)
+    traj = viscous_solve(pr, dt_cfl=DT_CFL_MAX)
+    assert [n for n, _, _ in traj.grid_schedule] == [1024, 2048]
+    monkeypatch.setattr(hj, "GRID_MIN", 2048)
+    alone = viscous_solve(pr, dt_cfl=DT_CFL_MAX)
+    assert alone.grid_schedule == ((2048, 0.0, alone.n_steps),) and traj.n_steps < alone.n_steps
+    assert max(np.max(np.abs(a.values - b.values)) for a, b in zip(traj.snapshots, alone.snapshots)) <= 1e-7
+
+
+@pytest.mark.parametrize("u0, push", [("rough", 0.0), ("cos", 1e7)], ids=["tail", "blow-up"])
+def test_guards_fire_as_on_the_final_grid_alone(monkeypatch, u0, push):
+    g = TorusGrid(1, 2048)
+    vals = np.random.default_rng(7).standard_normal(2048) if u0 == "rough" else cos_field(g).values
+    pr = problem(g, 0.5, 2.0**-6, ham=ZERO_H, u0=Field(g, vals), forcing=ConstantForcing(push), T=0.5)
+    errors = []
+    for floor in (hj.GRID_MIN, 2048):
+        monkeypatch.setattr(hj, "GRID_MIN", floor)
+        with pytest.raises((TailGuardError, BlowUpError)) as exc:
+            viscous_solve(pr, dt_cfl=DT_CFL_MAX, snapshot_times=np.linspace(0.0, 0.5, 16))
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1]
 
 
 def test_problem_batch_validation():
