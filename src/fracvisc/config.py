@@ -37,16 +37,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A parsed config: the experiment's SweepPlan and the settings outside it.
+    """A parsed config: the experiment's SweepPlan and its output directory.
 
     raw keeps the resolved value strings for an exact echo; lines maps each
     key to the line that set it (None for a default).
     """
 
     plan: SweepPlan
-    mollify_scale: float
     output_dir: str
-    seed: int
     raw: tuple[tuple[str, str], ...]
     lines: dict[str, int | None] = field(compare=False)
 
@@ -78,11 +76,8 @@ _DEFAULTS: dict[str, str] = {
     "T": "2.0",
     "p_list": "1.5,2,4,inf",
     "snapshot_count": "16",
-    "dt_cfl": repr(SweepPlan.dt_cfl),
-    "mollify_scale": "0.05",
     "reference": "hopf_lax",
     "output_dir": "out",
-    "seed": "0",
 }
 
 # The config key of each SweepPlan field that goes by another name; the others share theirs.
@@ -212,7 +207,6 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     snapshot_count = _parse_int(values["snapshot_count"], "snapshot_count", ln["snapshot_count"])
     if snapshot_count < 2:
         _fail("snapshot_count must be >= 2", "snapshot_count", ln["snapshot_count"])
-    dt_cfl = _parse_float(values["dt_cfl"], "dt_cfl", ln["dt_cfl"])
     ref, colon, factor = values["reference"].partition(":")
     if colon and ref != "monotone":
         _fail(f"reference must be hopf_lax or monotone[:factor], got {values['reference']!r}",
@@ -220,18 +214,12 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     fine_factor = _parse_int(factor, "reference", ln["reference"]) if colon else 4
     try:
         plan = SweepPlan(dim=dim, s_values=s_list, epsilons=epsilon_list, p_values=p_list, hamiltonian=hamiltonian,
-                         u0=u0, forcing=forcing, T=T, reference=ref, fine_factor=fine_factor, dt_cfl=dt_cfl,
+                         u0=u0, forcing=forcing, T=T, reference=ref, fine_factor=fine_factor,
                          snapshot_times=tuple(np.linspace(0.0, T, snapshot_count).tolist()), n_points=n_points)
     except PlanError as exc:
         raise _plan_error(exc, ln) from None
-    # the settings outside the plan, parsed after it so that a plan fault is named first
-    mollify_scale = _parse_float(values["mollify_scale"], "mollify_scale", ln["mollify_scale"])
-    if mollify_scale < 0.0:
-        _fail("mollify_scale must be >= 0", "mollify_scale", ln["mollify_scale"])
-    seed = _parse_int(values["seed"], "seed", ln["seed"])
     raw = tuple((k, values[k]) for k in _DEFAULTS)
-    return ExperimentConfig(plan=plan, mollify_scale=mollify_scale, output_dir=values["output_dir"], seed=seed,
-                            raw=raw, lines=lines_seen)
+    return ExperimentConfig(plan=plan, output_dir=values["output_dir"], raw=raw, lines=lines_seen)
 
 
 def parse_config_file(path: str) -> ExperimentConfig:

@@ -205,7 +205,7 @@ def dual_solve(
     eta: float | Sequence[float],
     alpha: Field | Sequence[Field],
     tau: float,
-    dt_cfl: float = 0.5,
+    dt_cfl: float = DT_CFL_MAX,
 ) -> DualSolution | DualBatch:
     """Integrate the backward dual equation with ETDRK4 (torus.etdrk4_march).
 
@@ -344,11 +344,14 @@ class GronwallReport:
 
         ||rho(t)||_q^q <= exp( (q-1) int_t^tau ||[div b]^-||_inf dr ) ||alpha||_q^q.
 
-    ratio[i] = measured / bound, so the estimate holds when max_ratio <= 1
-    (up to quadrature slack); it is 1 at tau, where rho = alpha, so the
-    solution sets max_ratio_before_tau, the largest ratio over t < tau (NaN
-    without such a time).  growth_factor = sup_t ||rho(t)||_q / ||alpha||_q
-    is the constant whose eta-independence the theory asserts.
+    norms_q[i] = ||rho(t_i)||_q and bounds_q[i] = exp( (q-1)/q int ) ||alpha||_q
+    hold both sides in norm units, so neither under- nor overflows at large
+    q; ratio[i] = (norms_q[i] / bounds_q[i])^q is the measured side over the
+    bound.  The estimate holds when max_ratio <= 1 (up to quadrature slack);
+    it is 1 at tau, where rho = alpha, so the solution sets
+    max_ratio_before_tau, the largest ratio over t < tau (NaN without such
+    a time).  growth_factor = sup_t ||rho(t)||_q / ||alpha||_q is the
+    constant whose eta-independence the theory asserts.
     """
 
     q: float
@@ -371,7 +374,7 @@ def gronwall_check(dual: DualSolution, drift: DriftField, q: float) -> GronwallR
     dms = drift.div_minus_sup
     dtimes = drift.times
     alpha_q = lp_norm(dual.alpha, q)
-    norms = np.array([lp_norm(f, q) ** q for f in dual.snapshots])
+    norms = np.array([lp_norm(f, q) for f in dual.snapshots])
     bounds = np.empty_like(norms)
     for i, t in enumerate(dual.times):
         mask = dtimes >= t - 1e-12
@@ -381,8 +384,8 @@ def gronwall_check(dual: DualSolution, drift: DriftField, q: float) -> GronwallR
             ts = np.append(ts, dual.tau)
         vals = np.interp(ts, dtimes, dms)
         integral = float(np.trapezoid(vals, ts))
-        bounds[i] = math.exp((q - 1.0) * integral) * alpha_q**q
-    ratios = norms / np.maximum(bounds, 1e-300)
+        bounds[i] = math.exp((q - 1.0) / q * integral) * alpha_q
+    ratios = (norms / np.maximum(bounds, 1e-300)) ** q
     before = ratios[dual.times < dual.tau - 1e-12]
     return GronwallReport(
         q=q,
@@ -392,7 +395,7 @@ def gronwall_check(dual: DualSolution, drift: DriftField, q: float) -> GronwallR
         ratios=ratios,
         max_ratio=float(np.max(ratios)),
         max_ratio_before_tau=float(np.max(before)) if before.size else math.nan,
-        growth_factor=float(np.max(norms ** (1.0 / q)) / max(alpha_q, 1e-300)),
+        growth_factor=float(np.max(norms) / max(alpha_q, 1e-300)),
     )
 
 
@@ -447,9 +450,10 @@ def lp_dual_datum(w_tau: Field, p: float, part: str = "positive") -> Field:
         core = np.maximum(-w_tau.values, 0.0)
     else:
         raise ValueError("part must be 'positive' or 'negative'")
-    if np.max(core) <= 0.0:
+    m = float(np.max(core))
+    if m <= 0.0:
         raise ValueError(f"the {part} part of w(tau) vanishes; no datum to build")
-    alpha = core ** (p - 1.0)
+    alpha = (core / m) ** (p - 1.0)  # scaled by the sup, so the power neither under- nor overflows
     p_conj = p / (p - 1.0)
     alpha_field = Field(w_tau.grid, alpha)
     return Field(w_tau.grid, alpha / lp_norm(alpha_field, p_conj))

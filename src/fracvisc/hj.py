@@ -280,7 +280,7 @@ def _band_check(sp, n: int):
 
 def viscous_solve(
     problem: ProblemSpec | ProblemBatch,
-    dt_cfl: float = 0.5,
+    dt_cfl: float = DT_CFL_MAX,
     snapshot_times=None,
 ) -> Trajectory | TrajectoryBatch:
     """Integrate the viscous problem with ETDRK4 (torus.etdrk4_march), coarse to fine.

@@ -28,7 +28,6 @@ import numpy as np
 
 from fracvisc.hamiltonians import HamiltonianSpec
 from fracvisc.hj import (
-    DT_CFL_MAX,
     GRID_MIN,
     BlowUpError,
     ProblemBatch,
@@ -176,7 +175,6 @@ class SweepPlan:
     snapshot_times: tuple[float, ...] = ()
     reference: str = "hopf_lax"
     fine_factor: int = 4
-    dt_cfl: float = DT_CFL_MAX
     n_points: int | None = None
 
     def __post_init__(self) -> None:
@@ -196,8 +194,6 @@ class SweepPlan:
         self.u0.check_dim(self.dim)
         if not 0.0 < self.T < math.inf:
             raise PlanError("T", f"T must be positive and finite, got {self.T}")
-        if not 0.0 < self.dt_cfl <= DT_CFL_MAX:
-            raise PlanError("dt_cfl", f"dt_cfl must lie in (0, DT_CFL_MAX = {DT_CFL_MAX:.6g}], got {self.dt_cfl}")
         if self.reference not in ("hopf_lax", "monotone"):
             raise PlanError("reference", f"reference must be 'hopf_lax' or 'monotone', got {self.reference!r}")
         ff = self.fine_factor
@@ -315,7 +311,7 @@ def _grid_worker(args: tuple) -> list[tuple[float, float, object]]:
     (plan, n_cell, cells, eval_ns, refs) = args
     grid = TorusGrid(plan.dim, n_cell)
     batch = ProblemBatch(plan.problem(s, eps, grid) for s, eps in cells)
-    trajs = viscous_solve(batch, dt_cfl=plan.dt_cfl, snapshot_times=plan.snapshot_times)
+    trajs = viscous_solve(batch, snapshot_times=plan.snapshot_times)
     return [_cell_worker((plan, s, eps, n_cell, eval_ns[s], refs[eval_ns[s]], traj))
             for (s, eps), traj in zip(cells, trajs)]
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import fracvisc
 from fracvisc.cli import _snapshot_csv, main
 from fracvisc.config import ConfigError, parse_config
-from fracvisc.rates import SweepPlan, format_float
+from fracvisc.hj import viscous_solve
+from fracvisc.rates import format_float
 from fracvisc.torus import Field, TorusGrid
 
 BASE = """
@@ -58,7 +59,6 @@ def test_parse_config_defaults_and_overrides():
     assert plan.s_values == (0.25, 0.5)
     assert plan.T == 1.5
     assert plan.dim == 1 and plan.n_points is None
-    assert cfg.mollify_scale == 0.05
     assert plan.hamiltonian.kind == "quadratic"
     assert len(plan.snapshot_times) == 16 and plan.snapshot_times[-1] == 1.5
     # geometric ladder default: 7 entries, ratio 1/2
@@ -87,10 +87,6 @@ def test_parse_config_value_errors():
         parse_config("epsilon_list = geometric:0.5,2.0,5\n")
     with pytest.raises(ConfigError, match="T"):
         parse_config("T = 0\n")
-    with pytest.raises(ConfigError, match="dt_cfl"):
-        parse_config("dt_cfl = 2.6\n")
-    with pytest.raises(ConfigError, match="mollify_scale"):
-        parse_config("mollify_scale = -0.5\n")
     with pytest.raises(ConfigError, match="forcing"):
         parse_config("forcing = ramp:1\n")
     with pytest.raises(ConfigError, match="initial data"):
@@ -118,9 +114,9 @@ def test_bad_forcing_value_names_key_and_line(tmp_path, value):
 
 
 def test_parse_config_comments_and_echo_roundtrip():
-    text = "# experiment\nT = 1.25  # short horizon\n\nseed = 7\n"
+    text = "# experiment\nT = 1.25  # short horizon\n\noutput_dir = runs/a\n"
     cfg = parse_config(text)
-    assert cfg.plan.T == 1.25 and cfg.seed == 7
+    assert cfg.plan.T == 1.25 and cfg.output_dir == "runs/a"
     again = parse_config(cfg.to_lines())
     assert again == cfg
 
@@ -146,11 +142,8 @@ VALID = {
     "T": ["2.0", "0.5"],
     "p_list": ["1.5,2,4,inf", "2", "inf"],
     "snapshot_count": ["2", "16"],
-    "dt_cfl": ["0.5", "0.25"],
-    "mollify_scale": ["0.05", "0"],
     "reference": ["hopf_lax", "monotone", "monotone:8"],
     "output_dir": ["out", "runs/a b"],
-    "seed": ["0", "-7"],
 }
 # Short text from the characters the values are made of; at most 4 characters
 # for snapshot_count, so it asks for at most 9999 snapshots.
@@ -213,6 +206,11 @@ def test_cli_solve_writes_snapshots_deterministically(tmp_path):
     meta = json.loads(files1["solve.json"])
     assert meta["n_points"] == 256 and len(meta["times"]) == 3
     assert meta["config"]["hamiltonian"] == "zero"
+    # a library call at its default step solves what the command solves
+    plan = parse_config(pathlib.Path(cfg).read_text()).plan
+    traj = viscous_solve(plan.problem(0.5, 0.25, TorusGrid(1, 256)), snapshot_times=plan.snapshot_times)
+    assert meta["n_steps"] == traj.n_steps
+    assert meta["grid_schedule"] == [list(entry) for entry in traj.grid_schedule]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -281,7 +279,7 @@ def test_cli_forced_sweep_against_the_monotone_reference(tmp_path):
     out = tmp_path / "mono"
     assert main(["sweep", "--config", cfg, "--output", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
-    assert rep["failures"] == [] and rep["config"]["dt_cfl"] == repr(SweepPlan.dt_cfl)
+    assert rep["failures"] == []
     assert "one_sided" not in rep  # s = 0.75 records no one-sided data
     header, *rows = (out / "rates.csv").read_text().splitlines()
     col = header.split(",").index("ref_kind")
@@ -341,6 +339,17 @@ snapshot_count = 16
     assert chk["mass_drift"] <= 1e-12
     rho_files = [n for n in os.listdir(out) if n.startswith("rho_")]
     assert len(rho_files) == 16
+
+
+def test_cli_dual_check_runs_every_check_at_large_q(tmp_path):
+    # at q = 256 the datum's power of |w| ~ 1e-2 and the bound's q-th powers under- or overflow
+    # unless each is scaled first; every (pair, q) still gets its check
+    cfg = write_cfg(tmp_path, "n_points = 64\nT = 0.5\nsnapshot_count = 3\n"
+                              "epsilon_list = 0.1,0.05,0.025\np_list = 2,256\n")
+    out = tmp_path / "d"
+    assert main(["dual-check", "--config", cfg, "--output", str(out)]) == 0
+    checks = json.loads((out / "dual_report.json").read_text())["checks"]
+    assert [(c["eta"], c["q"]) for c in checks] == [(0.05, 2.0), (0.05, 256.0), (0.025, 2.0), (0.025, 256.0)]
 
 
 def test_cli_dual_check_reports_the_ratio_before_tau(tmp_path, capsys):
@@ -449,13 +458,15 @@ def test_cli_dual_check_needs_pair_and_finite_p(tmp_path, capsys):
     ("sweep", "p_list = 2,2", "p_list"),
     ("sweep", "s_list = 0.5,0.5", "s_list"),
     ("dual-check", "epsilon_list = 0.1,0.1", "epsilon_list"),
-    ("sweep", "dt_cfl = 2.6", "dt_cfl"),  # past DT_CFL_MAX, the cap the damping band allows
     # rules SweepPlan makes, reported on the config key of the field at fault
     ("solve", "T = 0", "T"),
     ("solve", "n_points = 100", "n_points"),
     ("solve", "s_list = 1.5", "s_list"),
     ("solve", "p_list = 0.5", "p_list"),
     ("solve", "reference = monotone:3", "reference"),  # the plan's fine_factor
+    # no key sets the step (the cap), the mollifier (0.05) or the selftest seed (0)
+    *[(command, setting, setting.split()[0]) for command in ("sweep", "solve", "dual-check")
+      for setting in ("dt_cfl = 1.0", "mollify_scale = 0.05", "seed = 3")],
 ])
 def test_cli_bad_experiment_exits_2_naming_key_and_line(tmp_path, capsys, command, extra, key):
     text = BASE + extra + "\n"  # the key is set on the last line

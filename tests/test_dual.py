@@ -185,7 +185,7 @@ def test_dual_constant_drift_translates():
         eps=0.2, eta=0.0, s=0.5,
     )
     alpha = Field(g, np.exp(np.cos(x)))
-    dual = dual_solve(drift, 0.0, alpha, tau)
+    dual = dual_solve(drift, 0.0, alpha, tau, dt_cfl=0.5)  # the bound below is calibrated at this step
     rho0 = dual.snapshot_at(0.0).values
     expect = np.exp(np.cos(x - c * tau))
     assert np.max(np.abs(rho0 - expect)) < 1e-6
@@ -300,16 +300,17 @@ def test_pairs_marched_in_one_call_equal_their_own_solves(dim, mollify_scale, mo
 def test_lp_dual_datum_extracts_norm():
     g = TorusGrid(1, 256)
     x = g.nodes()[0]
-    w = Field(g, np.sin(x))
     hvol = g.spacing
-    for p in (1.5, 2.0, 4.0):
+    # the large-p amplitudes are those whose unscaled power |w|^(p-1) under- or overflows
+    for amp, p in ((1.0, 1.5), (1.0, 2.0), (1.0, 4.0), (1e-3, 128.0), (1e-2, 200.0), (10.0, 400.0)):
+        w = Field(g, amp * np.sin(x))
         alpha = lp_dual_datum(w, p, "positive")
         pairing = float(np.sum(w.values * alpha.values)) * hvol
         wplus = Field(g, np.maximum(w.values, 0.0))
         assert pairing == pytest.approx(lp_norm(wplus, p), rel=1e-12)
         # unit dual norm
         assert lp_norm(alpha, p / (p - 1.0)) == pytest.approx(1.0, rel=1e-12)
-    alpha_neg = lp_dual_datum(w, 2.0, "negative")
+    alpha_neg = lp_dual_datum(Field(g, np.sin(x)), 2.0, "negative")
     assert float(np.min(alpha_neg.values)) >= 0.0
 
 
@@ -399,6 +400,19 @@ def test_gronwall_ratio_before_tau_is_set_by_the_solution():
         assert rep.max_ratio == pytest.approx(1.0, rel=1e-9) and rep.ok()
         assert rep.max_ratio_before_tau == float(np.max(rep.ratios[rep.times < 2.0]))
         assert rep.max_ratio_before_tau < 0.999
+
+
+@pytest.mark.parametrize("q", [256.0, 1024.0])
+def test_gronwall_ratios_do_not_depend_on_the_datum_scale(q):
+    # the bound is homogeneous in alpha; at large q the q-th powers of the norms
+    # under- or overflow unless the ratio is formed in norm units
+    te, th = solve_pair(0.1, 0.05, n=64, T=0.5, n_times=3)
+    drift = build_drift(te, th)
+    alpha = lp_dual_datum(Field(te.problem.grid, te.snapshots[-1].values - th.snapshots[-1].values), q)
+    reps = [gronwall_check(dual_solve(drift, 0.05, Field(alpha.grid, c * alpha.values), 0.5), drift, q)
+            for c in (1.0, 1e-3)]
+    np.testing.assert_allclose(reps[1].ratios, reps[0].ratios, rtol=1e-12)
+    assert reps[1].growth_factor == pytest.approx(reps[0].growth_factor, rel=1e-12)
 
 
 def test_gronwall_constant_trend_in_q():

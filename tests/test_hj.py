@@ -1,6 +1,7 @@
 """Tests for the forward solvers: exact linear cases, order of accuracy,
 oracle cross-checks, guards, and semiconcavity diagnostics."""
 
+import inspect
 import math
 
 import numpy as np
@@ -27,7 +28,6 @@ from fracvisc.hj import (
     semiconcavity_profile,
     viscous_solve,
 )
-from fracvisc.rates import SweepPlan
 from fracvisc.torus import Field, TorusGrid
 
 QUAD = make_hamiltonian("quadratic", 1)
@@ -187,7 +187,7 @@ def test_rk4_order_of_accuracy():
     # dt halvings should approach 2^4
     g = TorusGrid(1, 128)
     pr = problem(g, 0.75, 0.25, T=0.4)
-    for steps in ((0.4, 0.2, 0.1), (1.0, 0.5, 0.25)):  # the second starts at 1.0, twice the library default
+    for steps in ((0.4, 0.2, 0.1), (1.0, 0.5, 0.25)):
         sols = [
             viscous_solve(pr, dt_cfl=c, snapshot_times=(0.4,)).snapshots[-1].values
             for c in steps
@@ -206,7 +206,7 @@ def test_time_error_at_the_default_step_is_below_one_permille_of_the_viscous_err
     # first order there (an integrating-factor RK4) fails this bound.
     for s, eps, n in ((0.5, 2.0**-6, 2048), (0.25, 2.0**-4, 4096)):
         pr = problem(TorusGrid(1, n), s, eps)
-        traj = viscous_solve(pr, dt_cfl=SweepPlan.dt_cfl)
+        traj = viscous_solve(pr)
         fine = viscous_solve(pr, dt_cfl=0.125)
         assert len(traj.snapshots) == len(fine.snapshots) == 16
         delta = max(np.max(np.abs(a.values - b.values)) for a, b in zip(traj.snapshots, fine.snapshots))
@@ -216,9 +216,9 @@ def test_time_error_at_the_default_step_is_below_one_permille_of_the_viscous_err
     # the largest step the validators accept, which the default is, trips no
     # guard in 1-D (the cells above) nor in 2-D, whose corner modes
     # |k| = sqrt(2) n / 3 lie deep in the damping band
-    assert SweepPlan.dt_cfl == DT_CFL_MAX
+    assert inspect.signature(viscous_solve).parameters["dt_cfl"].default == DT_CFL_MAX
     g2 = TorusGrid(2, 64)
-    traj2 = viscous_solve(problem(g2, 0.5, 2.0**-6, ham=make_hamiltonian("quadratic", 2)), dt_cfl=DT_CFL_MAX)
+    traj2 = viscous_solve(problem(g2, 0.5, 2.0**-6, ham=make_hamiltonian("quadratic", 2)))
     assert isinstance(traj2, Trajectory) and len(traj2.snapshots) == 16
 
 
@@ -373,7 +373,7 @@ def test_comparison_with_constants_on_random_band_limited_data(coeffs, lip, s, l
     modes = list(zip((1, 2, 3, 4), coeffs[::2], coeffs[1::2]))
     weight = max(sum(k * (abs(a) + abs(b)) for k, a, b in modes), 1e-3)
     u0 = Field(g, lip / weight * sum(a * np.cos(k * x) + b * np.sin(k * x) for k, a, b in modes))
-    traj = viscous_solve(problem(g, s, 2.0**log2_eps, u0=u0, T=T), dt_cfl=SweepPlan.dt_cfl)
+    traj = viscous_solve(problem(g, s, 2.0**log2_eps, u0=u0, T=T))
     lo, hi = float(np.min(u0.values)), float(np.max(u0.values))
     for snap in traj.snapshots:
         assert lo - 1e-12 <= float(np.min(snap.values)) and float(np.max(snap.values)) <= hi + 1e-12
@@ -534,8 +534,9 @@ def _batch_large():
 def test_batch_members_equal_solo_solves(members):
     members = members()
     times = np.linspace(0.0, members[0].T, 6)
-    batch = viscous_solve(ProblemBatch(members), snapshot_times=times)
-    solos = [viscous_solve(p, snapshot_times=times) for p in members]
+    # at dt_cfl = 0.5 the members step differently; at the cap some share a step count
+    batch = viscous_solve(ProblemBatch(members), dt_cfl=0.5, snapshot_times=times)
+    solos = [viscous_solve(p, dt_cfl=0.5, snapshot_times=times) for p in members]
     assert isinstance(batch, TrajectoryBatch) and len(batch) == len(members)
     assert len({tr.n_steps for tr in solos}) == len(solos)  # the members step differently
     for solo, got in zip(solos, batch):
@@ -599,8 +600,8 @@ def test_batch_promoting_at_different_times_equals_solo_solves():
     g = TorusGrid(1, 8192)
     members = [problem(g, 0.5, eps, T=1.0) for eps in (2.0**-4, 2.0**-8)]
     times = np.linspace(0.0, 1.0, 6)
-    batch = viscous_solve(ProblemBatch(members), dt_cfl=DT_CFL_MAX, snapshot_times=times)
-    solos = [viscous_solve(p, dt_cfl=DT_CFL_MAX, snapshot_times=times) for p in members]
+    batch = viscous_solve(ProblemBatch(members), snapshot_times=times)
+    solos = [viscous_solve(p, snapshot_times=times) for p in members]
     for solo, got in zip(solos, batch):
         assert_same_trajectory(solo, got)
         assert got.grid_schedule == solo.grid_schedule
@@ -616,20 +617,20 @@ def test_datum_outside_the_coarse_band_starts_on_its_final_grid(monkeypatch):
     g = TorusGrid(1, 2048)
     x = g.nodes()[0]
     pr = problem(g, 0.5, 2.0**-6, u0=Field(g, np.cos(x) + 1e-3 * np.cos(300 * x)), T=0.05)
-    traj = viscous_solve(pr, dt_cfl=DT_CFL_MAX, snapshot_times=(0.0, 0.05))
+    traj = viscous_solve(pr, snapshot_times=(0.0, 0.05))
     assert traj.grid_schedule == ((2048, 0.0, traj.n_steps),)
     monkeypatch.setattr(hj, "GRID_MIN", 2048)
-    assert_same_trajectory(traj, viscous_solve(pr, dt_cfl=DT_CFL_MAX, snapshot_times=(0.0, 0.05)))
+    assert_same_trajectory(traj, viscous_solve(pr, snapshot_times=(0.0, 0.05)))
 
 
 @pytest.mark.parametrize("s, eps", [(0.25, 2.0**-4), (0.5, 2.0**-6), (1.0, 2.0**-5)])
 def test_coarse_to_fine_stays_within_its_bound_of_the_final_grid_solve(monkeypatch, s, eps):
     # README calibration: the coarse-to-fine solve stays within 1e-7 of the solve on its final grid alone
     pr = problem(TorusGrid(1, 2048), s, eps)
-    traj = viscous_solve(pr, dt_cfl=DT_CFL_MAX)
+    traj = viscous_solve(pr)
     assert [n for n, _, _ in traj.grid_schedule] == [1024, 2048]
     monkeypatch.setattr(hj, "GRID_MIN", 2048)
-    alone = viscous_solve(pr, dt_cfl=DT_CFL_MAX)
+    alone = viscous_solve(pr)
     assert alone.grid_schedule == ((2048, 0.0, alone.n_steps),) and traj.n_steps < alone.n_steps
     assert max(np.max(np.abs(a.values - b.values)) for a, b in zip(traj.snapshots, alone.snapshots)) <= 1e-7
 
@@ -643,7 +644,7 @@ def test_guards_fire_as_on_the_final_grid_alone(monkeypatch, u0, push):
     for floor in (hj.GRID_MIN, 2048):
         monkeypatch.setattr(hj, "GRID_MIN", floor)
         with pytest.raises((TailGuardError, BlowUpError)) as exc:
-            viscous_solve(pr, dt_cfl=DT_CFL_MAX, snapshot_times=np.linspace(0.0, 0.5, 16))
+            viscous_solve(pr, snapshot_times=np.linspace(0.0, 0.5, 16))
         errors.append((type(exc.value), str(exc.value)))
     assert errors[0] == errors[1]
 

@@ -1,8 +1,8 @@
 """Solver outputs pinned to recorded numbers.
 
 The viscous and dual values were recorded when the shared march of
-fracvisc.torus became ETDRK4 (etdrk4_march), at the library default
-dt_cfl = 0.5; the step counts did not change.  Against an ETDRK4 solve at
+fracvisc.torus became ETDRK4 (etdrk4_march), at dt_cfl = 0.5, which every
+solve here passes; the step counts did not change.  Against an ETDRK4 solve at
 dt_cfl = 1/32 the new snapshot samples and k values lie as close as the
 integrating-factor RK4 ones they replace or closer, in every case.  The
 1e-13 tolerance only leaves room for FFT rounding on other platforms.  A
@@ -107,7 +107,7 @@ def _samples(values):
 @pytest.mark.parametrize("name", sorted(VISCOUS_CASES))
 def test_viscous_solve_matches_pinned_outputs(name):
     problem, times = VISCOUS_CASES[name]
-    traj = viscous_solve(problem, snapshot_times=times)
+    traj = viscous_solve(problem, dt_cfl=0.5, snapshot_times=times)
     n_steps, final, k_last, g_last = PINNED_VISCOUS[name]
     assert traj.n_steps == n_steps
     np.testing.assert_allclose(_samples(traj.snapshots[-1].values), final, rtol=1e-13, atol=0.0)
@@ -119,12 +119,12 @@ def test_dual_solve_matches_pinned_outputs():
     T = 1.0
     times = tuple(np.linspace(0.0, T, 5))
     traj_eps, traj_eta = (
-        viscous_solve(_problem(1, "quadratic", 0.5, eps, ZeroForcing(), T), snapshot_times=times)
+        viscous_solve(_problem(1, "quadratic", 0.5, eps, ZeroForcing(), T), dt_cfl=0.5, snapshot_times=times)
         for eps in (0.1, 0.05)
     )
     drift = build_drift(traj_eps, traj_eta)
     w_tau = Field(drift.grid, traj_eps.snapshots[-1].values - traj_eta.snapshots[-1].values)
-    dual = dual_solve(drift, 0.05, lp_dual_datum(w_tau, 2.0), T)
+    dual = dual_solve(drift, 0.05, lp_dual_datum(w_tau, 2.0), T, dt_cfl=0.5)
     n_steps, rho0 = PINNED_DUAL
     assert dual.n_steps == n_steps
     np.testing.assert_allclose(_samples(dual.snapshot_at(0.0).values), rho0, rtol=1e-13, atol=0.0)

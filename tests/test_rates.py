@@ -146,7 +146,6 @@ def test_sweep_plan_validation(monkeypatch):
         zero_h_plan(snapshot_times=(0.0, 2.0))
     # the rules a config used to make alone; each names the plan field at fault
     for bad, name, rule in ((dict(T=0.0), "T", "T must be positive"), (dict(T=math.inf), "T", "T must be positive"),
-                            (dict(dt_cfl=5.0), "dt_cfl", "dt_cfl must lie"), (dict(dt_cfl=-1.0), "dt_cfl", "dt_cfl"),
                             (dict(reference="monotone", fine_factor=3), "fine_factor", "fine factor")):
         with pytest.raises(PlanError, match=rule) as exc:
             zero_h_plan(**bad)
@@ -315,8 +314,7 @@ def test_sweep_across_grids_matches_pool_and_solo_solves(monkeypatch):
     assert seq.eval_n == pooled.eval_n == {0.25: 256, 0.5: 64}
     assert seq.cells.keys() == pooled.cells.keys()
     for key, cell in seq.cells.items():
-        solo = viscous_solve(plan.problem(*key, TorusGrid(1, cell.n_points)), dt_cfl=plan.dt_cfl,
-                             snapshot_times=plan.snapshot_times)
+        solo = viscous_solve(plan.problem(*key, TorusGrid(1, cell.n_points)), snapshot_times=plan.snapshot_times)
         for other in (pooled.cells[key], solo):
             assert cell.n_steps == other.n_steps
             assert np.array_equal(cell.k_profile, other.k_profile)
