@@ -18,9 +18,9 @@ from fracvisc.torus import (
     second_difference_max,
     lp_norm,
 )
-from fracvisc.hamiltonians import HamiltonianSpec, make_hamiltonian, LagrangianSpec, legendre_transform
+from fracvisc.hamiltonians import HamiltonianSpec, make_hamiltonian, LagrangianSpec
 from fracvisc.hj import (ZeroForcing, ConstantForcing, CosWaveForcing, ProblemSpec, ProblemBatch, Trajectory,
-                         TrajectoryBatch, viscous_solve, hopf_lax_oracle, monotone_reference, semiconcavity_profile)
+                         TrajectoryBatch, viscous_solve, hopf_lax_oracle, monotone_reference)
 from fracvisc.dual import DriftField, DualSolution, DualBatch, build_drift, dual_solve, gronwall_check, duality_residual
 from fracvisc.rates import SweepPlan, RateFit, run_sweep, fit_rate, one_sided_check, emit_report
 

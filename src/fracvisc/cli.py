@@ -2,7 +2,7 @@
 
     fracvisc <subcommand> --config <path> [--output <dir>]
 
-Subcommands: solve, sweep, dual-check, selftest.
+Subcommands: solve, sweep, dual-check.
 Diagnostics go to stderr; data products (CSV/JSON/gnuplot) go to files in
 the output directory.  Exit codes: 0 success, 1 a numerical check failed,
 2 configuration or usage error.  FRACVISC_THREADS controls sweep
@@ -18,13 +18,12 @@ import sys
 
 import numpy as np
 
-from fracvisc.config import ConfigError, ExperimentConfig, parse_config_file, parse_config
+from fracvisc.config import ConfigError, ExperimentConfig, parse_config_file
 from fracvisc.dual import DualSolution, build_drift, dual_solve, duality_residual, gronwall_check, lp_dual_datum
-from fracvisc.hamiltonians import LagrangianSpec, legendre_transform, make_hamiltonian
-from fracvisc.hj import (ProblemBatch, ProblemSpec, Trajectory, ZeroForcing, hopf_lax_oracle, monotone_reference,
-                         viscous_solve)
+from fracvisc.hj import ProblemBatch, Trajectory, viscous_solve
+from fracvisc.hj import hopf_lax_oracle, monotone_reference  # unused: perfbench/tracer.py patches them on this module
 from fracvisc.rates import emit_report, env_threads, one_sided_check, run_sweep, write_json
-from fracvisc.torus import Field, TorusGrid, frac_laplacian, lp_norm
+from fracvisc.torus import Field, TorusGrid
 
 
 def _log(msg: str) -> None:
@@ -205,75 +204,16 @@ def _export_trajectory_dual(dual: DualSolution, out_dir: str, eps: float, eta: f
     _export_trajectory(dual, out_dir, "rho", f"eps{eps:g}_eta{eta:g}")
 
 
-def _cmd_selftest(cfg: ExperimentConfig, out_dir: str) -> int:
-    rng = np.random.default_rng(0)
-    failures = 0
-
-    def check(name: str, value: float, tol: float) -> None:
-        nonlocal failures
-        ok = value <= tol
-        _log(f"selftest: {'PASS' if ok else 'FAIL'} {name} ({value:.3e} <= {tol:.0e})")
-        if not ok:
-            failures += 1
-
-    grid = TorusGrid(1, 256)
-    sp = grid.spectral
-    f = Field(grid, rng.standard_normal(grid.shape))
-    coeff = sp.fwd(f.values)
-    check("spectral roundtrip", float(np.max(np.abs(sp.inv(coeff) - f.values))), 1e-13)
-    quad = lp_norm(f, 2.0)
-    spectral = math.sqrt(2 * math.pi * float(np.sum(sp.parseval_w * np.abs(coeff) ** 2))) / grid.n_total
-    check("parseval", abs(quad - spectral) / quad, 1e-12)
-
-    sp.truncate(coeff)
-    fd = Field(grid, sp.inv(coeff))
-    twice = frac_laplacian(frac_laplacian(fd, 0.5), 0.5)
-    once = frac_laplacian(fd, 1.0)
-    scale = max(float(np.max(np.abs(once.values))), 1e-30)
-    check("half-laplacian composition", float(np.max(np.abs(twice.values - once.values))) / scale, 1e-10)
-
-    const = Field(grid, np.full(grid.shape, -3.0))
-    check("constant L2 norm", abs(lp_norm(const, 2.0) - 3.0 * math.sqrt(2 * math.pi)), 1e-12)
-
-    ham = make_hamiltonian("quadratic", 1)
-    lag = LagrangianSpec(ham)
-    check("quadratic Legendre", abs(legendre_transform(lag, 1.2) - 0.5 * 1.2**2), 1e-10)
-
-    zero_h = make_hamiltonian("zero", 1)
-    x = grid.nodes()[0]
-    u0 = Field(grid, np.cos(x))
-    heat = ProblemSpec(grid=grid, s=1.0, epsilon=1.0, hamiltonian=zero_h,
-                       u0=u0, forcing=ZeroForcing(), T=0.5)
-    traj = viscous_solve(heat, snapshot_times=(0.0, 0.5))
-    exact = math.exp(-0.5) * np.cos(x)
-    check("fractional heat decay", float(np.max(np.abs(traj.snapshots[-1].values - exact))), 1e-10)
-
-    quad = ProblemSpec(grid=grid, s=0.5, epsilon=0.05, hamiltonian=ham,
-                       u0=u0, forcing=ZeroForcing(), T=0.5)
-    oracle = hopf_lax_oracle(quad, 0.5)
-    visc = viscous_solve(quad, snapshot_times=(0.0, 0.5))
-    gap = float(np.max(np.abs(oracle.values - visc.snapshots[-1].values)))
-    check("viscous vs Hopf-Lax (eps=0.05)", gap, 0.2)
-
-    lf = monotone_reference(quad, 4, snapshot_times=(0.0, 0.5))
-    gap_lf = float(np.max(np.abs(oracle.values - lf.snapshots[-1].values)))
-    check("Lax-Friedrichs vs Hopf-Lax", gap_lf, 0.1)
-
-    _log(f"selftest: {'OK' if failures == 0 else f'{failures} failure(s)'}")
-    return 0 if failures == 0 else 1
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
 
-# name: (handler, whether --config is required); every handler takes (cfg, out_dir)
+# name: handler; every handler takes (cfg, out_dir)
 COMMANDS = {
-    "solve": (_cmd_solve, True),
-    "sweep": (_cmd_sweep, True),
-    "dual-check": (_cmd_dual_check, True),
-    "selftest": (_cmd_selftest, False),
+    "solve": _cmd_solve,
+    "sweep": _cmd_sweep,
+    "dual-check": _cmd_dual_check,
 }
 
 
@@ -283,9 +223,9 @@ def main(argv: list[str] | None = None) -> int:
         description="Vanishing-viscosity rate experiments for periodic Hamilton-Jacobi equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_cfg) in COMMANDS.items():
+    for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_cfg, default=None)
+        p.add_argument("--config", required=True)
         p.add_argument("--output", default=None, help="output directory (overrides config)")
 
     try:
@@ -294,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        cfg = parse_config("", path="<defaults>") if args.config is None else parse_config_file(args.config)
+        cfg = parse_config_file(args.config)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 2
@@ -302,9 +242,8 @@ def main(argv: list[str] | None = None) -> int:
         _log(f"cannot read config: {exc}")
         return 2
 
-    handler, _ = COMMANDS[args.command]
     try:
-        return handler(cfg, args.output or cfg.output_dir)
+        return COMMANDS[args.command](cfg, args.output or cfg.output_dir)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 2

@@ -19,7 +19,6 @@ __all__ = [
     "HamiltonianSpec",
     "make_hamiltonian",
     "LagrangianSpec",
-    "legendre_transform",
     "legendre_batch",
 ]
 
@@ -217,9 +216,3 @@ def legendre_batch(lag: LagrangianSpec, q: np.ndarray) -> np.ndarray:
     else:
         raise RuntimeError(f"Legendre Newton failed to converge: residual {np.max(np.abs(resid)):.3e}")
     return np.sum(p * qa, axis=-1) - ham.value(p)
-
-
-def legendre_transform(lag: LagrangianSpec, q) -> float:
-    """L at a single velocity point."""
-    qa = np.asarray(q, dtype=np.float64).reshape(lag.hamiltonian.dim)
-    return float(legendre_batch(lag, qa))

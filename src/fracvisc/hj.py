@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from fracvisc.hamiltonians import HamiltonianSpec, LagrangianSpec, legendre_batch
-from fracvisc.torus import (TWO_PI, Field, TorusGrid, eval_modes, etdrk4_march, mode_table, prolong, refine,
-                            second_difference_max, subsample)
+from fracvisc.torus import (TWO_PI, Field, TorusGrid, eval_modes, etdrk4_march, hessian_max_eig, mode_table, prolong,
+                            refine, second_difference_max, subsample)
 
 __all__ = [
     "ZeroForcing",
@@ -44,8 +44,6 @@ __all__ = [
     "viscous_solve",
     "hopf_lax_oracle",
     "monotone_reference",
-    "SemiconcavityCheck",
-    "semiconcavity_profile",
 ]
 
 CURVATURE_SCALE = 0.1  # probe scale of the per-snapshot semiconcavity measurement
@@ -188,6 +186,10 @@ class Trajectory:
     grid-independent when fronts sharpen below the grid, which genuinely
     happens for s <= 1/2 where the dissipation cannot spread a front into a
     resolvable layer.
+    k_bound[i] is the Riccati comparison bound on k_profile[i]: k(t) solves
+    k' = -theta k^2 + c_f, k(0) = k0, where k0 is the largest eigenvalue of
+    D^2 u0, theta the convexity lower bound of H and c_f the forcing's
+    semiconcavity constant.  For c_f = 0 it is k0 / (1 + theta k0 t).
     grad_sup_profile[i] is the nodal sup of |Du| of the dealiased snapshot.
     grid_schedule lists the grids viscous_solve marched on, one
     (n_points, entry time, steps) per grid; n_steps is their total.
@@ -202,6 +204,12 @@ class Trajectory:
     @cached_property
     def k_profile(self) -> np.ndarray:
         return np.array([second_difference_max(f, CURVATURE_SCALE) for f in self.snapshots])
+
+    @cached_property
+    def k_bound(self) -> np.ndarray:
+        problem = self.problem
+        k0 = hessian_max_eig(problem.u0)
+        return _riccati_bound(self.times, k0, problem.hamiltonian.theta, problem.forcing.semiconcavity)
 
     @cached_property
     def grad_sup_profile(self) -> np.ndarray:
@@ -600,24 +608,8 @@ def monotone_reference(
 
 
 # ---------------------------------------------------------------------------
-# semiconcavity diagnostics
+# the Riccati comparison bound of Trajectory.k_bound
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SemiconcavityCheck:
-    """Measured semiconcavity constants against the Riccati comparison bound.
-
-    The bound k(t) solves k' = -theta k^2 + c_f, k(0) = k0, where k0 bounds
-    the largest eigenvalue of D^2 u0, theta is the convexity lower bound of
-    H and c_f the forcing's semiconcavity, the largest eigenvalue of
-    D^2 f(., t), a constant for every forcing here.  For c_f = 0 this is
-    k0 / (1 + theta k0 t).
-    """
-
-    times: np.ndarray
-    measured: np.ndarray
-    bound: np.ndarray
 
 
 def _riccati_bound(times: np.ndarray, k0: float, theta: float, c: float) -> np.ndarray:
@@ -636,13 +628,3 @@ def _riccati_bound(times: np.ndarray, k0: float, theta: float, c: float) -> np.n
     if np.any(denom <= 0.0):
         raise ValueError("Riccati bound blows up inside the requested window")
     return (k0 + c * times * phi) / denom
-
-
-def semiconcavity_profile(traj: Trajectory) -> SemiconcavityCheck:
-    """Compare the measured k(t) profile of a trajectory to the Riccati bound."""
-    problem = traj.problem
-    from fracvisc.torus import hessian_max_eig as _hme
-
-    k0 = _hme(problem.u0)
-    bound = _riccati_bound(traj.times, k0, problem.hamiltonian.theta, problem.forcing.semiconcavity)
-    return SemiconcavityCheck(times=traj.times.copy(), measured=traj.k_profile.copy(), bound=bound)

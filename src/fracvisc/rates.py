@@ -141,7 +141,7 @@ class InitialData:
 # under-resolution ripples at large s, and past the cap the extra cells only
 # sharpen sub-grid front structure that no L^p error with finite p feels.
 # The sup norm at s = 1/2 is not grid-converged: doubling the grid moves it
-# by about 1% (eps = 2^-8, n 8192 -> 16384: 5.5779e-3 -> 5.5202e-3), which
+# by about 1% (eps = 2^-8, n 8192 -> 16384: 5.5835e-3 -> 5.5228e-3), which
 # the resolution certificate of ROADMAP item 1 is to measure.
 GRID_FACTOR, GRID_MAX = 3.0, 16384
 
@@ -357,7 +357,7 @@ def run_sweep(plan: SweepPlan, threads: int | None = None) -> SweepResult:
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only a pooled sweep pays
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:  # fork starts all max_workers at once
             per_grid = list(pool.map(_grid_worker, jobs))
     outcomes = {(s, eps): out for results in per_grid for s, eps, out in results}
 

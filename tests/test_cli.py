@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracvisc
-from fracvisc.cli import _snapshot_csv, main
+from fracvisc.cli import COMMANDS, _snapshot_csv, main
 from fracvisc.config import ConfigError, parse_config
 from fracvisc.hj import viscous_solve
 from fracvisc.rates import format_float
@@ -176,15 +176,13 @@ def test_parse_config_is_total_and_round_trips(entries):
 
 
 def test_cli_usage_errors(tmp_path):
-    assert main(["solve"]) == 2  # --config is required
+    for command in COMMANDS:  # every subcommand requires --config
+        assert main([command, "--output", str(tmp_path / command)]) == 2
+        assert not (tmp_path / command).exists()
     assert main(["mystery"]) == 2
     assert main(["solve", "--config", str(tmp_path / "absent.cfg")]) == 2
     bad = write_cfg(tmp_path, "bogus_key = 1\n")
     assert main(["sweep", "--config", bad]) == 2
-
-
-def test_cli_selftest():
-    assert main(["selftest"]) == 0
 
 
 def test_cli_solve_writes_snapshots_deterministically(tmp_path):
@@ -296,7 +294,7 @@ def test_cli_sweep_skips_the_one_sided_check_without_cells(tmp_path, capsys):
     assert "one_sided" not in json.loads((tmp_path / "s" / "report.json").read_text())
 
 
-@pytest.mark.parametrize("command", ["one-sided", "report"])
+@pytest.mark.parametrize("command", ["one-sided", "report", "selftest"])
 def test_cli_retired_commands_exit_2(tmp_path, command):
     cfg = write_cfg(tmp_path, BASE)
     assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
@@ -464,7 +462,7 @@ def test_cli_dual_check_needs_pair_and_finite_p(tmp_path, capsys):
     ("solve", "s_list = 1.5", "s_list"),
     ("solve", "p_list = 0.5", "p_list"),
     ("solve", "reference = monotone:3", "reference"),  # the plan's fine_factor
-    # no key sets the step (the cap), the mollifier (0.05) or the selftest seed (0)
+    # retired keys: no key sets the step (the cap) or the mollifier (0.05), and no run draws random numbers
     *[(command, setting, setting.split()[0]) for command in ("sweep", "solve", "dual-check")
       for setting in ("dt_cfl = 1.0", "mollify_scale = 0.05", "seed = 3")],
 ])

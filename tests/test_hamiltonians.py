@@ -18,7 +18,6 @@ from fracvisc.hamiltonians import (
     HamiltonianSpec,
     LagrangianSpec,
     legendre_batch,
-    legendre_transform,
     make_hamiltonian,
 )
 
@@ -209,7 +208,7 @@ def test_grad_sup_bounds_sampled_gradients():
 def test_legendre_quadratic_closed_form():
     lag = LagrangianSpec(make_hamiltonian("quadratic", 1))
     for q in (-2.0, 0.0, 0.3, 1.7):
-        assert legendre_transform(lag, q) == pytest.approx(0.5 * q * q, abs=1e-12)
+        assert legendre_batch(lag, q) == pytest.approx(0.5 * q * q, abs=1e-12)
 
 
 def test_legendre_anisotropic_closed_form():
@@ -217,7 +216,7 @@ def test_legendre_anisotropic_closed_form():
     lag = LagrangianSpec(make_hamiltonian("anisotropic_quadratic", 2, (2.0, 0.5)))
     q = np.array([1.0, -0.6])
     exact = q[0] ** 2 / 4.0 + q[1] ** 2 / 1.0
-    assert legendre_transform(lag, q) == pytest.approx(exact, abs=1e-12)
+    assert legendre_batch(lag, q) == pytest.approx(exact, abs=1e-12)
 
 
 def test_legendre_log_cosh_vs_dense_grid():
@@ -227,7 +226,7 @@ def test_legendre_log_cosh_vs_dense_grid():
     hval = np.cosh(pg) - 1.0 + 0.05 * pg**2
     for q in (-3.0, -0.4, 0.0, 1.3, 5.0):
         brute = float(np.max(q * pg - hval))
-        assert legendre_transform(lag, q) == pytest.approx(brute, abs=1e-9)
+        assert legendre_batch(lag, q) == pytest.approx(brute, abs=1e-9)
 
 
 def test_legendre_batch_matches_scalar():
@@ -236,7 +235,7 @@ def test_legendre_batch_matches_scalar():
     Q = rng.uniform(-4, 4, size=(40, 2))
     batch = legendre_batch(lag, Q)
     for i in range(Q.shape[0]):
-        assert batch[i] == pytest.approx(legendre_transform(lag, Q[i]), abs=1e-10)
+        assert batch[i] == pytest.approx(legendre_batch(lag, Q[i]), abs=1e-10)
 
 
 def test_biconjugacy():
@@ -253,7 +252,7 @@ def test_biconjugacy():
         for _ in range(25):
             p = rng.uniform(-2.0, 2.0, size=dim)
             qstar = spec.grad(p)
-            lhs = float(spec.value(p)) + legendre_transform(lag, qstar)
+            lhs = float(spec.value(p)) + legendre_batch(lag, qstar)
             rhs = float(np.dot(p, qstar))
             assert abs(lhs - rhs) <= 1e-8
 
@@ -273,7 +272,7 @@ def test_biconjugacy_on_random_kinds_and_momenta(kind, dim, m, c, r, angle):
     p = r * np.array([math.cos(angle), math.sin(angle)])[:dim]
     qstar = spec.grad(p)
     rhs = float(np.dot(p, qstar))
-    lhs = float(spec.value(p)) + legendre_transform(LagrangianSpec(spec), qstar)
+    lhs = float(spec.value(p)) + legendre_batch(LagrangianSpec(spec), qstar)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 

@@ -25,7 +25,6 @@ from fracvisc.hj import (
     _riccati_bound,
     hopf_lax_oracle,
     monotone_reference,
-    semiconcavity_profile,
     viscous_solve,
 )
 from fracvisc.torus import Field, TorusGrid
@@ -676,21 +675,19 @@ def test_problem_batch_validation():
 def test_semiconcavity_profile_riccati_closed_form():
     g = TorusGrid(1, 1024)
     traj = viscous_solve(problem(g, 0.5, 0.05, T=2.0), snapshot_times=tuple(np.linspace(0.0, 2.0, 9)))
-    check = semiconcavity_profile(traj)
-    assert np.allclose(check.bound, 1.0 / (1.0 + check.times), atol=1e-12)
-    assert np.all(check.measured <= check.bound + 0.05)
+    assert np.allclose(traj.k_bound, 1.0 / (1.0 + traj.times), atol=1e-12)
+    assert np.all(traj.k_profile <= traj.k_bound + 0.05)
     # pre-shock the bound is saturated at the valley; the fixed-scale probe
     # reads it from below with an O(scale^2) bias
-    i = int(np.argmin(np.abs(check.times - 0.5)))
-    assert 0.0 < 1.0 / 1.5 - check.measured[i] < 0.02
+    i = int(np.argmin(np.abs(traj.times - 0.5)))
+    assert 0.0 < 1.0 / 1.5 - traj.k_profile[i] < 0.02
 
 
 def test_semiconcavity_uniform_in_epsilon():
     g = TorusGrid(1, 2048)
     for eps in (0.05, 0.0125, 2.0**-8):
         traj = viscous_solve(problem(g, 0.5, eps, T=2.0), snapshot_times=(0.5, 1.0, 1.5, 2.0))
-        check = semiconcavity_profile(traj)
-        assert np.all(check.measured <= check.bound + 0.05), f"eps={eps}: {check.measured} vs {check.bound}"
+        assert np.all(traj.k_profile <= traj.k_bound + 0.05), f"eps={eps}: {traj.k_profile} vs {traj.k_bound}"
 
 
 def test_riccati_bound_with_constant_forcing():
@@ -698,9 +695,8 @@ def test_riccati_bound_with_constant_forcing():
     g = TorusGrid(1, 128)
     f = CosWaveForcing(amp=0.25, omega=0.0)  # c_f(t) = 0.25 for all t
     traj = viscous_solve(problem(g, 0.5, 0.2, forcing=f, T=6.0), snapshot_times=(0.0, 6.0))
-    check = semiconcavity_profile(traj)
     # k(0) = 1, equilibrium sqrt(0.25) = 0.5; by t = 6 the bound is close
-    assert abs(check.bound[-1] - 0.5) < 0.01
+    assert abs(traj.k_bound[-1] - 0.5) < 0.01
 
 
 def _riccati_rk4(times, k0, theta, c):

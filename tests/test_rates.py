@@ -270,12 +270,13 @@ def test_sweep_parallel_matches_sequential(zero_h_sweep):
 
 
 def test_sweep_pool_deals_the_cells_of_a_grid_across_workers(monkeypatch, zero_h_sweep):
-    # the five cells share one grid; with two workers they form two batches
-    batches = []
+    # the five cells share one grid; two workers form two batches, and a thousand
+    # form five one-cell batches and start only five workers
+    batches, workers = [], []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            assert max_workers == 2
+            workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -285,14 +286,16 @@ def test_sweep_pool_deals_the_cells_of_a_grid_across_workers(monkeypatch, zero_h
 
         def map(self, fn, jobs):
             jobs = list(jobs)
-            batches.extend([eps for _, eps in job[2]] for job in jobs)
+            batches.append([[eps for _, eps in job[2]] for job in jobs])
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)  # run_sweep imports it there
-    pooled = run_sweep(zero_h_plan(), threads=2)
     eps = zero_h_plan().epsilons
-    assert batches == [list(eps[0::2]), list(eps[1::2])]
-    assert cell_errors(pooled) == cell_errors(zero_h_sweep)
+    for threads in (2, 1000):
+        pooled = run_sweep(zero_h_plan(), threads=threads)
+        assert cell_errors(pooled) == cell_errors(zero_h_sweep)
+    assert batches == [[list(eps[0::2]), list(eps[1::2])], [[e] for e in eps]]
+    assert workers == [2, 5]
 
 
 def test_sweep_across_grids_matches_pool_and_solo_solves(monkeypatch):
