@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,16 +37,16 @@ def _config_echo(cfg: ExperimentConfig, output_dir: str) -> dict:
     return echo
 
 
+@lru_cache(maxsize=2)  # a command writes its snapshots grid by grid
+def _csv_template(grid: TorusGrid) -> str:
+    """A snapshot CSV of grid with one %.16e slot per node in C order; %.16e renders as format_float does."""
+    header = ",".join("ij"[:grid.dim]) + ",value\n"
+    return header + "".join([",".join(map(str, ix)) + ",%.16e\n" for ix in np.ndindex(grid.shape)])
+
+
 def _snapshot_csv(field: Field, path: str) -> None:
-    # one string per file; "%.16e" renders a float exactly as format_float does
-    vals = field.values.tolist()
-    if field.grid.dim == 1:
-        text = "i,value\n" + "".join(["%d,%.16e\n" % iv for iv in enumerate(vals)])
-    else:
-        text = "i,j,value\n" + "".join(["%d,%d,%.16e\n" % (i, j, v)
-                                         for i, row in enumerate(vals) for j, v in enumerate(row)])
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(_csv_template(field.grid) % tuple(field.values.ravel().tolist()))
 
 
 def _export_trajectory(traj: Trajectory | DualSolution, out_dir: str, prefix: str, tag: str) -> list[str]:

@@ -278,10 +278,9 @@ def dual_solve(
     b_work = np.empty(grid.shape + (grid.dim,))
     flux = np.empty((grid.dim,) + rho.shape)
     fh = np.empty_like(rh_d)
-    minus_ik = [-ik for ik in sp.ik]
 
     def nonlinear(rh: np.ndarray, ids: list[int], ts: list[float], nh: np.ndarray) -> None:
-        """-div(b rho) of the dealiased rho into nh, dealiased because ik is."""
+        """div(b rho) of the dealiased rho into nh, dealiased because ik is."""
         m = len(ids)
         np.copyto(rh_d[:m], rh)
         sp.truncate(rh_d[:m])
@@ -294,9 +293,9 @@ def dual_solve(
                 b_sigma[g] = ts[r0]
             for ax in range(grid.dim):
                 np.multiply(b[g][..., ax], rho[r0:r1], out=flux[ax, r0:r1])
-        for ax, mik in enumerate(minus_ik):
+        for ax, ik in enumerate(sp.ik):
             dst = fh[:m] if ax else nh
-            np.multiply(mik, sp.fwd(flux[ax, :m], out=dst), out=dst)
+            np.multiply(ik, sp.fwd(flux[ax, :m], out=dst), out=dst)
             if ax:
                 np.add(nh, dst, out=nh)
 

@@ -19,6 +19,7 @@ __all__ = [
     "HamiltonianSpec",
     "make_hamiltonian",
     "LagrangianSpec",
+    "legendre_momentum",
     "legendre_batch",
 ]
 
@@ -184,13 +185,12 @@ def _newton_start(ham: HamiltonianSpec, q: np.ndarray) -> np.ndarray:
     return np.arcsinh(q)
 
 
-def legendre_batch(lag: LagrangianSpec, q: np.ndarray) -> np.ndarray:
-    """L(q) for q of shape (..., dim), via damped Newton on D_p H(p) = q.
+def legendre_momentum(lag: LagrangianSpec, q: np.ndarray) -> np.ndarray:
+    """p* = D_q L(q), the root of D_p H(p) = q, for q of shape (..., dim); D_q^2 L(q) is diag(1 / H''(p*)).
 
-    The supported Hamiltonians are separable, so the inversion decouples per
-    component, and so does the damping that guards the early iterations far
-    from the root: one component at round-off cannot stall another.
-    Raises RuntimeError when 100 iterations do not reach lag.tol.
+    Damped Newton: the supported Hamiltonians are separable, so the inversion and its damping decouple per
+    component, and one component at round-off cannot stall another.  Raises RuntimeError when 100
+    iterations do not reach lag.tol.
     """
     ham = lag.hamiltonian
     qa = ham._as_points(q)
@@ -215,4 +215,11 @@ def legendre_batch(lag: LagrangianSpec, q: np.ndarray) -> np.ndarray:
         resid = ham.grad(p) - qa
     else:
         raise RuntimeError(f"Legendre Newton failed to converge: residual {np.max(np.abs(resid)):.3e}")
-    return np.sum(p * qa, axis=-1) - ham.value(p)
+    return p
+
+
+def legendre_batch(lag: LagrangianSpec, q: np.ndarray) -> np.ndarray:
+    """L(q) = p*.q - H(p*) for q of shape (..., dim), with p* = legendre_momentum(lag, q)."""
+    qa = lag.hamiltonian._as_points(q)
+    p = legendre_momentum(lag, qa)
+    return np.sum(p * qa, axis=-1) - lag.hamiltonian.value(p)

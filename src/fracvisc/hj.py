@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from fracvisc.hamiltonians import HamiltonianSpec, LagrangianSpec, legendre_batch
+from fracvisc.hamiltonians import HamiltonianSpec, LagrangianSpec, legendre_batch, legendre_momentum
 from fracvisc.torus import (TWO_PI, Field, TorusGrid, eval_modes, etdrk4_march, hessian_max_eig, mode_table, prolong,
                             refine, second_difference_max, subsample)
 
@@ -363,30 +364,32 @@ def viscous_solve(
         dh = np.empty((len(here),) + sp.k2.shape, dtype=np.complex128)
         nl = np.empty((len(here),) + grid.shape)
 
-        # by m: the buffers of the first m rows, Du also with the component axis
-        # last as H.value takes it
-        rows = [(du[:, :m], np.moveaxis(du[:, :m], 0, -1), dh[:m], nl[:m]) for m in range(len(here) + 1)]
+        # by m: per component its multiplier i k_j and row block of du, Du with the component
+        # axis last as H.value takes it, and the buffers of the first m rows
+        rows = [(list(zip(sp.ik, du[:, :m])), np.moveaxis(du[:, :m], 0, -1), dh[:m], nl[:m])
+                for m in range(len(here) + 1)]
+        forced = not getattr(forcing, "is_zero", False)
 
         def nonlinear(uh: np.ndarray, ids: list[int], ts: list[float], out: np.ndarray) -> None:
-            """Dealiased transform of f - H(Du) into out; Du stays in du."""
-            g, p, w, v = rows[len(uh)]
-            sp.gradient(uh, out=g, work=w)
+            """Dealiased transform of H(Du) - f into out, Du left in du: RealSpectral.gradient, fwd, truncate inline."""
+            comps, p, w, v = rows[len(uh)]
+            for ik, g in comps:
+                np.fft.irfftn(np.multiply(ik, uh, out=w), s=sp.shape, axes=sp.axes, out=g)
             ham.value(p, out=v)
-            np.negative(v, out=v)
-            if not getattr(forcing, "is_zero", False):
+            if forced:
                 for vr, t in zip(v, ts):
-                    np.add(vr, forcing.value(grid, t), out=vr)
-            sp.fwd(v, out=out)
-            sp.truncate(out)
+                    np.subtract(vr, forcing.value(grid, t), out=vr)
+            np.fft.rfftn(v, s=sp.shape, axes=sp.axes, out=out)
+            for sl in sp.tail:
+                out[sl] = 0.0
 
         def dt_rule(ids: list[int]) -> list[float]:
-            m = len(ids)
-            g, v = rows[m][0], rows[m][3]
-            np.multiply(g[0], g[0], out=v)  # |Du|^2
-            for gj in g[1:]:
+            comps, _, _, v = rows[len(ids)]
+            np.multiply(comps[0][1], comps[0][1], out=v)  # |Du|^2
+            for _, gj in comps[1:]:
                 np.add(v, gj * gj, out=v)
-            sq = v.reshape(m, -1).max(axis=1)
-            return [dt_cfl * h / _quantize_speed(ham.grad_sup(math.sqrt(float(q)))) for q in sq]
+            sq = np.maximum.reduce(v.reshape(len(ids), -1), axis=1).tolist()
+            return [dt_cfl * h / _quantize_speed(ham.grad_sup(math.sqrt(q))) for q in sq]
 
         def land(r: int, uh: np.ndarray, t: float) -> bool:
             i = ids_here[r]
@@ -448,91 +451,117 @@ def _golden_refine(obj, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.
     tol = 1e-10 from unit-size brackets takes about 50 iterations.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = np.asarray(lo, dtype=np.float64).copy()
-    b = np.asarray(hi, dtype=np.float64).copy()
-    span = b - a
-    c = b - invphi * span
-    d = a + invphi * span
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = obj(c), obj(d)
     while np.max(b - a) > tol:
-        take_left = fc < fd
-        fc_old = fc
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-        span = b - a
-        c_cand = b - invphi * span
-        d_cand = a + invphi * span
-        new_c = np.where(take_left, c_cand, d)
-        new_d = np.where(take_left, c, d_cand)
-        pt = np.where(take_left, c_cand, d_cand)
+        left = fc < fd  # the minimum lies in [a, d]: d becomes b and c the new d; else c becomes a
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        pt = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
         fv = obj(pt)
-        fc = np.where(take_left, fv, fd)
-        fd = np.where(take_left, fc_old, fv)
-        c, d = new_c, new_d
-    best = np.where(fc < fd, c, d)
-    return best, np.minimum(fc, fd)
+        c, d, fc, fd = np.where(left, pt, d), np.where(left, c, pt), np.where(left, fv, fd), np.where(left, fc, fv)
+    return np.where(fc < fd, c, d), np.minimum(fc, fd)
 
 
-def hopf_lax_oracle(problem: ProblemSpec, t: float) -> Field:
+@np.errstate(divide="ignore", invalid="ignore")  # an entry with f'' <= 0 bisects instead of its Newton step
+def _newton_polish(derivs, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Minimize per entry inside a bracket [lo, hi] across which f' goes from < 0 to > 0; derivs(sub, x) gives
+    f, f', f'' of the entries at positions sub.  Newton steps on f' = 0 that leave the narrowing bracket, or meet
+    f'' <= 0, bisect it; an entry stops at f' = 0 or a Newton step of at most 1e-12.  Returns (last d, f there)."""
+    arg, val, sub = d.copy(), np.empty_like(d), np.arange(len(d))
+    for _ in range(100):
+        if not len(sub):
+            break
+        f, fp, fpp = derivs(sub, d)
+        arg[sub], val[sub] = d, f
+        lo, hi = np.where(fp < 0.0, d, lo), np.where(fp > 0.0, d, hi)
+        step = d - fp / fpp
+        go = (fp != 0.0) & ~((fpp > 0.0) & (np.abs(step - d) <= 1e-12))
+        step = np.where((fpp > 0.0) & (lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        sub, d, lo, hi = sub[go], step[go], lo[go], hi[go]
+    return arg, val
+
+
+def hopf_lax_oracle(problem: ProblemSpec, t: float | Sequence[float]) -> Field | tuple[Field, ...]:
     """Inviscid solution u(x, t) = min_y [ u0(y) + t L((x - y)/t) ] on the problem grid.
 
-    One path serves every dimension.  A coarse scan over a lattice of
-    offsets d = x - y, spaced a quarter of the finest oscillation of u0 and
-    of radius t * sup|D_p H(Du0)| + 2pi (every candidate minimizer plus one
-    full period), is followed by coordinate descent: each pass refines one
-    axis of d at a time by golden section to 1e-10.  In 1-D the first pass
-    is the exact minimization and ends the descent.  Requires f == 0; for
-    the zero Hamiltonian the solution is u0 itself.
+    t is a time, for one Field, or a sequence of times, for one Field per time from one minimization
+    over every (t, x), in any dimension.  A coarse scan reads one table of u0(x - d) over a lattice of
+    offsets d = x - y spaced a quarter of the finest oscillation of u0, each time within its radius
+    t * sup|D_p H(Du0)| + 2pi (every candidate minimizer plus one full period).  Coordinate descent
+    follows, one axis of d at a time: safeguarded Newton (_newton_polish, to 1e-12 in d) where the
+    axis derivative changes sign across +-one spacing of the scan's point, else golden section to
+    1e-10; in 1-D its first pass is exact.  Requires f == 0; at t = 0 and for the zero Hamiltonian
+    the solution is u0 itself.
     """
     from fracvisc.torus import spectral_gradient
 
     if not getattr(problem.forcing, "is_zero", False):
         raise ValueError("hopf_lax_oracle requires zero forcing")
-    grid = problem.grid
-    if t < 0.0:
+    grid, ham = problem.grid, problem.hamiltonian
+    times = np.array(t, dtype=np.float64, ndmin=1)
+    if np.any(times < 0.0):
         raise ValueError("t must be >= 0")
     pts = np.stack(grid.nodes(), axis=-1).reshape(-1, grid.dim)
     kvecs, cvals = mode_table(problem.u0, 1e-14)
-    if t == 0.0 or problem.hamiltonian.is_zero:
-        return Field(grid, eval_modes(kvecs, cvals, pts).reshape(grid.shape))
+    out = [eval_modes(kvecs, cvals, pts)] * len(times)
+    live = np.flatnonzero(times > 0.0) if not ham.is_zero else []
+    if len(live):
+        ts = times[live]
+        amp = np.abs(grid.spectral.fwd(problem.u0.values))
+        sig = amp > 1e-12 * np.max(amp)
+        kmax = max([1.0] + [float(np.max(np.abs(km), where=sig, initial=0.0)) for km in grid.spectral.k])
+        g2 = sum(g.values**2 for g in spectral_gradient(problem.u0))
+        delta = math.pi / (4.0 * kmax)
+        # the lattice delta j, ordered by |j|_inf, so that each time's points within its radius lead it
+        reach = np.ceil((ts * ham.grad_sup(float(np.sqrt(np.max(g2)))) + TWO_PI) / delta).astype(int)
+        j = np.stack([m.ravel() for m in np.meshgrid(*[np.arange(-reach.max(), reach.max() + 1)] * grid.dim,
+                                                      indexing="ij")], axis=-1)
+        ring = np.sort(np.max(np.abs(j), axis=-1), kind="stable")
+        lattice = delta * j[np.argsort(np.max(np.abs(j), axis=-1), kind="stable")]
+        lag = LagrangianSpec(ham, tol=1e-12)
+        pick = np.empty((len(ts), len(pts)), dtype=np.int32)  # per (t, x) its best lattice point
+        chunk = max(1, int(4e6) // len(lattice))
+        for i0 in range(0, len(pts), chunk):
+            table = eval_modes(kvecs, cvals, pts[i0 : i0 + chunk, None, :] - lattice[None, :, :])
+            for k, (tk, m) in enumerate(zip(ts, np.searchsorted(ring, reach, side="right"))):
+                pick[k, i0 : i0 + chunk] = np.argmin(table[:, :m] + tk * legendre_batch(lag, lattice[:m] / tk), axis=1)
 
-    amp = np.abs(grid.spectral.fwd(problem.u0.values))
-    sig = amp > 1e-12 * np.max(amp)
-    kmax = max([1.0] + [float(np.max(np.abs(km), where=sig, initial=0.0)) for km in grid.spectral.k])
-    g2 = sum(g.values**2 for g in spectral_gradient(problem.u0))
-    radius = t * problem.hamiltonian.grad_sup(float(np.sqrt(np.max(g2)))) + TWO_PI
-    delta = math.pi / (4.0 * kmax)
-    offsets = np.linspace(-radius, radius, int(math.ceil(2.0 * radius / delta)) + 1)
-    lattice = np.stack([d.reshape(-1) for d in np.meshgrid(*[offsets] * grid.dim, indexing="ij")], axis=-1)
-    lag = LagrangianSpec(problem.hamiltonian, tol=1e-12)
-    lvals = t * legendre_batch(lag, lattice / t)
-    best = np.empty_like(pts)
-    chunk = max(1, int(4e6) // len(lattice))
-    for i0 in range(0, len(pts), chunk):
-        xs = pts[i0 : i0 + chunk]
-        vals = eval_modes(kvecs, cvals, xs[:, None, :] - lattice[None, :, :]) + lvals[None, :]
-        best[i0 : i0 + chunk] = lattice[np.argmin(vals, axis=1)]
+        # the (t, x) entries, time-major, and the objective's first two derivatives along one axis of d
+        best, xs, tt = lattice[pick.ravel()], np.tile(pts, (len(ts), 1)), np.repeat(ts, len(pts))
+        vals = np.empty(len(tt))
 
-    def along(axis: int):
-        def objective(d: np.ndarray) -> np.ndarray:
-            dd = best.copy()
-            dd[:, axis] = d
-            return eval_modes(kvecs, cvals, pts - dd) + t * legendre_batch(lag, dd / t)
+        def derivs(axis: int, rows: np.ndarray, x: np.ndarray):
+            d = best[rows]
+            d[:, axis] = x
+            w = cvals[:, None] * np.stack([np.ones(len(kvecs)), 1j * kvecs[:, axis], -kvecs[:, axis] ** 2], axis=-1)
+            u, du, ddu = eval_modes(kvecs, w, xs[rows] - d).T
+            tr = tt[rows]
+            q = d / tr[:, None]
+            p = legendre_momentum(lag, q)
+            return (u + tr * (np.sum(p * q, axis=-1) - ham.value(p)), p[:, axis] - du,
+                    ddu + 1.0 / (tr * ham.hess_diag(p)[:, axis]))
 
-        return objective
-
-    width = delta
-    for _ in range(60):
-        moved = 0.0
-        for axis in range(grid.dim):
-            d0 = best[:, axis].copy()
-            dstar, vals = _golden_refine(along(axis), d0 - width, d0 + width, 1e-10)
-            moved = max(moved, float(np.max(np.abs(dstar - d0))))
-            best[:, axis] = dstar
-        width = max(2.0 * moved, 1e-9)
-        if grid.dim == 1 or moved < 1e-10:
-            break
-    return Field(grid, vals.reshape(grid.shape))
+        for b in range(0, len(tt), 4096):  # blocks of 4096 entries keep the polish's temporaries near 1 MB
+            rows, width = np.arange(b, min(b + 4096, len(tt))), delta
+            for _ in range(60):
+                moved = 0.0
+                for ax in range(grid.dim):
+                    d0 = best[rows, ax]
+                    lo, hi = d0 - width, d0 + width
+                    ok = (derivs(ax, rows, lo)[1] < 0.0) & (derivs(ax, rows, hi)[1] > 0.0)
+                    r, o = rows[ok], rows[~ok]
+                    best[r, ax], vals[r] = _newton_polish(lambda sub, x: derivs(ax, r[sub], x), d0[ok], lo[ok], hi[ok])
+                    if len(o):
+                        best[o, ax], vals[o] = _golden_refine(lambda x: derivs(ax, o, x)[0], lo[~ok], hi[~ok], 1e-10)
+                    moved = max(moved, float(np.max(np.abs(best[rows, ax] - d0))))
+                width = max(2.0 * moved, 1e-9)
+                if grid.dim == 1 or moved < 1e-10:
+                    break
+        for i, v in zip(live, vals.reshape(len(ts), -1)):
+            out[i] = v
+    fields = tuple(Field(grid, v.reshape(grid.shape)) for v in out)
+    return fields[0] if np.ndim(t) == 0 else fields
 
 
 # ---------------------------------------------------------------------------

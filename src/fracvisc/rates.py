@@ -320,7 +320,7 @@ def _reference_values(plan: SweepPlan, eval_n: int) -> list[np.ndarray]:
     """Inviscid reference snapshots on the evaluation grid; they do not depend on s."""
     problem = plan.problem(plan.s_values[0], 0.0, TorusGrid(plan.dim, eval_n))
     if plan.reference == "hopf_lax":
-        return [hopf_lax_oracle(problem, t).values for t in plan.snapshot_times]
+        return [f.values for f in hopf_lax_oracle(problem, plan.snapshot_times)]
     traj = monotone_reference(problem, plan.fine_factor, snapshot_times=plan.snapshot_times)
     return [f.values for f in traj.snapshots]
 

@@ -248,9 +248,9 @@ def mode_table(f: Field, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eval_modes(kvecs: np.ndarray, cvals: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Real part of sum_k c_k exp(i k . x) over a mode table, at pts of shape (..., dim)."""
+    """Real part of sum_k c_k exp(i k . x) over a mode table, at pts of shape (..., dim); cvals (m, j) gives j sums."""
     phase = pts.reshape(-1, pts.shape[-1]) @ kvecs.T
-    return (np.exp(1j * phase) @ cvals).real.reshape(pts.shape[:-1])
+    return (np.exp(1j * phase) @ cvals).real.reshape(pts.shape[:-1] + cvals.shape[1:])
 
 
 def refine(f: Field, factor: int) -> Field:
@@ -379,20 +379,9 @@ class RealSpectral:
         for sl in self.tail:
             coeff[sl] = 0.0
 
-    def gradient(self, coeff: np.ndarray, out: np.ndarray | None = None,
-                 work: np.ndarray | None = None) -> np.ndarray:
-        """Dealiased gradient of the field with rfft coefficients coeff.
-
-        Returns shape (dim, *grid.shape); out receives it and work (shaped
-        like coeff) holds each derivative's coefficients when given.
-        """
-        if out is None:
-            out = np.empty((len(self.axes),) + self.shape)
-        if work is None:
-            work = np.empty_like(coeff)
-        for ik, g in zip(self.ik, out):
-            self.inv(np.multiply(ik, coeff, out=work), out=g)
-        return out
+    def gradient(self, coeff: np.ndarray) -> np.ndarray:
+        """Dealiased gradient of the field with rfft coefficients coeff, shape (dim, *grid.shape)."""
+        return np.stack([self.inv(ik * coeff) for ik in self.ik])
 
     def tail_fraction(self, coeff: np.ndarray) -> float:
         e = self.parseval_w * np.abs(coeff) ** 2
@@ -413,16 +402,18 @@ def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p1 = np.expm1(z) / z
         p2 = (p1 - 1.0) / z
         p3 = (p2 - 0.5) / z
-    zs, s3 = z[small], 0.0
-    for k in range(19, -1, -1):  # Horner
-        s3 = s3 * zs + 1.0 / math.factorial(k + 3)
+    zs = z[small]
+    s3 = np.zeros_like(zs)
+    for k in range(19, -1, -1):  # Horner, in place
+        s3 *= zs
+        s3 += 1.0 / math.factorial(k + 3)
     s2 = 0.5 + zs * s3
     p1[small], p2[small], p3[small] = 1.0 + zs * s2, s2, s3
     return p1, p2, p3
 
 
 def _etdrk4_weights(lam: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
-    """ETDRK4 weights E2, Q, f1, 2 f2, f3 of d_t y = -lam y + N for the step dt, in place for peak memory.
+    """ETDRK4 weights E2, Q, f1, 2 f2, f3 of d_t y = -lam y - N for the step dt, in place for peak memory.
 
     With z = -lam dt: E2 = exp(z / 2), Q = (dt / 2) phi_1(z / 2) = -expm1(z / 2) / lam,
     f1 = dt (phi_1 - 3 phi_2 + 4 phi_3), f2 = dt (phi_2 - 2 phi_3) and f3 = dt (4 phi_3 - phi_2).
@@ -442,7 +433,7 @@ def _etdrk4_weights(lam: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
 @np.errstate(over="ignore", invalid="ignore")  # a blowing-up member is reported by its guard
 def etdrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear, *, dt_rule, landings: np.ndarray,
                  t_ref: float, land, nonfinite, t0=None, leave=None) -> list[int]:
-    """ETDRK4 for d_t y = -lam y + N(y, t), one independent solve per row of y.
+    """ETDRK4 for d_t y = -lam y - N(y, t), one independent solve per row of y.
 
     Member i starts from the rfft coefficients y[i] at time t0[i] (0 when t0
     is None) and lands on every landing from there on, with lam = viscosity
@@ -464,29 +455,32 @@ def etdrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear, *, dt_rule,
     march, so grid need not be the member's final one).  t_ref scales the
     landing tolerance 1e-13 t_ref.  A row takes new weights (_etdrk4_weights)
     only when its (member, dt) changes, built once per step for every row
-    that shares them, and keeps no others.  Each row's numbers are bitwise
-    those of its member marched alone.  Returns each member's number of steps.
+    that shares them; the step after a landing takes back those of the step
+    before it, which the row keeps.  Each row's numbers are bitwise those of
+    its member marched alone.  Returns each member's number of steps.
 
     The step is Cox and Matthews' (J. Comput. Phys. 176, 2002), exact in the
-    linear part, so a damped mode (lam dt >> 1) leaves it near N_k / lam_k:
-    a = E2 y + Q N(y), b = E2 y + Q N(a), c = E2 a + Q (2 N(b) - N(y)) and
-    y <- E y + f1 N(y) + 2 f2 (N(a) + N(b)) + f3 N(c), with E = E2 E2.
+    linear part, so a damped mode (lam dt >> 1) leaves it near -N_k / lam_k:
+    a = E2 y - Q N(y), b = E2 y - Q N(a), c = E2 a - Q (2 N(b) - N(y)) and
+    y <- E y - f1 N(y) - 2 f2 (N(a) + N(b)) - f3 N(c), with E = E2 E2: bit for
+    bit the numbers of the same step written with + (-N).
     """
     sp = grid.spectral
     lams = {key: key[0] * sp.symbol(key[1]) + sp.damping for key in members}
 
     # stage values N(y), N(a), N(b), N(c), two stage buffers, and per row its
     # weights filled across the row (a column broadcast over the row misses
-    # numpy's contiguous loops)
+    # numpy's contiguous loops); per row the real weights a landing displaced
     bufs = (y,) + tuple(np.empty_like(y) for _ in range(11))
+    kept = np.empty((5,) + y.shape)
     ends = [target - 1e-13 * t_ref for target in landings]
-    # per row: its member, time, next landing and the (member, dt) of its weights
-    ids, row_key = list(range(len(members))), []
+    # per row: its member, time, half-step time, next landing, and the steps its weights and kept weights hold
+    ids = list(range(len(members)))
     t = [0.0] * len(members) if t0 is None else list(t0)
     nxt = [int(np.searchsorted(landings, tr - 1e-13 * t_ref, side="right")) for tr in t]
     steps = [0] * len(members)
     n_steps = m = 0
-    bad = ()  # rows found non-finite
+    bad = []  # rows found non-finite, or given a step that is not > 0
     while True:
         stay = []
         for r, i in enumerate(ids):
@@ -502,53 +496,59 @@ def etdrk4_march(grid: TorusGrid, members, y: np.ndarray, nonlinear, *, dt_rule,
         if len(stay) < m or not m:
             y[:len(stay)] = y[stay]
             ids, t, nxt = ([v[r] for r in stay] for v in (ids, t, nxt))
-            m, row_key = len(stay), [None] * len(stay)
+            m, row_dt, kept_dt, t_half = len(stay), [None] * len(stay), [None] * len(stay), [0.0] * len(stay)
             if not m:
                 return steps
             ym, n1, n2, n3, n4, a, b, e2, q, f1, f2, f3 = (arr[:m] for arr in bufs)
+        bad = []
         nonlinear(ym, ids, t, n1)
         dts = list(dt_rule(ids))
-        stalled = {r for r, d in enumerate(dts) if not d > 0.0}  # these rows leave after this step
         built = {}
-        for r, i in enumerate(ids):
-            if t[r] + dts[r] >= ends[nxt[r]]:  # shorten the step to land on the next landing
-                dts[r] = landings[nxt[r]] - t[r]
-            if row_key[r] != (members[i], dts[r]):
-                row_key[r] = key = (members[i], dts[r])
-                if key not in built:
-                    built[key] = _etdrk4_weights(lams[members[i]], dts[r])
+        for r, d in enumerate(dts):
+            if not d > 0.0:  # the row leaves after this step
+                bad.append(r)
+            if t[r] + d >= ends[nxt[r]]:  # shorten the step to land on the next landing, keeping the weights
+                dts[r] = d = landings[nxt[r]] - t[r]  # of the step before it for the step after
+                kept_dt[r] = row_dt[r]
+                for w, k in zip((e2, q, f1, f2, f3), kept):
+                    k[r] = w[r].real
+            if row_dt[r] != d:
+                key, row_dt[r] = (members[ids[r]], d), d
+                if kept_dt[r] == d:
+                    built[key] = kept[:, r]
+                elif key not in built:
+                    built[key] = _etdrk4_weights(lams[key[0]], d)
                 for w, v in zip((e2, q, f1, f2, f3), built[key]):
                     w[r] = v
-        t_half = [tr + 0.5 * dr for tr, dr in zip(t, dts)]
-        t = [tr + dr for tr, dr in zip(t, dts)]
-        # a = E2 y + Q N(y), with y holding E2 y until the update
+            t_half[r] = t[r] + 0.5 * d
+            t[r] += d
+        # a = E2 y - Q N(y), with y holding E2 y until the update
         np.multiply(e2, ym, out=ym)
         np.multiply(q, n1, out=a)
-        np.add(ym, a, out=a)
+        np.subtract(ym, a, out=a)
         nonlinear(a, ids, t_half, n2)
-        # b = E2 y + Q N(a)
+        # b = E2 y - Q N(a)
         np.multiply(q, n2, out=b)
-        np.add(ym, b, out=b)
+        np.subtract(ym, b, out=b)
         nonlinear(b, ids, t_half, n3)
-        # c = E2 a + Q (2 N(b) - N(y)), into b
+        # c = E2 a - Q (2 N(b) - N(y)), into b
         np.multiply(e2, a, out=a)
         np.multiply(2.0, n3, out=b)
         np.subtract(b, n1, out=b)
         np.multiply(q, b, out=b)
-        np.add(a, b, out=b)
+        np.subtract(a, b, out=b)
         nonlinear(b, ids, t, n4)
-        # y = E2 (E2 y) + f1 N(y) + 2 f2 (N(a) + N(b)) + f3 N(c)
+        # y = E2 (E2 y) - f1 N(y) - 2 f2 (N(a) + N(b)) - f3 N(c)
         np.multiply(e2, ym, out=ym)
         np.multiply(f1, n1, out=a)
-        np.add(ym, a, out=ym)
+        np.subtract(ym, a, out=ym)
         np.add(n2, n3, out=a)
         np.multiply(f2, a, out=a)
-        np.add(ym, a, out=ym)
+        np.subtract(ym, a, out=ym)
         np.multiply(f3, n4, out=a)
-        np.add(ym, a, out=ym)
+        np.subtract(ym, a, out=ym)
         n_steps += 1
-        bad = stalled
         if n_steps % 64 == 0 and not np.all(np.isfinite(ym)):
-            bad |= set(np.flatnonzero(~np.isfinite(ym).reshape(m, -1).all(axis=1)).tolist())
+            bad = sorted(set(bad).union(np.flatnonzero(~np.isfinite(ym).reshape(m, -1).all(axis=1)).tolist()))
         for r in bad:
             nonfinite(ids[r], t[r])

@@ -3,6 +3,7 @@ oracle cross-checks, guards, and semiconcavity diagnostics."""
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,60 @@ def test_hopf_lax_matches_brute_force_post_shock():
     vals = np.cos(x[:, None] - d[None, :]) + (d[None, :] ** 2) / (2.0 * t)
     brute = np.min(vals, axis=1)
     assert np.max(np.abs(hl.values - brute)) < 1e-7
+
+
+@pytest.mark.parametrize("phi", [0.0, 4.1])  # cos x, and the phase-shifted datum cos(x - phi) of the benchmark
+def test_hopf_lax_matches_dense_brute_force(phi):
+    # u0 = cos(x - phi) = a cos x + b sin x under H = p^2 / 2, on n = 1024: at
+    # every 8th node the minimum over 200,001 offsets d of u0(x - d) + d^2 / (2t),
+    # with u0(x - d) = A(x) cos d + B(x) sin d
+    g = TorusGrid(1, 1024)
+    x = g.nodes()[0]
+    a, b = math.cos(phi), math.sin(phi)
+    pr = problem(g, 0.5, 0.0, u0=Field(g, a * np.cos(x) + b * np.sin(x)))
+    xs = x[::8]
+    rows = np.stack([a * np.cos(xs) + b * np.sin(xs), a * np.sin(xs) - b * np.cos(xs)], axis=-1)
+    times = (0.5, 1.0, 2.0)
+    for t, hl in zip(times, hopf_lax_oracle(pr, times)):
+        d = np.linspace(-2.0 * math.pi - t, 2.0 * math.pi + t, 200001)
+        basis, lag = np.stack([np.cos(d), np.sin(d)]), d**2 / (2.0 * t)
+        brute = np.concatenate([np.min(rows[i:i + 16] @ basis + lag, axis=1) for i in range(0, len(xs), 16)])
+        assert np.max(np.abs(hl.values[::8] - brute)) <= 1e-8, (phi, t)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "log_cosh_regularized"])
+def test_hopf_lax_sequence_call_equals_the_per_time_calls(kind):
+    g = TorusGrid(1, 256)
+    x = g.nodes()[0]
+    pr = problem(g, 0.5, 0.0, ham=make_hamiltonian(kind, 1), u0=Field(g, np.cos(x) + 0.3 * np.sin(x)))
+    times = [0.0, 0.4, 1.3, 2.0]
+    fields = hopf_lax_oracle(pr, times)
+    assert isinstance(fields, tuple) and len(fields) == len(times)
+    for t, f in zip(times, fields):
+        one = hopf_lax_oracle(pr, t)
+        assert isinstance(one, Field)
+        assert np.max(np.abs(f.values - one.values)) <= 1e-14, t
+    assert np.array_equal(fields[0].values, hopf_lax_oracle(pr, 0.0).values)
+
+
+def test_hopf_lax_sequence_call_stays_within_one_time_of_memory():
+    # the scan's 4e6-entry chunk bounds every time's evaluation: the sequence
+    # form peaks no higher than its costliest per-time call plus the fields it returns
+    g2 = TorusGrid(2, 32)
+    pr = problem(g2, 0.5, 0.0, ham=make_hamiltonian("quadratic", 2))
+    times = [0.25, 0.5, 1.0, 1.5, 2.0]
+
+    def peak(t):
+        tracemalloc.start()
+        try:
+            out = hopf_lax_oracle(pr, t)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    single = max(peak(t)[0] for t in times)
+    seq, fields = peak(times)
+    assert seq <= single + sum(f.values.nbytes for f in fields), (seq, single)
 
 
 def test_hopf_lax_zero_time_and_zero_hamiltonian():
