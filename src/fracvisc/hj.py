@@ -27,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from fracvisc.hamiltonians import HamiltonianSpec, LagrangianSpec, legendre_batch, legendre_momentum
+from fracvisc.hamiltonians import (HamiltonianSpec, LagrangianSpec, legendre_batch, legendre_momentum,
+                                   make_hamiltonian)
 from fracvisc.torus import (TWO_PI, Field, TorusGrid, eval_modes, etdrk4_march, hessian_max_eig, mode_table, prolong,
                             refine, second_difference_max, subsample)
 
@@ -443,12 +444,12 @@ def viscous_solve(
 # ---------------------------------------------------------------------------
 
 
-def _golden_refine(obj, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized golden-section minimization of obj over [lo, hi] per entry.
+def _golden_refine(obj, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Vectorized golden-section minimization of obj over [lo, hi] per entry; returns the minimum values.
 
-    Returns (argmin, value).  Each iteration costs one batched objective
-    evaluation; the interval shrinks by the golden ratio, so reaching
-    tol = 1e-10 from unit-size brackets takes about 50 iterations.
+    Each iteration costs one batched objective evaluation; the interval shrinks
+    by the golden ratio, so reaching tol = 1e-10 from unit-size brackets takes
+    about 50 iterations.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -460,39 +461,76 @@ def _golden_refine(obj, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.
         pt = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
         fv = obj(pt)
         c, d, fc, fd = np.where(left, pt, d), np.where(left, c, pt), np.where(left, fv, fd), np.where(left, fc, fv)
-    return np.where(fc < fd, c, d), np.minimum(fc, fd)
+    return np.minimum(fc, fd)
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # an entry with f'' <= 0 bisects instead of its Newton step
-def _newton_polish(derivs, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _newton_polish(derivs, d: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Minimize per entry inside a bracket [lo, hi] across which f' goes from < 0 to > 0; derivs(sub, x) gives
     f, f', f'' of the entries at positions sub.  Newton steps on f' = 0 that leave the narrowing bracket, or meet
-    f'' <= 0, bisect it; an entry stops at f' = 0 or a Newton step of at most 1e-12.  Returns (last d, f there)."""
-    arg, val, sub = d.copy(), np.empty_like(d), np.arange(len(d))
+    f'' <= 0, bisect it; an entry stops at f' = 0 or a Newton step of at most 1e-12.  Returns f at the last d."""
+    val, sub = np.empty_like(d), np.arange(len(d))
     for _ in range(100):
         if not len(sub):
             break
         f, fp, fpp = derivs(sub, d)
-        arg[sub], val[sub] = d, f
+        val[sub] = f
         lo, hi = np.where(fp < 0.0, d, lo), np.where(fp > 0.0, d, hi)
         step = d - fp / fpp
         go = (fp != 0.0) & ~((fpp > 0.0) & (np.abs(step - d) <= 1e-12))
         step = np.where((fpp > 0.0) & (lo < step) & (step < hi), step, 0.5 * (lo + hi))
         sub, d, lo, hi = sub[go], step[go], lo[go], hi[go]
-    return arg, val
+    return val
+
+
+def _hopf_lax_1d(kvecs, cvals, x, ham: HamiltonianSpec, ts, kmax: float, gsup: float) -> np.ndarray:
+    """min_d [ u0(x - d) + t L(d / t) ] per (t, x) in 1-D, shape (len(ts), len(x)): u0 the mode table (kvecs (m, 1),
+    cvals) with sup |u0'| = gsup and no significant mode past kmax >= 1, x the nodes (n, 1), every t > 0."""
+    delta = math.pi / (4.0 * kmax)
+    # the lattice delta j, ordered 0, -1, 1, -2, 2, ...: each time's 2 reach + 1 points within its radius lead it
+    reach = np.ceil((ts * ham.grad_sup(gsup) + TWO_PI) / delta).astype(int)
+    lattice = delta * np.append(0, np.outer(np.arange(1, reach.max() + 1), [-1, 1]))[:, None]
+    lag = LagrangianSpec(ham, tol=1e-12)
+    pick = np.empty((len(ts), len(x)), dtype=np.int32)  # per (t, x) its best lattice point
+    chunk = max(1, int(4e6) // len(lattice))
+    for i0 in range(0, len(x), chunk):
+        table = eval_modes(kvecs, cvals, x[i0 : i0 + chunk, None, :] - lattice[None, :, :])
+        for k, (tk, m) in enumerate(zip(ts, 2 * reach + 1)):
+            pick[k, i0 : i0 + chunk] = np.argmin(table[:, :m] + tk * legendre_batch(lag, lattice[:m] / tk), axis=1)
+
+    # the (t, x) entries, time-major, and the objective with its first two derivatives in d
+    best, xs, tt = lattice[pick.ravel(), 0], np.tile(x, (len(ts), 1)), np.repeat(ts, len(x))
+    vals = np.empty(len(tt))
+    w = cvals[:, None] * np.stack([np.ones(len(kvecs)), 1j * kvecs[:, 0], -kvecs[:, 0] ** 2], axis=-1)
+
+    def derivs(rows: np.ndarray, d: np.ndarray):
+        u, du, ddu = eval_modes(kvecs, w, xs[rows] - d[:, None]).T
+        tr, q = tt[rows], d / tt[rows]
+        p = legendre_momentum(lag, q[:, None])
+        return u + tr * (p[:, 0] * q - ham.value(p)), p[:, 0] - du, ddu + 1.0 / (tr * ham.hess_diag(p)[:, 0])
+
+    for b in range(0, len(tt), 4096):  # blocks of 4096 entries keep the polish's temporaries near 1 MB
+        rows = np.arange(b, min(b + 4096, len(tt)))
+        lo, hi = best[rows] - delta, best[rows] + delta
+        ok = (derivs(rows, lo)[1] < 0.0) & (derivs(rows, hi)[1] > 0.0)
+        r, o = rows[ok], rows[~ok]
+        vals[r] = _newton_polish(lambda sub, d: derivs(r[sub], d), best[r], lo[ok], hi[ok])
+        if len(o):
+            vals[o] = _golden_refine(lambda d: derivs(o, d)[0], lo[~ok], hi[~ok], 1e-10)
+    return vals.reshape(len(ts), len(x))
 
 
 def hopf_lax_oracle(problem: ProblemSpec, t: float | Sequence[float]) -> Field | tuple[Field, ...]:
     """Inviscid solution u(x, t) = min_y [ u0(y) + t L((x - y)/t) ] on the problem grid.
 
-    t is a time, for one Field, or a sequence of times, for one Field per time from one minimization
-    over every (t, x), in any dimension.  A coarse scan reads one table of u0(x - d) over a lattice of
-    offsets d = x - y spaced a quarter of the finest oscillation of u0, each time within its radius
-    t * sup|D_p H(Du0)| + 2pi (every candidate minimizer plus one full period).  Coordinate descent
-    follows, one axis of d at a time: safeguarded Newton (_newton_polish, to 1e-12 in d) where the
-    axis derivative changes sign across +-one spacing of the scan's point, else golden section to
-    1e-10; in 1-D its first pass is exact.  Requires f == 0; at t = 0 and for the zero Hamiltonian
-    the solution is u0 itself.
+    t is a time, for one Field, or a sequence of times, for one Field per time from one minimization over every
+    (t, x).  Every Hamiltonian kind is a sum of one-axis terms, so for u0 a sum of one-axis functions the minimum
+    is a sum of 1-D minima: u0's modes are split by axis, the constant one to axis 0, and each part is minimized
+    under its axis's one-component Hamiltonian.  In 1-D a scan reads one table of u0(x - d) over a lattice of
+    offsets d spaced a quarter of u0's finest oscillation, each time within its radius t sup|H'(u0')| + 2pi (every
+    candidate minimizer plus one period); then each (t, x) whose derivative changes sign across +-one spacing of its
+    scan point gets safeguarded Newton (_newton_polish, to 1e-12 in d), the rest golden section to 1e-10.  Requires
+    f == 0 and no mode of u0 off the axes (ValueError); at t = 0 and for H = 0 the solution is u0, for any datum.
     """
     from fracvisc.torus import spectral_gradient
 
@@ -502,65 +540,26 @@ def hopf_lax_oracle(problem: ProblemSpec, t: float | Sequence[float]) -> Field |
     times = np.array(t, dtype=np.float64, ndmin=1)
     if np.any(times < 0.0):
         raise ValueError("t must be >= 0")
-    pts = np.stack(grid.nodes(), axis=-1).reshape(-1, grid.dim)
     kvecs, cvals = mode_table(problem.u0, 1e-14)
-    out = [eval_modes(kvecs, cvals, pts)] * len(times)
+    out = [eval_modes(kvecs, cvals, np.stack(grid.nodes(), axis=-1))] * len(times)
     live = np.flatnonzero(times > 0.0) if not ham.is_zero else []
     if len(live):
-        ts = times[live]
+        if np.any(np.count_nonzero(kvecs, axis=1) > 1):
+            raise ValueError("hopf_lax_oracle needs separable data: u0 must be a sum of one-axis functions")
         amp = np.abs(grid.spectral.fwd(problem.u0.values))
-        sig = amp > 1e-12 * np.max(amp)
-        kmax = max([1.0] + [float(np.max(np.abs(km), where=sig, initial=0.0)) for km in grid.spectral.k])
-        g2 = sum(g.values**2 for g in spectral_gradient(problem.u0))
-        delta = math.pi / (4.0 * kmax)
-        # the lattice delta j, ordered by |j|_inf, so that each time's points within its radius lead it
-        reach = np.ceil((ts * ham.grad_sup(float(np.sqrt(np.max(g2)))) + TWO_PI) / delta).astype(int)
-        j = np.stack([m.ravel() for m in np.meshgrid(*[np.arange(-reach.max(), reach.max() + 1)] * grid.dim,
-                                                      indexing="ij")], axis=-1)
-        ring = np.sort(np.max(np.abs(j), axis=-1), kind="stable")
-        lattice = delta * j[np.argsort(np.max(np.abs(j), axis=-1), kind="stable")]
-        lag = LagrangianSpec(ham, tol=1e-12)
-        pick = np.empty((len(ts), len(pts)), dtype=np.int32)  # per (t, x) its best lattice point
-        chunk = max(1, int(4e6) // len(lattice))
-        for i0 in range(0, len(pts), chunk):
-            table = eval_modes(kvecs, cvals, pts[i0 : i0 + chunk, None, :] - lattice[None, :, :])
-            for k, (tk, m) in enumerate(zip(ts, np.searchsorted(ring, reach, side="right"))):
-                pick[k, i0 : i0 + chunk] = np.argmin(table[:, :m] + tk * legendre_batch(lag, lattice[:m] / tk), axis=1)
-
-        # the (t, x) entries, time-major, and the objective's first two derivatives along one axis of d
-        best, xs, tt = lattice[pick.ravel()], np.tile(pts, (len(ts), 1)), np.repeat(ts, len(pts))
-        vals = np.empty(len(tt))
-
-        def derivs(axis: int, rows: np.ndarray, x: np.ndarray):
-            d = best[rows]
-            d[:, axis] = x
-            w = cvals[:, None] * np.stack([np.ones(len(kvecs)), 1j * kvecs[:, axis], -kvecs[:, axis] ** 2], axis=-1)
-            u, du, ddu = eval_modes(kvecs, w, xs[rows] - d).T
-            tr = tt[rows]
-            q = d / tr[:, None]
-            p = legendre_momentum(lag, q)
-            return (u + tr * (np.sum(p * q, axis=-1) - ham.value(p)), p[:, axis] - du,
-                    ddu + 1.0 / (tr * ham.hess_diag(p)[:, axis]))
-
-        for b in range(0, len(tt), 4096):  # blocks of 4096 entries keep the polish's temporaries near 1 MB
-            rows, width = np.arange(b, min(b + 4096, len(tt))), delta
-            for _ in range(60):
-                moved = 0.0
-                for ax in range(grid.dim):
-                    d0 = best[rows, ax]
-                    lo, hi = d0 - width, d0 + width
-                    ok = (derivs(ax, rows, lo)[1] < 0.0) & (derivs(ax, rows, hi)[1] > 0.0)
-                    r, o = rows[ok], rows[~ok]
-                    best[r, ax], vals[r] = _newton_polish(lambda sub, x: derivs(ax, r[sub], x), d0[ok], lo[ok], hi[ok])
-                    if len(o):
-                        best[o, ax], vals[o] = _golden_refine(lambda x: derivs(ax, o, x)[0], lo[~ok], hi[~ok], 1e-10)
-                    moved = max(moved, float(np.max(np.abs(best[rows, ax] - d0))))
-                width = max(2.0 * moved, 1e-9)
-                if grid.dim == 1 or moved < 1e-10:
-                    break
-        for i, v in zip(live, vals.reshape(len(ts), -1)):
+        sig, axis_of = amp > 1e-12 * np.max(amp), np.argmax(kvecs != 0.0, axis=1)
+        total = np.zeros((len(live),) + grid.shape)
+        for a, g in enumerate(spectral_gradient(problem.u0)):  # an axis without modes adds 0, as H(0) = L(0) = 0
+            if np.any(axis_of == a):
+                comp = make_hamiltonian(ham.kind, 1, ham.params[a : a + 1] if ham.kind == "anisotropic_quadratic"
+                                        else ham.params)
+                kmax = max(1.0, float(np.max(np.abs(grid.spectral.k[a]), where=sig, initial=0.0)))
+                part = _hopf_lax_1d(kvecs[axis_of == a][:, [a]], cvals[axis_of == a], grid.axis_coords[:, None],
+                                    comp, times[live], kmax, float(np.sqrt(np.max(g.values**2))))
+                total += part.reshape((len(live),) + tuple(grid.n_points if j == a else 1 for j in range(grid.dim)))
+        for i, v in zip(live, total):
             out[i] = v
-    fields = tuple(Field(grid, v.reshape(grid.shape)) for v in out)
+    fields = tuple(Field(grid, v) for v in out)
     return fields[0] if np.ndim(t) == 0 else fields
 
 

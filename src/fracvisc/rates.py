@@ -188,8 +188,8 @@ class SweepPlan:
             vals = tuple(float(v) for v in getattr(self, name))
             if not vals or not all(map(ok, vals)):
                 raise PlanError(name, f"{what} {rule}")
-            if len(set(vals)) < len(vals):
-                raise PlanError(name, f"{what} must not repeat, got {vals}")
+            if len({f"{v:g}" for v in vals}) < len(vals):  # report.json keys its cells and fits by these %g labels
+                raise PlanError(name, f"{what} must not repeat, nor print alike under %g, got {vals}")
             object.__setattr__(self, name, tuple(sorted(vals, reverse=name == "epsilons")))
         self.u0.check_dim(self.dim)
         if not 0.0 < self.T < math.inf:

@@ -455,6 +455,10 @@ def test_cli_dual_check_needs_pair_and_finite_p(tmp_path, capsys):
     ("sweep", "p_list = 2,2\nepsilon_list = 0.1,0.1,0.1,0.1,0.00625", "epsilon_list"),  # repeated entries
     ("sweep", "p_list = 2,2", "p_list"),
     ("sweep", "s_list = 0.5,0.5", "s_list"),
+    # values that print alike under %g would share one report.json key, one cell overwriting the other
+    ("sweep", "epsilon_list = 0.1,0.1000001,0.05,0.025,0.0125,0.00625", "epsilon_list"),
+    ("sweep", "p_list = 2,2.0000001", "p_list"),
+    ("sweep", "s_list = 0.5,0.5000001", "s_list"),
     ("dual-check", "epsilon_list = 0.1,0.1", "epsilon_list"),
     # rules SweepPlan makes, reported on the config key of the field at fault
     ("solve", "T = 0", "T"),

@@ -358,6 +358,85 @@ def test_oracle_2d_tensor_structure():
     assert np.max(np.abs(two_d.values - expect)) < 1e-7
 
 
+AXIS_DATA = {  # 2-D data as one function per axis, f_0(x) + f_1(y)
+    "cos x + 0.5 sin 2y": (np.cos, lambda z: 0.5 * np.sin(2.0 * z)),
+    "cos x": (np.cos, np.zeros_like),
+    "bump(x)": (lambda z: np.exp(4.0 * (np.cos(z) - 1.0)), np.zeros_like),
+}
+
+
+@pytest.mark.parametrize("kind,params,datum", [
+    ("anisotropic_quadratic", (1.0, 2.5), "cos x + 0.5 sin 2y"),
+    ("log_cosh_regularized", (0.1,), "cos x + 0.5 sin 2y"),
+    ("quadratic", (), "cos x"),
+    ("quadratic", (), "bump(x)"),
+])
+def test_oracle_2d_is_the_sum_of_its_axes_1d_solutions(kind, params, datum):
+    # H = H_0(p_x) + H_1(p_y): each axis is a 1-D problem under its own
+    # component, m_j for the anisotropic kind; an axis without modes adds 0
+    g2, g1 = TorusGrid(2, 64), TorusGrid(1, 64)
+    x, y = g2.nodes()
+    f0, f1 = AXIS_DATA[datum]
+    times = [0.0, 0.7, 1.4, 2.0]
+    two_d = hopf_lax_oracle(problem(g2, 0.5, 0.0, ham=make_hamiltonian(kind, 2, params), u0=Field(g2, f0(x) + f1(y))),
+                            times)
+    x1 = g1.nodes()[0]
+    axes = [hopf_lax_oracle(problem(g1, 0.5, 0.0, u0=Field(g1, f(x1)),
+                                    ham=make_hamiltonian(kind, 1, params[a : a + 1] if len(params) == 2 else params)),
+                            times) for a, f in enumerate((f0, f1))]
+    for t, u2, u0, u1 in zip(times, two_d, *axes):
+        assert np.max(np.abs(u2.values - (u0.values[:, None] + u1.values[None, :]))) <= 1e-13, t
+
+
+def test_oracle_2d_call_memory_is_its_axes_and_its_fields():
+    # 16 times at n = 64: the 2-D minimization is two 1-D ones, so the call's
+    # traced peak is the 16 returned fields (0.5 MB) and 1-D temporaries
+    g2 = TorusGrid(2, 64)
+    pr = problem(g2, 0.5, 0.0, ham=make_hamiltonian("quadratic", 2))
+    tracemalloc.start()
+    try:
+        hopf_lax_oracle(pr, np.linspace(0.0, 2.0, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+
+
+@pytest.mark.parametrize("which", ["diagonal", "corner"])
+def test_oracle_needs_separable_data_only_when_it_minimizes(which):
+    # cos(x + y), or separable data plus the corner mode (n/2, n/2): (-1)^(i + j)
+    # at the nodes, which mode_table reads as cos(n/2 (x + y))
+    g2 = TorusGrid(2, 32)
+    x, y = g2.nodes()
+    i, j = np.indices(g2.shape)
+    vals = np.cos(x + y) if which == "diagonal" else np.cos(x) + np.cos(y) + 0.1 * (-1.0) ** (i + j)
+    pr = problem(g2, 0.5, 0.0, ham=make_hamiltonian("quadratic", 2), u0=Field(g2, vals))
+    with pytest.raises(ValueError, match="separable"):
+        hopf_lax_oracle(pr, [0.0, 1.0])
+    # no minimization runs at t = 0 or under H = 0: u0 comes back for any datum
+    assert np.allclose(hopf_lax_oracle(pr, 0.0).values, vals, atol=1e-12)
+    prz = problem(g2, 0.5, 0.0, ham=make_hamiltonian("zero", 2), u0=Field(g2, vals))
+    for f in hopf_lax_oracle(prz, [0.0, 1.7]):
+        assert np.allclose(f.values, vals, atol=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the lattice scan can settle in the wrong basin")
+def test_oracle_finds_the_global_minimum_on_two_mode_data():
+    # u0 = cos x + 0.5 sin 2x, H = p^2 / 2, n = 1024: every node against the
+    # minimum over 200,001 offsets d of u0(x - d) + d^2 / (2t), with u0(x - d)
+    # the rows [cos x, sin x, 0.5 sin 2x, -0.5 cos 2x] times [cos d, sin d, cos 2d, sin 2d]
+    g = TorusGrid(1, 1024)
+    x = g.nodes()[0]
+    pr = problem(g, 0.5, 0.0, u0=Field(g, np.cos(x) + 0.5 * np.sin(2.0 * x)))
+    rows = np.stack([np.cos(x), np.sin(x), 0.5 * np.sin(2.0 * x), -0.5 * np.cos(2.0 * x)], axis=-1)
+    times = (0.5, 2.0)
+    for t, hl in zip(times, hopf_lax_oracle(pr, times)):
+        d = np.linspace(-2.0 * math.pi - t, 2.0 * math.pi + t, 200001)
+        basis, lag = np.stack([np.cos(d), np.sin(d), np.cos(2.0 * d), np.sin(2.0 * d)]), d**2 / (2.0 * t)
+        brute = np.concatenate([np.min(rows[i:i + 16] @ basis + lag, axis=1) for i in range(0, len(x), 16)])
+        assert np.max(np.abs(hl.values - brute)) <= 1e-8, t
+
+
 # ---------------------------------------------------------------------------
 # monotone reference scheme
 # ---------------------------------------------------------------------------

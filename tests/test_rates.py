@@ -134,6 +134,8 @@ def test_sweep_plan_validation(monkeypatch):
         zero_h_plan(s_values=(0.5, 0.5))
     with pytest.raises(ValueError, match="p values must not repeat"):
         zero_h_plan(p_values=(2.0, 2.0))
+    with pytest.raises(ValueError, match="viscosities must not repeat, nor print alike"):  # both read "0.1"
+        zero_h_plan(epsilons=(0.1, 0.1000001, 0.05, 0.025, 0.0125, 0.00625))
     with pytest.raises(ValueError, match="s values"):
         zero_h_plan(s_values=(1.5,))
     with pytest.raises(ValueError, match="p values"):
