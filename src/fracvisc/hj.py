@@ -444,29 +444,9 @@ def viscous_solve(
 # ---------------------------------------------------------------------------
 
 
-def _golden_refine(obj, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorized golden-section minimization of obj over [lo, hi] per entry; returns the minimum values.
-
-    Each iteration costs one batched objective evaluation; the interval shrinks
-    by the golden ratio, so reaching tol = 1e-10 from unit-size brackets takes
-    about 50 iterations.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = obj(c), obj(d)
-    while np.max(b - a) > tol:
-        left = fc < fd  # the minimum lies in [a, d]: d becomes b and c the new d; else c becomes a
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        pt = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fv = obj(pt)
-        c, d, fc, fd = np.where(left, pt, d), np.where(left, c, pt), np.where(left, fv, fd), np.where(left, fc, fv)
-    return np.minimum(fc, fd)
-
-
 @np.errstate(divide="ignore", invalid="ignore")  # an entry with f'' <= 0 bisects instead of its Newton step
 def _newton_polish(derivs, d: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Minimize per entry inside a bracket [lo, hi] across which f' goes from < 0 to > 0; derivs(sub, x) gives
+    """Minimize per entry inside a bracket [lo, hi] across which f' goes from < 0 to >= 0; derivs(sub, x) gives
     f, f', f'' of the entries at positions sub.  Newton steps on f' = 0 that leave the narrowing bracket, or meet
     f'' <= 0, bisect it; an entry stops at f' = 0 or a Newton step of at most 1e-12.  Returns f at the last d."""
     val, sub = np.empty_like(d), np.arange(len(d))
@@ -487,36 +467,47 @@ def _hopf_lax_1d(kvecs, cvals, x, ham: HamiltonianSpec, ts, kmax: float, gsup: f
     """min_d [ u0(x - d) + t L(d / t) ] per (t, x) in 1-D, shape (len(ts), len(x)): u0 the mode table (kvecs (m, 1),
     cvals) with sup |u0'| = gsup and no significant mode past kmax >= 1, x the nodes (n, 1), every t > 0."""
     delta = math.pi / (4.0 * kmax)
-    # the lattice delta j, ordered 0, -1, 1, -2, 2, ...: each time's 2 reach + 1 points within its radius lead it
+    # the sorted lattice delta j; each time reads the 2 reach + 1 points within its radius
     reach = np.ceil((ts * ham.grad_sup(gsup) + TWO_PI) / delta).astype(int)
-    lattice = delta * np.append(0, np.outer(np.arange(1, reach.max() + 1), [-1, 1]))[:, None]
+    top = int(reach.max())
+    lattice = delta * np.arange(-top, top + 1)
     lag = LagrangianSpec(ham, tol=1e-12)
-    pick = np.empty((len(ts), len(x)), dtype=np.int32)  # per (t, x) its best lattice point
-    chunk = max(1, int(4e6) // len(lattice))
-    for i0 in range(0, len(x), chunk):
-        table = eval_modes(kvecs, cvals, x[i0 : i0 + chunk, None, :] - lattice[None, :, :])
-        for k, (tk, m) in enumerate(zip(ts, 2 * reach + 1)):
-            pick[k, i0 : i0 + chunk] = np.argmin(table[:, :m] + tk * legendre_batch(lag, lattice[:m] / tk), axis=1)
-
-    # the (t, x) entries, time-major, and the objective with its first two derivatives in d
-    best, xs, tt = lattice[pick.ravel(), 0], np.tile(x, (len(ts), 1)), np.repeat(ts, len(x))
-    vals = np.empty(len(tt))
+    # per time: its lattice window, L and L' there, and the sampling bound sup f'' delta^2 / 8 with L'' <= 1 / theta
+    wins = [slice(top - r, top + r + 1) for r in reach]
+    qs = [lattice[w, None] / tk for w, tk in zip(wins, ts)]
+    lags = [(legendre_batch(lag, q), legendre_momentum(lag, q)[:, 0]) for q in qs]
+    bound = (np.sum(np.abs(cvals) * kvecs[:, 0] ** 2) + 1.0 / (ham.theta * ts)) * delta**2 / 8.0
     w = cvals[:, None] * np.stack([np.ones(len(kvecs)), 1j * kvecs[:, 0], -kvecs[:, 0] ** 2], axis=-1)
 
-    def derivs(rows: np.ndarray, d: np.ndarray):
-        u, du, ddu = eval_modes(kvecs, w, xs[rows] - d[:, None]).T
-        tr, q = tt[rows], d / tt[rows]
+    # every lattice interval across which f' = L'(d / t) - u0'(x - d) goes from < 0 to >= 0 and whose lower end
+    # value lies within the bound of the best lattice value: its (t, x) entry, time-major, left end and regula falsi
+    # start.  f dips below the lower end value of an interval by at most b, so the minimum's interval is among them.
+    found = []
+    chunk = max(1, 2**19 // (len(lattice) * len(kvecs)))  # eval_modes holds (table entries, modes) temporaries
+    for i0 in range(0, len(x), chunk):
+        table = eval_modes(kvecs, w[:, :2], x[i0 : i0 + chunk, None, :] - lattice[None, :, None])
+        for k, (tk, win, (lk, pk), b) in enumerate(zip(ts, wins, lags, bound)):
+            f, fp = table[:, win, 0] + tk * lk, pk - table[:, win, 1]
+            near = np.minimum(f[:, :-1], f[:, 1:]) <= np.min(f, axis=1, keepdims=True) + b
+            i, j = np.nonzero((fp[:, :-1] < 0.0) & (fp[:, 1:] >= 0.0) & near)
+            lo, a, c = lattice[win][j], fp[i, j], fp[i, j + 1]
+            found.append((k * len(x) + i0 + i, lo, lo - delta * a / (c - a)))
+    rows, lo, start = (np.concatenate(v) for v in zip(*found))
+    if np.any(np.bincount(rows, minlength=len(ts) * len(x)) == 0):
+        raise RuntimeError("Hopf-Lax oracle: a (t, x) entry has no sign-change bracket on its lattice")
+    xs, tt = x[rows % len(x), 0], ts[rows // len(x)]
+
+    def derivs(sub: np.ndarray, d: np.ndarray):  # the objective and its first two derivatives in d
+        u, du, ddu = eval_modes(kvecs, w, (xs[sub] - d)[:, None]).T
+        tr, q = tt[sub], d / tt[sub]
         p = legendre_momentum(lag, q[:, None])
         return u + tr * (p[:, 0] * q - ham.value(p)), p[:, 0] - du, ddu + 1.0 / (tr * ham.hess_diag(p)[:, 0])
 
-    for b in range(0, len(tt), 4096):  # blocks of 4096 entries keep the polish's temporaries near 1 MB
-        rows = np.arange(b, min(b + 4096, len(tt)))
-        lo, hi = best[rows] - delta, best[rows] + delta
-        ok = (derivs(rows, lo)[1] < 0.0) & (derivs(rows, hi)[1] > 0.0)
-        r, o = rows[ok], rows[~ok]
-        vals[r] = _newton_polish(lambda sub, d: derivs(r[sub], d), best[r], lo[ok], hi[ok])
-        if len(o):
-            vals[o] = _golden_refine(lambda d: derivs(o, d)[0], lo[~ok], hi[~ok], 1e-10)
+    vals = np.full(len(ts) * len(x), np.inf)
+    for b in range(0, len(rows), 4096):  # blocks of 4096 brackets keep the polish's temporaries near 1 MB
+        blk = np.arange(b, min(b + 4096, len(rows)))
+        np.minimum.at(vals, rows[blk], _newton_polish(lambda sub, d: derivs(blk[sub], d), start[blk], lo[blk],
+                                                      lo[blk] + delta))
     return vals.reshape(len(ts), len(x))
 
 
@@ -526,11 +517,14 @@ def hopf_lax_oracle(problem: ProblemSpec, t: float | Sequence[float]) -> Field |
     t is a time, for one Field, or a sequence of times, for one Field per time from one minimization over every
     (t, x).  Every Hamiltonian kind is a sum of one-axis terms, so for u0 a sum of one-axis functions the minimum
     is a sum of 1-D minima: u0's modes are split by axis, the constant one to axis 0, and each part is minimized
-    under its axis's one-component Hamiltonian.  In 1-D a scan reads one table of u0(x - d) over a lattice of
-    offsets d spaced a quarter of u0's finest oscillation, each time within its radius t sup|H'(u0')| + 2pi (every
-    candidate minimizer plus one period); then each (t, x) whose derivative changes sign across +-one spacing of its
-    scan point gets safeguarded Newton (_newton_polish, to 1e-12 in d), the rest golden section to 1e-10.  Requires
-    f == 0 and no mode of u0 off the axes (ValueError); at t = 0 and for H = 0 the solution is u0, for any datum.
+    under its axis's one-component Hamiltonian.  In 1-D one table of u0(x - d) and u0'(x - d) over the sorted
+    lattice of offsets d = delta j, delta = pi / (4 k_max), serves every time within its radius t sup|H'(u0')| + 2pi
+    (every candidate minimizer plus one period).  Every lattice interval across which the derivative of
+    f(d) = u0(x - d) + t L(d / t) goes from < 0 to >= 0, and whose lower end value lies within the sampling bound
+    (sup|u0''| + 1/(theta t)) delta^2 / 8 of the best lattice value, is polished by safeguarded Newton
+    (_newton_polish, to 1e-12 in d), and each (t, x) takes its least polished value, so no basin that may hold the
+    minimum goes unrefined; an entry without such a bracket raises RuntimeError.  Requires f == 0 and no mode of u0
+    off the axes (ValueError); at t = 0 and for H = 0 the solution is u0, for any datum.
     """
     from fracvisc.torus import spectral_gradient
 

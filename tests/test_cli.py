@@ -269,6 +269,17 @@ def test_cli_one_sided(tmp_path, capsys):
     assert len(one_sided["epsilons"]) == 5
 
 
+def test_cli_two_mode_sweep_fits_every_norm(tmp_path):
+    # u0 = cos x + 0.5 sin 2x has two competing basins of the Hopf-Lax minimum;
+    # an oracle that settles in the wrong one puts an error floor under the fine rungs
+    cfg = write_cfg(tmp_path, "u0 = coeffs:1,0,0,0.5\nepsilon_list = geometric:0.0625,0.5,5\n")
+    out = tmp_path / "two"
+    assert main(["sweep", "--config", cfg, "--output", str(out)]) == 0
+    fits = json.loads((out / "report.json").read_text())["fits"]
+    assert fits and all(fit["passed"] is True for fit in fits.values()), fits
+    assert fits["s=0.5,p=inf"]["exponent"] >= 0.98
+
+
 def test_cli_forced_sweep_against_the_monotone_reference(tmp_path):
     # the benchmark's forced layer-pass sweep: a forcing rules out the oracle,
     # so every error is measured against the Lax-Friedrichs reference

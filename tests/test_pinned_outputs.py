@@ -9,10 +9,11 @@ integrating-factor RK4 ones they replace or closer, in every case.  The
 change that moves one of these numbers changes the numerics and must say so.
 
 The Hopf-Lax oracle pins were recorded before the 1-D minimizer and the
-2-D coordinate descent were merged into one path.  The 1-D values are
-reproduced bit for bit.  The 2-D descent now refines to 1e-10 instead of
-1e-11, which moves its values by at most 6.7e-16, so that pin is compared
-with an absolute tolerance of 1e-13.
+2-D coordinate descent were merged into one path.  Since the oracle polishes
+every sign-change bracket of its lattice with Newton, every pin is
+reproduced to round-off, within 4.5e-16, not bit for bit.  The 2-D pin is
+compared with an absolute tolerance of 1e-13, the 1-D ones with a relative
+tolerance of 1e-13.
 """
 
 import numpy as np
