@@ -18,7 +18,7 @@ from fracvisc.torus import (
     second_difference_max,
     lp_norm,
 )
-from fracvisc.hamiltonians import HamiltonianSpec, make_hamiltonian, LagrangianSpec
+from fracvisc.hamiltonians import HamiltonianSpec, make_hamiltonian, legendre_batch
 from fracvisc.hj import (ZeroForcing, ConstantForcing, CosWaveForcing, ProblemSpec, ProblemBatch, Trajectory,
                          TrajectoryBatch, viscous_solve, hopf_lax_oracle, monotone_reference)
 from fracvisc.dual import DriftField, DualSolution, DualBatch, build_drift, dual_solve, gronwall_check, duality_residual

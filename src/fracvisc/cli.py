@@ -20,10 +20,11 @@ from functools import lru_cache
 import numpy as np
 
 from fracvisc.config import ConfigError, ExperimentConfig, parse_config_file
-from fracvisc.dual import DualSolution, build_drift, dual_solve, duality_residual, gronwall_check, lp_dual_datum
+from fracvisc.dual import (DUALITY_RESIDUAL_MAX, GRONWALL_RATIO_MAX, DualSolution, build_drift, dual_solve,
+                           duality_residual, gronwall_check, lp_dual_datum)
 from fracvisc.hj import ProblemBatch, Trajectory, viscous_solve
 from fracvisc.hj import hopf_lax_oracle, monotone_reference  # unused: perfbench/tracer.py patches them on this module
-from fracvisc.rates import emit_report, env_threads, one_sided_check, run_sweep, write_json
+from fracvisc.rates import emit_report, one_sided_check, run_sweep, write_json
 from fracvisc.torus import Field, TorusGrid
 
 
@@ -89,12 +90,12 @@ def _cmd_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def _threads() -> int:
-    """Sweep workers from FRACVISC_THREADS (default 1); a bad value is a configuration error."""
-    try:
-        return env_threads()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def env_threads() -> int:
+    """Sweep workers from FRACVISC_THREADS (default 1); a value that is not a positive integer is a ConfigError."""
+    raw = os.environ.get("FRACVISC_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"FRACVISC_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -103,7 +104,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         f"sweep: s={list(plan.s_values)} eps ladder of {len(plan.epsilons)} "
         f"entries, reference={plan.reference}"
     )
-    result = run_sweep(plan, threads=_threads())
+    result = run_sweep(plan, threads=env_threads())
     for s, eps, reason in result.failures:
         _log(f"sweep: cell (s={s:g}, eps={eps:g}) failed: {reason}")
     one_sided = None
@@ -195,8 +196,8 @@ def _cmd_dual_check(cfg: ExperimentConfig, out_dir: str) -> int:
     if not checks:  # every pair's w(T) vanished, so no datum was built and nothing was checked
         _log("dual-check: FAILED, no check ran: w(T) vanishes on every pair")
         return 1
-    if worst_ratio > 1.01 or worst_residual > 0.02:
-        _log("dual-check: FAILED thresholds (ratio <= 1.01, residual <= 0.02)")
+    if worst_ratio > GRONWALL_RATIO_MAX or worst_residual > DUALITY_RESIDUAL_MAX:
+        _log(f"dual-check: FAILED thresholds (ratio <= {GRONWALL_RATIO_MAX:g}, residual <= {DUALITY_RESIDUAL_MAX:g})")
         return 1
     return 0
 

@@ -41,8 +41,12 @@ __all__ = [
     "gronwall_check",
     "duality_residual",
     "lp_dual_datum",
+    "GRONWALL_RATIO_MAX",
+    "DUALITY_RESIDUAL_MAX",
 ]
 
+GRONWALL_RATIO_MAX = 1.01  # a Gronwall ratio passes up to 1% quadrature slack
+DUALITY_RESIDUAL_MAX = 0.02  # the largest duality-identity residual a dual-check accepts
 
 @dataclass(frozen=True)
 class DriftField:
@@ -96,8 +100,8 @@ def build_drift(
     """Assemble b = -int_0^1 D_p H(zeta Du_eps + (1-zeta) Du_eta) dzeta.
 
     The zeta integral uses 8-point Gauss-Legendre quadrature, which is
-    exact for the quadratic and anisotropic kinds (whose integrand is
-    linear in zeta) and spectrally accurate otherwise.
+    exact without cosh terms (the integrand is then linear in zeta) and
+    spectrally accurate otherwise.
     Gradients are spectral and 2/3-dealiased, matching the solver; the
     divergence is the dealiased spectral divergence of the sampled drift.
 
@@ -362,8 +366,8 @@ class GronwallReport:
     max_ratio_before_tau: float
     growth_factor: float
 
-    def ok(self) -> bool:  # the estimate holds up to 1% quadrature slack
-        return bool(self.max_ratio <= 1.01)
+    def ok(self) -> bool:
+        return bool(self.max_ratio <= GRONWALL_RATIO_MAX)
 
 
 def gronwall_check(dual: DualSolution, drift: DriftField, q: float) -> GronwallReport:

@@ -27,8 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from fracvisc.hamiltonians import (HamiltonianSpec, LagrangianSpec, legendre_batch, legendre_momentum,
-                                   make_hamiltonian)
+from fracvisc.hamiltonians import HamiltonianSpec, legendre_batch, legendre_momentum
 from fracvisc.torus import (TWO_PI, Field, TorusGrid, eval_modes, etdrk4_march, hessian_max_eig, mode_table, prolong,
                             refine, second_difference_max, subsample)
 
@@ -90,6 +89,7 @@ class TailGuardError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ZeroForcing:
     """f == 0; semiconcavity, the largest eigenvalue of D^2 f, is 0."""
 
@@ -99,26 +99,20 @@ class ZeroForcing:
     def value(self, grid: TorusGrid, t: float) -> np.ndarray:
         return np.zeros(grid.shape)
 
-    def __eq__(self, other):  # forcing equality keeps ProblemSpec comparable
-        return isinstance(other, ZeroForcing)
 
-
+@dataclass(frozen=True)
 class ConstantForcing:
     """f == c, constant in space and time; semiconcavity is 0."""
 
+    c: float
     is_zero = False
     semiconcavity = 0.0
 
-    def __init__(self, c: float):
-        self.c = float(c)
-
     def value(self, grid: TorusGrid, t: float) -> np.ndarray:
-        return np.full(grid.shape, self.c)
-
-    def __eq__(self, other):
-        return isinstance(other, ConstantForcing) and self.c == other.c
+        return np.full(grid.shape, self.c, dtype=np.float64)
 
 
+@dataclass(frozen=True)
 class CosWaveForcing:
     """f(x, t) = amp * cos(x_1 - omega t), a travelling forcing wave.
 
@@ -126,22 +120,16 @@ class CosWaveForcing:
     attained where the cosine is -1.
     """
 
+    amp: float
+    omega: float
     is_zero = False
 
-    def __init__(self, amp: float, omega: float):
-        self.amp = float(amp)
-        self.omega = float(omega)
-        self.semiconcavity = abs(self.amp)
+    @property
+    def semiconcavity(self) -> float:
+        return abs(self.amp)
 
     def value(self, grid: TorusGrid, t: float) -> np.ndarray:
         return self.amp * np.cos(grid.x1 - self.omega * t)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CosWaveForcing)
-            and self.amp == other.amp
-            and self.omega == other.omega
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +459,10 @@ def _hopf_lax_1d(kvecs, cvals, x, ham: HamiltonianSpec, ts, kmax: float, gsup: f
     reach = np.ceil((ts * ham.grad_sup(gsup) + TWO_PI) / delta).astype(int)
     top = int(reach.max())
     lattice = delta * np.arange(-top, top + 1)
-    lag = LagrangianSpec(ham, tol=1e-12)
     # per time: its lattice window, L and L' there, and the sampling bound sup f'' delta^2 / 8 with L'' <= 1 / theta
     wins = [slice(top - r, top + r + 1) for r in reach]
     qs = [lattice[w, None] / tk for w, tk in zip(wins, ts)]
-    lags = [(legendre_batch(lag, q), legendre_momentum(lag, q)[:, 0]) for q in qs]
+    lags = [(legendre_batch(ham, q), legendre_momentum(ham, q)[:, 0]) for q in qs]
     bound = (np.sum(np.abs(cvals) * kvecs[:, 0] ** 2) + 1.0 / (ham.theta * ts)) * delta**2 / 8.0
     w = cvals[:, None] * np.stack([np.ones(len(kvecs)), 1j * kvecs[:, 0], -kvecs[:, 0] ** 2], axis=-1)
 
@@ -500,7 +487,7 @@ def _hopf_lax_1d(kvecs, cvals, x, ham: HamiltonianSpec, ts, kmax: float, gsup: f
     def derivs(sub: np.ndarray, d: np.ndarray):  # the objective and its first two derivatives in d
         u, du, ddu = eval_modes(kvecs, w, (xs[sub] - d)[:, None]).T
         tr, q = tt[sub], d / tt[sub]
-        p = legendre_momentum(lag, q[:, None])
+        p = legendre_momentum(ham, q[:, None])
         return u + tr * (p[:, 0] * q - ham.value(p)), p[:, 0] - du, ddu + 1.0 / (tr * ham.hess_diag(p)[:, 0])
 
     vals = np.full(len(ts) * len(x), np.inf)
@@ -515,11 +502,11 @@ def hopf_lax_oracle(problem: ProblemSpec, t: float | Sequence[float]) -> Field |
     """Inviscid solution u(x, t) = min_y [ u0(y) + t L((x - y)/t) ] on the problem grid.
 
     t is a time, for one Field, or a sequence of times, for one Field per time from one minimization over every
-    (t, x).  Every Hamiltonian kind is a sum of one-axis terms, so for u0 a sum of one-axis functions the minimum
-    is a sum of 1-D minima: u0's modes are split by axis, the constant one to axis 0, and each part is minimized
-    under its axis's one-component Hamiltonian.  In 1-D one table of u0(x - d) and u0'(x - d) over the sorted
-    lattice of offsets d = delta j, delta = pi / (4 k_max), serves every time within its radius t sup|H'(u0')| + 2pi
-    (every candidate minimizer plus one period).  Every lattice interval across which the derivative of
+    (t, x).  Every Hamiltonian is a sum of one-axis terms, so for u0 a sum of one-axis functions the minimum is a
+    sum of 1-D minima: u0's modes are split by axis, the constant one to axis 0, and each part is minimized under
+    its axis's one-component Hamiltonian (HamiltonianSpec.axis).  In 1-D one table of u0(x - d) and u0'(x - d)
+    over the sorted lattice of offsets d = delta j, delta = pi / (4 k_max), serves every time within its radius
+    t sup|H'(u0')| + 2pi (every candidate minimizer plus one period).  Every lattice interval across which the derivative of
     f(d) = u0(x - d) + t L(d / t) goes from < 0 to >= 0, and whose lower end value lies within the sampling bound
     (sup|u0''| + 1/(theta t)) delta^2 / 8 of the best lattice value, is polished by safeguarded Newton
     (_newton_polish, to 1e-12 in d), and each (t, x) takes its least polished value, so no basin that may hold the
@@ -545,11 +532,9 @@ def hopf_lax_oracle(problem: ProblemSpec, t: float | Sequence[float]) -> Field |
         total = np.zeros((len(live),) + grid.shape)
         for a, g in enumerate(spectral_gradient(problem.u0)):  # an axis without modes adds 0, as H(0) = L(0) = 0
             if np.any(axis_of == a):
-                comp = make_hamiltonian(ham.kind, 1, ham.params[a : a + 1] if ham.kind == "anisotropic_quadratic"
-                                        else ham.params)
                 kmax = max(1.0, float(np.max(np.abs(grid.spectral.k[a]), where=sig, initial=0.0)))
                 part = _hopf_lax_1d(kvecs[axis_of == a][:, [a]], cvals[axis_of == a], grid.axis_coords[:, None],
-                                    comp, times[live], kmax, float(np.sqrt(np.max(g.values**2))))
+                                    ham.axis(a), times[live], kmax, float(np.sqrt(np.max(g.values**2))))
                 total += part.reshape((len(live),) + tuple(grid.n_points if j == a else 1 for j in range(grid.dim)))
         for i, v in zip(live, total):
             out[i] = v

@@ -52,7 +52,6 @@ __all__ = [
     "CellResult",
     "SweepResult",
     "run_sweep",
-    "env_threads",
     "RateFit",
     "fit_rate",
     "target_exponent",
@@ -262,14 +261,6 @@ class SweepResult:
         return np.array([cell.epsilon for cell in cells]), np.array([cell.errors[p] for cell in cells])
 
 
-def env_threads() -> int:
-    """Sweep workers from FRACVISC_THREADS (default 1); ValueError naming the variable otherwise."""
-    raw = os.environ.get("FRACVISC_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"FRACVISC_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def _cell_worker(args: tuple) -> tuple[float, float, object]:
     """Measure the errors of one sweep cell from its solve (a Trajectory or the solver's guard error)."""
     (plan, s, eps, n_cell, eval_n, ref_values, traj) = args
@@ -325,21 +316,19 @@ def _reference_values(plan: SweepPlan, eval_n: int) -> list[np.ndarray]:
     return [f.values for f in traj.snapshots]
 
 
-def run_sweep(plan: SweepPlan, threads: int | None = None) -> SweepResult:
+def run_sweep(plan: SweepPlan, threads: int = 1) -> SweepResult:
     """Execute every (s, eps) cell of the plan and collect its errors.
 
     The cells of one grid are solved in one batch (see viscous_solve), then
     evaluated one by one against the reference of their evaluation grid.
     Cells that trip a solver guard are recorded as failures and the sweep
-    continues.  With FRACVISC_THREADS > 1 (or threads > 1) the batches are
-    solved in a process pool, the cells of a grid dealt into up to threads
-    batches so that they still run side by side; results are assembled in
-    sorted order so the output is identical to the sequential path.  A plan
-    that fails plan.check_sweep raises PlanError before any solve.
+    continues.  With threads > 1 the batches are solved in a process pool,
+    the cells of a grid dealt into up to threads batches so that they still
+    run side by side; results are assembled in sorted order so the output
+    is identical to the sequential path.  A plan that fails
+    plan.check_sweep raises PlanError before any solve.
     """
     plan.check_sweep()
-    if threads is None:
-        threads = env_threads()
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 

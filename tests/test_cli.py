@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracvisc
-from fracvisc.cli import COMMANDS, _snapshot_csv, main
+from fracvisc.cli import COMMANDS, _snapshot_csv, env_threads, main
 from fracvisc.config import ConfigError, parse_config
+from fracvisc.hamiltonians import make_hamiltonian
 from fracvisc.hj import viscous_solve
 from fracvisc.rates import format_float
 from fracvisc.torus import Field, TorusGrid
@@ -59,7 +60,7 @@ def test_parse_config_defaults_and_overrides():
     assert plan.s_values == (0.25, 0.5)
     assert plan.T == 1.5
     assert plan.dim == 1 and plan.n_points is None
-    assert plan.hamiltonian.kind == "quadratic"
+    assert plan.hamiltonian == make_hamiltonian("quadratic", 1)
     assert len(plan.snapshot_times) == 16 and plan.snapshot_times[-1] == 1.5
     # geometric ladder default: 7 entries, ratio 1/2
     assert len(plan.epsilons) == 7
@@ -318,6 +319,18 @@ def test_cli_rejects_bad_thread_count(tmp_path, monkeypatch, capsys, value):
     cfg = write_cfg(tmp_path, BASE)
     assert main(["sweep", "--config", cfg, "--output", str(tmp_path / "s")]) == 2
     assert "FRACVISC_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_sweep_threads_from_environment(monkeypatch, value):
+    # only the CLI reads FRACVISC_THREADS; a bad value is a ConfigError, which main turns into exit 2
+    monkeypatch.setenv("FRACVISC_THREADS", value)
+    with pytest.raises(ConfigError, match="FRACVISC_THREADS"):
+        env_threads()
+    monkeypatch.setenv("FRACVISC_THREADS", "3")
+    assert env_threads() == 3
+    monkeypatch.delenv("FRACVISC_THREADS")
+    assert env_threads() == 1
 
 
 def test_cli_dual_check(tmp_path):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from fracvisc.hamiltonians import (
     VALID_RADIUS,
     HamiltonianSpec,
-    LagrangianSpec,
     legendre_batch,
     make_hamiltonian,
 )
@@ -137,6 +136,25 @@ def test_grad_hess_match_finite_differences(kind, dim, params):
         assert np.max(np.abs(fd - np.diag(np.diag(fd)))) <= 5e-7
 
 
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["quadratic", "anisotropic_quadratic", "log_cosh_regularized", "zero"]),
+       m=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)), c=st.floats(0.01, 2.0),
+       p=st.lists(st.floats(-VALID_RADIUS, VALID_RADIUS), min_size=6, max_size=6))
+def test_every_kind_is_the_sum_of_its_axes(kind, m, c, p):
+    # H(p) = H_0(p_0) + H_1(p_1) with H_j = axis(j); DH and diag D^2 H act axis by axis
+    params = {"quadratic": (), "anisotropic_quadratic": m, "log_cosh_regularized": (c,), "zero": ()}[kind]
+    spec = make_hamiltonian(kind, 2, params)
+    axes = [spec.axis(j) for j in range(2)]
+    P = np.reshape(p, (3, 2))
+    assert [a.dim for a in axes] == [1, 1]
+    assert spec.theta == min(a.theta for a in axes) and spec.Theta == max(a.Theta for a in axes)
+    # every term is >= 0, so the two summation orders agree to a few ulps
+    np.testing.assert_allclose(spec.value(P), axes[0].value(P[:, 0]) + axes[1].value(P[:, 1]), rtol=2e-15, atol=0)
+    for j, a in enumerate(axes):
+        assert np.array_equal(spec.grad(P)[:, j], a.grad(P[:, j])[:, 0])
+        assert np.array_equal(spec.hess_diag(P)[:, j], a.hess_diag(P[:, j])[:, 0])
+
+
 def test_vectorized_evaluation_shapes():
     spec = make_hamiltonian("quadratic", 2)
     P = np.zeros((5, 7, 2))
@@ -206,36 +224,36 @@ def test_grad_sup_bounds_sampled_gradients():
 
 
 def test_legendre_quadratic_closed_form():
-    lag = LagrangianSpec(make_hamiltonian("quadratic", 1))
+    spec = make_hamiltonian("quadratic", 1)
     for q in (-2.0, 0.0, 0.3, 1.7):
-        assert legendre_batch(lag, q) == pytest.approx(0.5 * q * q, abs=1e-12)
+        assert legendre_batch(spec, q) == pytest.approx(0.5 * q * q, abs=1e-12)
 
 
 def test_legendre_anisotropic_closed_form():
     # L(q) = sum q_j^2 / (2 m_j)
-    lag = LagrangianSpec(make_hamiltonian("anisotropic_quadratic", 2, (2.0, 0.5)))
+    spec = make_hamiltonian("anisotropic_quadratic", 2, (2.0, 0.5))
     q = np.array([1.0, -0.6])
     exact = q[0] ** 2 / 4.0 + q[1] ** 2 / 1.0
-    assert legendre_batch(lag, q) == pytest.approx(exact, abs=1e-12)
+    assert legendre_batch(spec, q) == pytest.approx(exact, abs=1e-12)
 
 
 def test_legendre_log_cosh_vs_dense_grid():
     # brute-force sup over a dense momentum grid
-    lag = LagrangianSpec(make_hamiltonian("log_cosh_regularized", 1))
+    spec = make_hamiltonian("log_cosh_regularized", 1)
     pg = np.linspace(-12.0, 12.0, 2_000_001)
     hval = np.cosh(pg) - 1.0 + 0.05 * pg**2
     for q in (-3.0, -0.4, 0.0, 1.3, 5.0):
         brute = float(np.max(q * pg - hval))
-        assert legendre_batch(lag, q) == pytest.approx(brute, abs=1e-9)
+        assert legendre_batch(spec, q) == pytest.approx(brute, abs=1e-9)
 
 
 def test_legendre_batch_matches_scalar():
-    lag = LagrangianSpec(make_hamiltonian("log_cosh_regularized", 2))
+    spec = make_hamiltonian("log_cosh_regularized", 2)
     rng = np.random.default_rng(5)
     Q = rng.uniform(-4, 4, size=(40, 2))
-    batch = legendre_batch(lag, Q)
+    batch = legendre_batch(spec, Q)
     for i in range(Q.shape[0]):
-        assert batch[i] == pytest.approx(legendre_batch(lag, Q[i]), abs=1e-10)
+        assert batch[i] == pytest.approx(legendre_batch(spec, Q[i]), abs=1e-10)
 
 
 def test_biconjugacy():
@@ -248,11 +266,10 @@ def test_biconjugacy():
         ("log_cosh_regularized", 2, ()),
     ]:
         spec = make_hamiltonian(kind, dim, params)
-        lag = LagrangianSpec(spec)
         for _ in range(25):
             p = rng.uniform(-2.0, 2.0, size=dim)
             qstar = spec.grad(p)
-            lhs = float(spec.value(p)) + legendre_batch(lag, qstar)
+            lhs = float(spec.value(p)) + legendre_batch(spec, qstar)
             rhs = float(np.dot(p, qstar))
             assert abs(lhs - rhs) <= 1e-8
 
@@ -272,10 +289,11 @@ def test_biconjugacy_on_random_kinds_and_momenta(kind, dim, m, c, r, angle):
     p = r * np.array([math.cos(angle), math.sin(angle)])[:dim]
     qstar = spec.grad(p)
     rhs = float(np.dot(p, qstar))
-    lhs = float(spec.value(p)) + legendre_batch(LagrangianSpec(spec), qstar)
+    lhs = float(spec.value(p)) + legendre_batch(spec, qstar)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_legendre_rejects_zero_hamiltonian():
-    with pytest.raises(ValueError):
-        LagrangianSpec(make_hamiltonian("zero", 1))
+    zero = make_hamiltonian("zero", 1)
+    with pytest.raises(ValueError, match="theta > 0"):
+        legendre_batch(zero, np.array([0.5]))

@@ -23,7 +23,6 @@ from fracvisc.rates import (
     SweepPlan,
     check_ladder,
     emit_report,
-    env_threads,
     fit_entry,
     fit_rate,
     format_float,
@@ -338,17 +337,6 @@ def test_sweep_computes_one_reference_per_evaluation_grid(monkeypatch):
     assert calls == [256]
     apart = [run_sweep(zero_h_plan(s_values=(s,))) for s in (0.25, 0.5)]
     assert cell_errors(both) == {**cell_errors(apart[0]), **cell_errors(apart[1])}
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-def test_sweep_threads_from_environment(monkeypatch, value):
-    monkeypatch.setenv("FRACVISC_THREADS", value)
-    with pytest.raises(ValueError, match="FRACVISC_THREADS"):
-        run_sweep(zero_h_plan())
-    monkeypatch.setenv("FRACVISC_THREADS", "3")
-    assert env_threads() == 3
-    monkeypatch.delenv("FRACVISC_THREADS")
-    assert env_threads() == 1
 
 
 def test_one_sided_check_on_heat_flows(zero_h_sweep):
