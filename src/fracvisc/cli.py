@@ -118,7 +118,12 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
             bound = "uniform" if one_sided.uniform else ">= 0.2, rate check not applicable"
             verdict = "passed" if one_sided.passes() else "FAILED (uniform bound but slope < 0.9)"
             _log(f"sweep: one-sided bound spread {one_sided.spread:.3f} ({bound}), slope {slope}: {verdict}")
-    emit_report(result, out_dir, config_echo=_config_echo(cfg, out_dir), one_sided=one_sided)
+    report = emit_report(result, out_dir, config_echo=_config_echo(cfg, out_dir), one_sided=one_sided)
+    for key, fit in report["fits"].items():
+        if "status" in fit:
+            _log(f"sweep: fit {key}: {fit['status']} ({fit['n_points']} cells)")
+        elif fit.get("passed") is False:  # the accepted exponent of a failed fit is its exponent
+            _log(f"sweep: fit {key} FAILED: exponent {fit['exponent']:.3f} < target - 0.1 = {fit['target'] - 0.1:.3f}")
     _log(f"sweep: wrote rates.csv, report.json, plots.gp to {out_dir}")
     if not result.cells:
         _log("sweep: every cell failed")

@@ -62,8 +62,6 @@ class DriftField:
     times: np.ndarray
     values: np.ndarray
     div_values: np.ndarray
-    eps: float
-    eta: float
     s: float
 
     @property
@@ -170,8 +168,6 @@ def build_drift(
         times=traj_eps.times.copy(),
         values=values,
         div_values=div_values,
-        eps=pa.epsilon,
-        eta=pb.epsilon,
         s=pa.s,
     )
 
@@ -191,26 +187,20 @@ class DualSolution:
     mass_drift: float
     n_steps: int
 
-    def snapshot_at(self, t: float) -> Field:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, self.tau):
-            raise KeyError(f"no dual snapshot stored at t={t}")
-        return self.snapshots[i]
-
 
 class DualBatch(tuple):
-    """The DualSolutions of one batched dual_solve call, in datum order."""
+    """The DualSolutions of one dual_solve call, in datum order."""
 
     n_steps: int  # each distinct (drift, eta) group's steps once: the sum of one solve per group
 
 
 def dual_solve(
-    drift: DriftField | Sequence[DriftField],
-    eta: float | Sequence[float],
-    alpha: Field | Sequence[Field],
+    drifts: Sequence[DriftField],
+    etas: Sequence[float],
+    data: Sequence[Field],
     tau: float,
     dt_cfl: float = DT_CFL_MAX,
-) -> DualSolution | DualBatch:
+) -> DualBatch:
     """Integrate the backward dual equation with ETDRK4 (torus.etdrk4_march).
 
     In the reversed time sigma = tau - t the equation becomes
@@ -228,19 +218,16 @@ def dual_solve(
     conservation is unaffected.  Snapshots land on the drift's sample times
     in [0, tau], and on tau.
 
-    alpha is one terminal datum, giving a DualSolution, or a sequence of
-    them, giving a DualBatch.  drift and eta are shared by every datum, or
-    are sequences giving each datum its own (drifts on one grid with shared
-    sample times).  All data march in one torus.etdrk4_march call: each
+    Row i of the DualBatch returned solves drifts[i] with diffusion etas[i]
+    from the terminal datum data[i]; the drifts live on one grid and share
+    their sample times.  All rows march in one torus.etdrk4_march call: each
     (drift, eta) group keeps its own step, interpolates its drift once per
     stage time and forms its flux once per contiguous block of its rows,
-    and each datum's numbers are bitwise those of its group's own solve.
+    and each row's numbers are bitwise those of its group's own solve.
     """
-    alphas = (alpha,) if isinstance(alpha, Field) else tuple(alpha)
+    drifts, etas, alphas = tuple(drifts), tuple(etas), tuple(data)
     if not alphas:
         raise ValueError("dual_solve needs at least one terminal datum")
-    drifts = (drift,) * len(alphas) if isinstance(drift, DriftField) else tuple(drift)
-    etas = (eta,) * len(alphas) if np.ndim(eta) == 0 else tuple(eta)
     if not len(drifts) == len(etas) == len(alphas):
         raise ValueError("dual_solve needs one drift and one eta per terminal datum")
     if not min(etas) >= 0.0:
@@ -332,8 +319,6 @@ def dual_solve(
             grid=grid, eta=etas[i], s=drifts[i].s, tau=tau, times=times, snapshots=snapshots, alpha=a,
             min_value=min_value, mass_drift=mass_drift, n_steps=steps[i],
         ))
-    if isinstance(alpha, Field):
-        return solutions[0]
     batch = DualBatch(solutions)
     batch.n_steps = sum(steps[g] for g in dt0)
     return batch

@@ -250,11 +250,8 @@ def _quantize_speed(speed: float) -> float:
 
 
 def clean_snapshot_times(snapshot_times, T: float) -> np.ndarray:
-    """Sorted distinct snapshot times in [0, T] (16 even ones for None), the last clamped to T."""
-    if snapshot_times is None:
-        times = np.linspace(0.0, T, 16)
-    else:
-        times = np.asarray(sorted(set(float(t) for t in snapshot_times)))
+    """Sorted distinct snapshot times in [0, T], the last clamped to T."""
+    times = np.asarray(sorted(set(float(t) for t in snapshot_times)))
     if times.size == 0:
         raise ValueError("snapshot_times must be non-empty")
     if times[0] < 0.0 or times[-1] > T * (1.0 + 1e-12):
@@ -278,8 +275,8 @@ def _band_check(sp, n: int):
 
 def viscous_solve(
     problem: ProblemSpec | ProblemBatch,
+    snapshot_times: Sequence[float],
     dt_cfl: float = DT_CFL_MAX,
-    snapshot_times=None,
 ) -> Trajectory | TrajectoryBatch:
     """Integrate the viscous problem with ETDRK4 (torus.etdrk4_march), coarse to fine.
 
@@ -498,29 +495,29 @@ def _hopf_lax_1d(kvecs, cvals, x, ham: HamiltonianSpec, ts, kmax: float, gsup: f
     return vals.reshape(len(ts), len(x))
 
 
-def hopf_lax_oracle(problem: ProblemSpec, t: float | Sequence[float]) -> Field | tuple[Field, ...]:
-    """Inviscid solution u(x, t) = min_y [ u0(y) + t L((x - y)/t) ] on the problem grid.
+def hopf_lax_oracle(problem: ProblemSpec, times: Sequence[float]) -> tuple[Field, ...]:
+    """Inviscid solution u(x, t) = min_y [ u0(y) + t L((x - y)/t) ] on the problem grid, one Field per time.
 
-    t is a time, for one Field, or a sequence of times, for one Field per time from one minimization over every
-    (t, x).  Every Hamiltonian is a sum of one-axis terms, so for u0 a sum of one-axis functions the minimum is a
-    sum of 1-D minima: u0's modes are split by axis, the constant one to axis 0, and each part is minimized under
-    its axis's one-component Hamiltonian (HamiltonianSpec.axis).  In 1-D one table of u0(x - d) and u0'(x - d)
-    over the sorted lattice of offsets d = delta j, delta = pi / (4 k_max), serves every time within its radius
-    t sup|H'(u0')| + 2pi (every candidate minimizer plus one period).  Every lattice interval across which the derivative of
-    f(d) = u0(x - d) + t L(d / t) goes from < 0 to >= 0, and whose lower end value lies within the sampling bound
-    (sup|u0''| + 1/(theta t)) delta^2 / 8 of the best lattice value, is polished by safeguarded Newton
-    (_newton_polish, to 1e-12 in d), and each (t, x) takes its least polished value, so no basin that may hold the
-    minimum goes unrefined; an entry without such a bracket raises RuntimeError.  Requires f == 0 and no mode of u0
-    off the axes (ValueError); at t = 0 and for H = 0 the solution is u0, for any datum.
+    One minimization over every (t, x) serves every time.  Every Hamiltonian is a sum of one-axis terms, so for u0 a
+    sum of one-axis functions the minimum is a sum of 1-D minima: u0's modes are split by axis, the constant one to
+    axis 0, and each part is minimized under its axis's one-component Hamiltonian (HamiltonianSpec.axis).  In 1-D one
+    table of u0(x - d) and u0'(x - d) over the sorted lattice of offsets d = delta j, delta = pi / (4 k_max), serves
+    every time within its radius t sup|H'(u0')| + 2pi (every candidate minimizer plus one period).  Every lattice
+    interval across which the derivative of f(d) = u0(x - d) + t L(d / t) goes from < 0 to >= 0, and whose lower end
+    value lies within the sampling bound (sup|u0''| + 1/(theta t)) delta^2 / 8 of the best lattice value, is
+    polished by safeguarded Newton (_newton_polish, to 1e-12 in d), and each (t, x) takes its least polished value,
+    so no basin that may hold the minimum goes unrefined; an entry without such a bracket raises RuntimeError.
+    Requires f == 0 and no mode of u0 off the axes (ValueError); at t = 0 and for H = 0 the solution is u0, for any
+    datum.
     """
-    from fracvisc.torus import spectral_gradient
+    from fracvisc.torus import spectral_gradient  # looked up per call: perfbench/tracer.py patches it on torus
 
     if not getattr(problem.forcing, "is_zero", False):
         raise ValueError("hopf_lax_oracle requires zero forcing")
     grid, ham = problem.grid, problem.hamiltonian
-    times = np.array(t, dtype=np.float64, ndmin=1)
-    if np.any(times < 0.0):
-        raise ValueError("t must be >= 0")
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or np.any(times < 0.0):
+        raise ValueError("times must be a sequence of times >= 0")
     kvecs, cvals = mode_table(problem.u0, 1e-14)
     out = [eval_modes(kvecs, cvals, np.stack(grid.nodes(), axis=-1))] * len(times)
     live = np.flatnonzero(times > 0.0) if not ham.is_zero else []
@@ -538,8 +535,7 @@ def hopf_lax_oracle(problem: ProblemSpec, t: float | Sequence[float]) -> Field |
                 total += part.reshape((len(live),) + tuple(grid.n_points if j == a else 1 for j in range(grid.dim)))
         for i, v in zip(live, total):
             out[i] = v
-    fields = tuple(Field(grid, v) for v in out)
-    return fields[0] if np.ndim(t) == 0 else fields
+    return tuple(Field(grid, v) for v in out)
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +543,7 @@ def hopf_lax_oracle(problem: ProblemSpec, t: float | Sequence[float]) -> Field |
 # ---------------------------------------------------------------------------
 
 
-def monotone_reference(
-    problem: ProblemSpec,
-    fine_factor: int = 4,
-    snapshot_times=None,
-) -> Trajectory:
+def monotone_reference(problem: ProblemSpec, fine_factor: int, snapshot_times: Sequence[float]) -> Trajectory:
     """First-order Lax-Friedrichs reference solve on a refined grid.
 
     The initial datum is lifted by trigonometric interpolation onto a grid

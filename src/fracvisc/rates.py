@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from fracvisc.hj import (
     ProblemBatch,
     ProblemSpec,
     TailGuardError,
-    ZeroForcing,
     clean_snapshot_times,
     hopf_lax_oracle,
     monotone_reference,
@@ -159,8 +158,9 @@ def check_ladder(epsilons) -> None:
 class SweepPlan:
     """Full description of one experiment: the problem family, its orders, viscosities and norms.
 
-    Construction checks every field and raises PlanError naming the first
-    one at fault; check_sweep adds the checks that only a sweep needs.
+    Every field is given: the default experiment is parse_config's, of an
+    empty config.  Construction checks every field and raises PlanError naming
+    the first one at fault; check_sweep adds the checks that only a sweep needs.
     """
 
     dim: int
@@ -169,12 +169,12 @@ class SweepPlan:
     p_values: tuple[float, ...]
     hamiltonian: HamiltonianSpec
     u0: InitialData
-    forcing: object = field(default_factory=ZeroForcing)
-    T: float = 2.0
-    snapshot_times: tuple[float, ...] = ()
-    reference: str = "hopf_lax"
-    fine_factor: int = 4
-    n_points: int | None = None
+    forcing: object
+    T: float
+    snapshot_times: tuple[float, ...]
+    reference: str
+    fine_factor: int
+    n_points: int | None
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -199,7 +199,7 @@ class SweepPlan:
         if not isinstance(ff, int) or ff < 4 or ff & (ff - 1):
             raise PlanError("fine_factor", f"monotone fine factor must be a power of two >= 4, got {ff}")
         try:
-            tsnap = clean_snapshot_times(self.snapshot_times or None, self.T)
+            tsnap = clean_snapshot_times(self.snapshot_times, self.T)
         except ValueError as exc:
             raise PlanError("snapshot_times", str(exc)) from None
         object.__setattr__(self, "snapshot_times", tuple(tsnap.tolist()))
@@ -559,7 +559,7 @@ def emit_report(
                       for e, x in zip(eps, err)]
             key, entry = fit_entry(s, p, eps, err)
             fits[key] = entry
-            cond = f"(stringcolumn(2) eq '{label}' && abs($1 - {s:g}) < 1e-12)"
+            cond = f"(stringcolumn(2) eq '{label}' && abs($1 - {s:.17g}) < 1e-12)"
             series.append(f"  'rates.csv' using ({cond} ? $3 : NaN):4 with linespoints title 's={s:g} p={label}'")
     with open(os.path.join(out_dir, "rates.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -59,8 +59,12 @@ def _plan(s: float, epsilons: tuple[float, ...]) -> SweepPlan:
         p_values=P_SET,
         hamiltonian=QUAD,
         u0=InitialData("cos"),
+        forcing=ZeroForcing(),
         T=T_END,
         snapshot_times=SNAP_17,
+        reference="hopf_lax",
+        fine_factor=4,
+        n_points=None,
     )
 
 
@@ -202,7 +206,7 @@ def test_criterion_02_oracle_agreement(criterion):
         T=T_END,
     )
     x = grid.nodes()[0]
-    pre = float(np.max(np.abs(hopf_lax_oracle(problem, 0.5).values - _characteristics_cos(x, 0.5))))
+    pre = float(np.max(np.abs(hopf_lax_oracle(problem, (0.5,))[0].values - _characteristics_cos(x, 0.5))))
 
     # Shocked leg: against a 10^6-sample lattice minimization of the
     # variational principle u(x,t) = min_d [cos(x+d) + d^2/(2t)].
@@ -216,7 +220,7 @@ def test_criterion_02_oracle_agreement(criterion):
         forcing=ZeroForcing(),
         T=T_END,
     )
-    oracle = hopf_lax_oracle(problem64, 2.0).values
+    oracle = hopf_lax_oracle(problem64, (2.0,))[0].values
     d = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 1_000_001)
     penalty = d**2 / (2.0 * 2.0)
     brute = np.array([np.min(np.cos(xj + d) + penalty) for xj in grid64.nodes()[0]])
@@ -319,7 +323,7 @@ def test_criterion_06_dual_gronwall(criterion, dual_pack):
         w_tau = Field(te.problem.grid, te.snapshots[-1].values - th.snapshots[-1].values)
         for q in (2.0, 4.0):
             alpha = lp_dual_datum(w_tau, q, "positive")
-            dual = dual_solve(drift, eta, alpha, T_END)
+            (dual,) = dual_solve([drift], [eta], [alpha], T_END)
             report = gronwall_check(dual, drift, q)
             sup_alpha = float(np.max(alpha.values))
             checks.append(report.max_ratio <= 1.01)
@@ -404,7 +408,7 @@ def _duality_residual_at(snapshot_count: int, ham, n: int, mollify: float = 0.0)
     drift = build_drift(te, th, mollify_scale=mollify)
     w_tau = Field(te.problem.grid, te.snapshots[-1].values - th.snapshots[-1].values)
     alpha = lp_dual_datum(w_tau, 2.0, "positive")
-    dual = dual_solve(drift, 0.05, alpha, T_END)
+    (dual,) = dual_solve([drift], [0.05], [alpha], T_END)
     return duality_residual(dual, te, th)
 
 

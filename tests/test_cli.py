@@ -306,6 +306,36 @@ def test_cli_sweep_skips_the_one_sided_check_without_cells(tmp_path, capsys):
     assert "one_sided" not in json.loads((tmp_path / "s" / "report.json").read_text())
 
 
+def test_cli_sweep_logs_each_failed_or_unfitted_slice(tmp_path, capsys):
+    # CI's bump sweep is under-resolved at n = 256: p = 2, 4 and inf fit below their targets, one stderr line each;
+    # the exit status stays 0
+    cfg = write_cfg(tmp_path, "u0 = bump\nn_points = 256\nsnapshot_count = 5\nepsilon_list = geometric:0.0625,0.5,5\n")
+    assert main(["sweep", "--config", cfg, "--output", str(tmp_path / "bump")]) == 0
+    fits = json.loads((tmp_path / "bump" / "report.json").read_text())["fits"]
+    failed = [key for key, fit in fits.items() if fit.get("passed") is False]
+    assert failed == ["s=0.5,p=2", "s=0.5,p=4", "s=0.5,p=inf"]
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("sweep: fit ")]
+    assert lines == [f"sweep: fit {key} FAILED: exponent {fits[key]['exponent']:.3f} < target - 0.1 = 0.900"
+                     for key in failed]
+    # every cell blown up: each slice is an insufficient-data line, and the exit status stays 1
+    cfg = write_cfg(tmp_path, BASE + "u0 = coeffs:2e6,0\n", name="lost.cfg")
+    assert main(["sweep", "--config", cfg, "--output", str(tmp_path / "lost")]) == 1
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("sweep: fit ")]
+    assert lines == [f"sweep: fit s=0.5,p={p}: insufficient data (0 cells)" for p in ("2", "inf")]
+
+
+def test_report_config_echo_parses_to_the_same_plan(tmp_path):
+    # report.json's config echo, written back as key = value lines, re-runs the reported experiment
+    text = ("n_points = 64\nT = 0.5\nsnapshot_count = 3\nepsilon_list = geometric:0.0625,0.5,5\n"
+            "s_list = 0.75, 0.333333333\np_list = 2,inf\nhamiltonian = log_cosh_regularized:0.2\n"
+            "u0 = coeffs:0.6,0.8\nforcing = cos_wave:0.5,1.0\nreference = monotone:8\n")
+    out = tmp_path / "first"
+    assert main(["sweep", "--config", write_cfg(tmp_path, text), "--output", str(out)]) == 0
+    echo = json.loads((out / "report.json").read_text())["config"]
+    again = parse_config("".join(f"{key} = {value}\n" for key, value in echo.items()))
+    assert again.plan == parse_config(text).plan and again.output_dir == str(out)
+
+
 @pytest.mark.parametrize("command", ["one-sided", "report", "selftest"])
 def test_cli_retired_commands_exit_2(tmp_path, command):
     cfg = write_cfg(tmp_path, BASE)

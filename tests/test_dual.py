@@ -45,6 +45,12 @@ def fake_trajectory(grid, eps, profiles, times, ham=QUAD, s=0.5):
     )
 
 
+def solve_one(drift, eta, alpha, tau, **kw):
+    """The dual solution of one terminal datum: the one row of a one-row dual_solve."""
+    (dual,) = dual_solve([drift], [eta], [alpha], tau, **kw)
+    return dual
+
+
 def solve_pair(eps, eta, n=512, T=1.5, s=0.5, n_times=16, ham=QUAD):
     g = TorusGrid(ham.dim, n)
     x = g.nodes()
@@ -79,7 +85,7 @@ def test_drift_closed_form_quadratic():
     expect_div = (np.sin(x) + 4.0 * np.cos(2.0 * x)) / 2.0
     assert np.max(np.abs(drift.values[0, :, 0] - expect_b)) < 1e-12
     assert np.max(np.abs(drift.div_values[0] - expect_div)) < 1e-11
-    assert drift.eps == 0.2 and drift.eta == 0.1 and drift.s == 0.5
+    assert drift.s == 0.5
     assert drift.sup_speed == pytest.approx(float(np.max(np.abs(expect_b))), rel=1e-12)
 
 
@@ -161,8 +167,8 @@ def test_dual_pure_fractional_diffusion():
     assert np.max(np.abs(drift.values)) == 0.0
     eta, tau = 0.35, 1.0
     alpha = Field(g, 1.0 + 0.5 * np.cos(x) + 0.25 * np.sin(2.0 * x))
-    dual = dual_solve(drift, eta, alpha, tau)
-    rho0 = dual.snapshot_at(0.0).values
+    dual = solve_one(drift, eta, alpha, tau)
+    rho0 = dual.snapshots[0].values  # the dual times ascend from 0
     expect = (
         1.0
         + 0.5 * math.exp(-eta * tau) * np.cos(x)
@@ -180,13 +186,10 @@ def test_dual_constant_drift_translates():
     times = np.linspace(0.0, tau, 6)
     values = np.full((times.size,) + g.shape + (1,), c)
     div = np.zeros((times.size,) + g.shape)
-    drift = DriftField(
-        grid=g, times=times, values=values, div_values=div,
-        eps=0.2, eta=0.0, s=0.5,
-    )
+    drift = DriftField(grid=g, times=times, values=values, div_values=div, s=0.5)
     alpha = Field(g, np.exp(np.cos(x)))
-    dual = dual_solve(drift, 0.0, alpha, tau, dt_cfl=0.5)  # the bound below is calibrated at this step
-    rho0 = dual.snapshot_at(0.0).values
+    dual = solve_one(drift, 0.0, alpha, tau, dt_cfl=0.5)  # the bound below is calibrated at this step
+    rho0 = dual.snapshots[0].values
     expect = np.exp(np.cos(x - c * tau))
     assert np.max(np.abs(rho0 - expect)) < 1e-6
     assert dual.mass_drift <= 1e-12
@@ -200,28 +203,25 @@ def test_dual_validation_and_snapshots():
     drift = build_drift(ta, tb)
     alpha = Field(g, 1.0 + np.cos(x))
     with pytest.raises(ValueError, match="eta"):
-        dual_solve(drift, -0.1, alpha, 1.0)
+        solve_one(drift, -0.1, alpha, 1.0)
     with pytest.raises(ValueError, match="tau"):
-        dual_solve(drift, 0.1, alpha, 2.0)
+        solve_one(drift, 0.1, alpha, 2.0)
     with pytest.raises(ValueError, match="dt_cfl"):
-        dual_solve(drift, 0.1, alpha, 1.0, dt_cfl=2.6)
+        solve_one(drift, 0.1, alpha, 1.0, dt_cfl=2.6)
     g2 = TorusGrid(1, 128)
     with pytest.raises(ValueError, match="grid"):
-        dual_solve(drift, 0.1, Field(g2, np.ones(g2.shape)), 1.0)
+        solve_one(drift, 0.1, Field(g2, np.ones(g2.shape)), 1.0)
     with pytest.raises(ValueError, match="grid"):  # one datum of a batch on another grid
-        dual_solve(drift, 0.1, [alpha, Field(g2, np.ones(g2.shape))], 1.0)
+        dual_solve([drift, drift], [0.1, 0.1], [alpha, Field(g2, np.ones(g2.shape))], 1.0)
     with pytest.raises(ValueError, match="terminal datum"):
-        dual_solve(drift, 0.1, [], 1.0)
+        dual_solve([], [], [], 1.0)
     with pytest.raises(ValueError, match="one drift and one eta per terminal datum"):
         dual_solve([drift], [0.1, 0.1], [alpha, alpha], 1.0)
     later = dataclasses.replace(drift, times=drift.times + 0.5)
     with pytest.raises(ValueError, match="sample times"):
-        dual_solve([drift, later], 0.1, [alpha, alpha], 1.0)
-    dual = dual_solve(drift, 0.1, alpha, 1.0)
-    assert np.allclose(dual.times, (0.0, 1.0))  # the drift's sample times
-    assert dual.snapshot_at(1.0) is dual.snapshots[-1]
-    with pytest.raises(KeyError):
-        dual.snapshot_at(0.25)
+        dual_solve([drift, later], [0.1, 0.1], [alpha, alpha], 1.0)
+    dual = solve_one(drift, 0.1, alpha, 1.0)
+    assert np.array_equal(dual.times, (0.0, 1.0))  # the drift's sample times, ascending
     # terminal snapshot reproduces alpha exactly
     assert np.max(np.abs(dual.snapshots[-1].values - alpha.values)) < 1e-12
 
@@ -235,10 +235,10 @@ def test_batched_dual_equals_single_solves(dim, mollify_scale):
     w_tau = Field(te.problem.grid, te.snapshots[-1].values - th.snapshots[-1].values)
     data = [lp_dual_datum(w_tau, 2.0, "positive"), lp_dual_datum(w_tau, 3.0, "negative"),
             lp_dual_datum(w_tau, 4.0, "positive")]
-    batch = dual_solve(drift, 0.05, data, te.problem.T)
+    batch = dual_solve([drift] * 3, [0.05] * 3, data, te.problem.T)
     assert len(batch) == 3
     for alpha, got in zip(data, batch):
-        one = dual_solve(drift, 0.05, alpha, te.problem.T)
+        one = solve_one(drift, 0.05, alpha, te.problem.T)
         assert got.alpha is alpha
         assert np.array_equal(got.times, one.times)
         assert all(np.array_equal(a.values, b.values) for a, b in zip(got.snapshots, one.snapshots))
@@ -280,7 +280,7 @@ def test_pairs_marched_in_one_call_equal_their_own_solves(dim, mollify_scale, mo
     monkeypatch.setattr(dual_mod, "etdrk4_march", march)
     # each pair's rows leave the march at their own iteration: three batch sizes
     assert sorted(set(sizes), reverse=True) == [5, 3, 2]
-    ones = [dual_solve(drift, eta, data, times[-1]) for drift, eta, data in pairs]
+    ones = [dual_solve([drift] * len(data), [eta] * len(data), data, times[-1]) for drift, eta, data in pairs]
     assert len({one.n_steps for one in ones}) == 3
     assert batch.n_steps == sum(one.n_steps for one in ones)
     singles = [(eta, one) for (_, eta, _), per_pair in zip(pairs, ones) for one in per_pair]
@@ -342,7 +342,7 @@ def test_duality_identity_zero_hamiltonian():
     assert np.max(np.abs(drift.values)) < 1e-13
     w_tau = Field(te.problem.grid, te.snapshots[-1].values - th.snapshots[-1].values)
     alpha = lp_dual_datum(w_tau, 2.0, "negative")
-    dual = dual_solve(drift, 0.05, alpha, 1.0)
+    dual = solve_one(drift, 0.05, alpha, 1.0)
     assert duality_residual(dual, te, th) < 1e-3
 
 
@@ -351,7 +351,7 @@ def test_duality_identity_quadratic_pre_shock():
     drift = build_drift(te, th)
     w_tau = Field(te.problem.grid, te.snapshots[-1].values - th.snapshots[-1].values)
     alpha = lp_dual_datum(w_tau, 2.0, "positive")
-    dual = dual_solve(drift, 0.1, alpha, 0.75)
+    dual = solve_one(drift, 0.1, alpha, 0.75)
     assert duality_residual(dual, te, th) < 5e-3
 
 
@@ -360,7 +360,7 @@ def test_duality_residual_validation():
     drift = build_drift(te, th)
     w_tau = Field(te.problem.grid, te.snapshots[-1].values - th.snapshots[-1].values)
     alpha = lp_dual_datum(w_tau, 2.0, "positive")
-    dual = dual_solve(drift, 0.1, alpha, 0.5)
+    dual = solve_one(drift, 0.1, alpha, 0.5)
     with pytest.raises(ValueError, match="eta"):
         duality_residual(dual, th, te)  # swapped order: eta mismatch
     dual_mid = dataclasses.replace(dual, times=dual.times[1:], snapshots=dual.snapshots[1:])
@@ -373,7 +373,7 @@ def test_gronwall_bound_post_shock_pair():
     drift = build_drift(te, th)
     w_tau = Field(te.problem.grid, te.snapshots[-1].values - th.snapshots[-1].values)
     alpha = lp_dual_datum(w_tau, 2.0, "positive")
-    dual = dual_solve(drift, 2.0**-5, alpha, 2.0)
+    dual = solve_one(drift, 2.0**-5, alpha, 2.0)
     for q in (2.0, 4.0):
         rep = gronwall_check(dual, drift, q)
         assert rep.ok(), f"q={q}: max ratio {rep.max_ratio}"
@@ -395,7 +395,7 @@ def test_gronwall_ratio_before_tau_is_set_by_the_solution():
     drift = build_drift(te, th)
     w_tau = Field(te.problem.grid, te.snapshots[-1].values - th.snapshots[-1].values)
     for q in (2.0, 4.0):
-        dual = dual_solve(drift, 0.05, lp_dual_datum(w_tau, q, "positive"), 2.0)
+        dual = solve_one(drift, 0.05, lp_dual_datum(w_tau, q, "positive"), 2.0)
         rep = gronwall_check(dual, drift, q)
         assert rep.max_ratio == pytest.approx(1.0, rel=1e-9) and rep.ok()
         assert rep.max_ratio_before_tau == float(np.max(rep.ratios[rep.times < 2.0]))
@@ -409,7 +409,7 @@ def test_gronwall_ratios_do_not_depend_on_the_datum_scale(q):
     te, th = solve_pair(0.1, 0.05, n=64, T=0.5, n_times=3)
     drift = build_drift(te, th)
     alpha = lp_dual_datum(Field(te.problem.grid, te.snapshots[-1].values - th.snapshots[-1].values), q)
-    reps = [gronwall_check(dual_solve(drift, 0.05, Field(alpha.grid, c * alpha.values), 0.5), drift, q)
+    reps = [gronwall_check(solve_one(drift, 0.05, Field(alpha.grid, c * alpha.values), 0.5), drift, q)
             for c in (1.0, 1e-3)]
     np.testing.assert_allclose(reps[1].ratios, reps[0].ratios, rtol=1e-12)
     assert reps[1].growth_factor == pytest.approx(reps[0].growth_factor, rel=1e-12)
@@ -428,7 +428,7 @@ def test_gronwall_constant_trend_in_q():
     constants = []
     for q in (2.0, 4.0, 8.0, 16.0):
         alpha = lp_dual_datum(w_tau, q, "positive")
-        dual = dual_solve(drift, 0.05, alpha, 2.0)
+        dual = solve_one(drift, 0.05, alpha, 2.0)
         rep = gronwall_check(dual, drift, q)
         assert rep.ok(), f"q={q}: max ratio {rep.max_ratio}"
         constants.append(math.exp((q - 1.0) / q * integral))

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracvisc import hj
+from fracvisc.config import parse_config
 from fracvisc.hamiltonians import make_hamiltonian
 from fracvisc.hj import (
     DT_CFL_MAX,
@@ -131,9 +132,9 @@ def test_problem_validation():
 def test_viscous_solve_rejects_inviscid_and_bad_cfl():
     g = TorusGrid(1, 64)
     with pytest.raises(ValueError, match="epsilon > 0"):
-        viscous_solve(problem(g, 0.5, 0.0))
+        viscous_solve(problem(g, 0.5, 0.0), snapshot_times=(1.0,))
     with pytest.raises(ValueError, match="dt_cfl"):
-        viscous_solve(problem(g, 0.5, 0.1), dt_cfl=2.6)
+        viscous_solve(problem(g, 0.5, 0.1), snapshot_times=(1.0,), dt_cfl=2.6)
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +205,22 @@ def test_time_error_at_the_default_step_is_below_one_permille_of_the_viscous_err
     # sup error against the oracle, both maxima over the 16 snapshots.  The
     # damping band feeds on the front in both cells, so a march that is only
     # first order there (an integrating-factor RK4) fails this bound.
+    times = tuple(np.linspace(0.0, 2.0, 16))
     for s, eps, n in ((0.5, 2.0**-6, 2048), (0.25, 2.0**-4, 4096)):
         pr = problem(TorusGrid(1, n), s, eps)
-        traj = viscous_solve(pr)
-        fine = viscous_solve(pr, dt_cfl=0.125)
+        traj = viscous_solve(pr, times)
+        fine = viscous_solve(pr, times, dt_cfl=0.125)
         assert len(traj.snapshots) == len(fine.snapshots) == 16
         delta = max(np.max(np.abs(a.values - b.values)) for a, b in zip(traj.snapshots, fine.snapshots))
-        error = max(np.max(np.abs(u.values - hopf_lax_oracle(pr, t).values))
-                    for t, u in zip(traj.times, traj.snapshots))
+        error = max(np.max(np.abs(u.values - ref.values))
+                    for u, ref in zip(traj.snapshots, hopf_lax_oracle(pr, traj.times)))
         assert delta <= 1e-3 * error, (s, eps, n, delta, error)
     # the largest step the validators accept, which the default is, trips no
     # guard in 1-D (the cells above) nor in 2-D, whose corner modes
     # |k| = sqrt(2) n / 3 lie deep in the damping band
     assert inspect.signature(viscous_solve).parameters["dt_cfl"].default == DT_CFL_MAX
     g2 = TorusGrid(2, 64)
-    traj2 = viscous_solve(problem(g2, 0.5, 2.0**-6, ham=make_hamiltonian("quadratic", 2)))
+    traj2 = viscous_solve(problem(g2, 0.5, 2.0**-6, ham=make_hamiltonian("quadratic", 2)), times)
     assert isinstance(traj2, Trajectory) and len(traj2.snapshots) == 16
 
 
@@ -249,7 +251,7 @@ def test_hopf_lax_matches_characteristics_pre_shock():
     x = g.nodes()[0]
     pr = problem(g, 0.5, 0.0, T=2.0)
     for t in (0.25, 0.5, 0.9):
-        hl = hopf_lax_oracle(pr, t)
+        hl = hopf_lax_oracle(pr, (t,))[0]
         assert np.max(np.abs(hl.values - characteristics_cos(x, t))) < 1e-8
 
 
@@ -258,7 +260,7 @@ def test_hopf_lax_matches_brute_force_post_shock():
     x = g.nodes()[0]
     pr = problem(g, 0.5, 0.0, T=2.0)
     t = 2.0
-    hl = hopf_lax_oracle(pr, t)
+    hl = hopf_lax_oracle(pr, (t,))[0]
     d = np.linspace(-2.0 * math.pi - t, 2.0 * math.pi + t, 200001)
     vals = np.cos(x[:, None] - d[None, :]) + (d[None, :] ** 2) / (2.0 * t)
     brute = np.min(vals, axis=1)
@@ -293,10 +295,11 @@ def test_hopf_lax_sequence_call_equals_the_per_time_calls(kind):
     fields = hopf_lax_oracle(pr, times)
     assert isinstance(fields, tuple) and len(fields) == len(times)
     for t, f in zip(times, fields):
-        one = hopf_lax_oracle(pr, t)
-        assert isinstance(one, Field)
+        (one,) = hopf_lax_oracle(pr, (t,))
         assert np.max(np.abs(f.values - one.values)) <= 1e-14, t
-    assert np.array_equal(fields[0].values, hopf_lax_oracle(pr, 0.0).values)
+    assert np.array_equal(fields[0].values, hopf_lax_oracle(pr, (0.0,))[0].values)
+    with pytest.raises(ValueError, match="sequence"):  # one call form: a sequence of times
+        hopf_lax_oracle(pr, 1.3)
 
 
 def test_hopf_lax_sequence_call_stays_within_one_time_of_memory():
@@ -306,15 +309,15 @@ def test_hopf_lax_sequence_call_stays_within_one_time_of_memory():
     pr = problem(g2, 0.5, 0.0, ham=make_hamiltonian("quadratic", 2))
     times = [0.25, 0.5, 1.0, 1.5, 2.0]
 
-    def peak(t):
+    def peak(ts):
         tracemalloc.start()
         try:
-            out = hopf_lax_oracle(pr, t)
+            out = hopf_lax_oracle(pr, ts)
             return tracemalloc.get_traced_memory()[1], out
         finally:
             tracemalloc.stop()
 
-    single = max(peak(t)[0] for t in times)
+    single = max(peak((t,))[0] for t in times)
     seq, fields = peak(times)
     assert seq <= single + sum(f.values.nbytes for f in fields), (seq, single)
 
@@ -322,16 +325,16 @@ def test_hopf_lax_sequence_call_stays_within_one_time_of_memory():
 def test_hopf_lax_zero_time_and_zero_hamiltonian():
     g = TorusGrid(1, 64)
     pr = problem(g, 0.5, 0.0)
-    assert np.allclose(hopf_lax_oracle(pr, 0.0).values, pr.u0.values, atol=1e-12)
+    assert np.allclose(hopf_lax_oracle(pr, (0.0,))[0].values, pr.u0.values, atol=1e-12)
     prz = problem(g, 0.5, 0.0, ham=ZERO_H)
-    assert np.allclose(hopf_lax_oracle(prz, 1.7).values, pr.u0.values, atol=1e-12)
+    assert np.allclose(hopf_lax_oracle(prz, (1.7,))[0].values, pr.u0.values, atol=1e-12)
 
 
 def test_hopf_lax_rejects_forcing():
     g = TorusGrid(1, 64)
     pr = problem(g, 0.5, 0.0, forcing=ConstantForcing(1.0))
     with pytest.raises(ValueError, match="forcing"):
-        hopf_lax_oracle(pr, 1.0)
+        hopf_lax_oracle(pr, (1.0,))
 
 
 def test_oracle_2d_tensor_structure():
@@ -352,8 +355,8 @@ def test_oracle_2d_tensor_structure():
     g1 = TorusGrid(1, 64)
     pr1 = problem(g1, 0.5, 0.0)
     t = 1.4
-    two_d = hopf_lax_oracle(pr2, t)
-    one_d = hopf_lax_oracle(pr1, t)
+    two_d = hopf_lax_oracle(pr2, (t,))[0]
+    one_d = hopf_lax_oracle(pr1, (t,))[0]
     expect = one_d.values[:, None] + one_d.values[None, :]
     assert np.max(np.abs(two_d.values - expect)) < 1e-7
 
@@ -414,7 +417,7 @@ def test_oracle_needs_separable_data_only_when_it_minimizes(which):
     with pytest.raises(ValueError, match="separable"):
         hopf_lax_oracle(pr, [0.0, 1.0])
     # no minimization runs at t = 0 or under H = 0: u0 comes back for any datum
-    assert np.allclose(hopf_lax_oracle(pr, 0.0).values, vals, atol=1e-12)
+    assert np.allclose(hopf_lax_oracle(pr, (0.0,))[0].values, vals, atol=1e-12)
     prz = problem(g2, 0.5, 0.0, ham=make_hamiltonian("zero", 2), u0=Field(g2, vals))
     for f in hopf_lax_oracle(prz, [0.0, 1.7]):
         assert np.allclose(f.values, vals, atol=1e-12)
@@ -485,7 +488,7 @@ def test_oracle_memory_is_bounded_on_many_mode_data():
     pr = problem(g, 0.5, 0.0, u0=Field(g, np.exp(4.0 * (np.cos(x) - 1.0))))
     tracemalloc.start()
     try:
-        hopf_lax_oracle(pr, 2.0)
+        hopf_lax_oracle(pr, (2.0,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -502,7 +505,7 @@ def test_monotone_exact_on_zero_hamiltonian_with_forcing():
     x = g.nodes()[0]
     u0 = Field(g, np.cos(x))
     pr = problem(g, 0.5, 0.0, ham=ZERO_H, u0=u0, forcing=ConstantForcing(0.3), T=1.0)
-    traj = monotone_reference(pr, snapshot_times=(1.0,))
+    traj = monotone_reference(pr, 4, snapshot_times=(1.0,))
     expect = np.cos(x) + 0.3
     assert np.max(np.abs(traj.snapshots[-1].values - expect)) < 1e-7
 
@@ -511,14 +514,14 @@ def test_monotone_matches_oracle_post_shock():
     g = TorusGrid(1, 256)
     pr = problem(g, 0.5, 0.0, T=2.0)
     traj = monotone_reference(pr, fine_factor=8, snapshot_times=(2.0,))
-    hl = hopf_lax_oracle(pr, 2.0)
+    hl = hopf_lax_oracle(pr, (2.0,))[0]
     assert np.max(np.abs(traj.snapshots[-1].values - hl.values)) < 0.01
 
 
 def test_monotone_rejects_bad_fine_factor():
     g = TorusGrid(1, 64)
     with pytest.raises(ValueError, match="fine_factor"):
-        monotone_reference(problem(g, 0.5, 0.0), fine_factor=3)
+        monotone_reference(problem(g, 0.5, 0.0), fine_factor=3, snapshot_times=(1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +532,7 @@ def test_monotone_rejects_bad_fine_factor():
 def test_viscous_gap_to_oracle_scales_with_epsilon():
     g = TorusGrid(1, 2048)
     pr_inv = problem(g, 0.5, 0.0, T=2.0)
-    hl = hopf_lax_oracle(pr_inv, 2.0)
+    hl = hopf_lax_oracle(pr_inv, (2.0,))[0]
     gaps = []
     for eps in (0.1, 0.05, 0.025):
         traj = viscous_solve(problem(g, 0.5, eps, T=2.0), snapshot_times=(2.0,))
@@ -561,7 +564,7 @@ def test_comparison_with_constants_on_random_band_limited_data(coeffs, lip, s, l
     modes = list(zip((1, 2, 3, 4), coeffs[::2], coeffs[1::2]))
     weight = max(sum(k * (abs(a) + abs(b)) for k, a, b in modes), 1e-3)
     u0 = Field(g, lip / weight * sum(a * np.cos(k * x) + b * np.sin(k * x) for k, a, b in modes))
-    traj = viscous_solve(problem(g, s, 2.0**log2_eps, u0=u0, T=T))
+    traj = viscous_solve(problem(g, s, 2.0**log2_eps, u0=u0, T=T), np.linspace(0.0, T, 16))
     lo, hi = float(np.min(u0.values)), float(np.max(u0.values))
     for snap in traj.snapshots:
         assert lo - 1e-12 <= float(np.min(snap.values)) and float(np.max(snap.values)) <= hi + 1e-12
@@ -678,10 +681,15 @@ def test_trajectory_derives_its_profiles_from_the_snapshots():
 
 
 def test_default_snapshots_are_sixteen_uniform():
+    # the default is the config's alone: the solvers take their snapshot times from the caller
     g = TorusGrid(1, 128)
-    traj = viscous_solve(problem(g, 0.5, 0.2, T=1.0))
-    assert traj.times.size == 16
-    assert np.allclose(traj.times, np.linspace(0.0, 1.0, 16))
+    times = parse_config("T = 1.0").plan.snapshot_times
+    assert np.array_equal(times, np.linspace(0.0, 1.0, 16))
+    with pytest.raises(TypeError, match="snapshot_times"):
+        viscous_solve(problem(g, 0.5, 0.2, T=1.0))
+    with pytest.raises(ValueError, match="non-empty"):
+        viscous_solve(problem(g, 0.5, 0.2, T=1.0), ())
+    assert np.array_equal(viscous_solve(problem(g, 0.5, 0.2, T=1.0), times).times, times)
 
 
 # ---------------------------------------------------------------------------
@@ -815,10 +823,11 @@ def test_datum_outside_the_coarse_band_starts_on_its_final_grid(monkeypatch):
 def test_coarse_to_fine_stays_within_its_bound_of_the_final_grid_solve(monkeypatch, s, eps):
     # README calibration: the coarse-to-fine solve stays within 1e-7 of the solve on its final grid alone
     pr = problem(TorusGrid(1, 2048), s, eps)
-    traj = viscous_solve(pr)
+    times = np.linspace(0.0, 2.0, 16)
+    traj = viscous_solve(pr, times)
     assert [n for n, _, _ in traj.grid_schedule] == [1024, 2048]
     monkeypatch.setattr(hj, "GRID_MIN", 2048)
-    alone = viscous_solve(pr)
+    alone = viscous_solve(pr, times)
     assert alone.grid_schedule == ((2048, 0.0, alone.n_steps),) and traj.n_steps < alone.n_steps
     assert max(np.max(np.abs(a.values - b.values)) for a, b in zip(traj.snapshots, alone.snapshots)) <= 1e-7
 
@@ -853,7 +862,7 @@ def test_problem_batch_validation():
     with pytest.raises(ValueError):
         ProblemBatch([])
     with pytest.raises(ValueError):
-        viscous_solve(ProblemBatch([base, problem(g, 0.5, 0.0, T=1.0)]))
+        viscous_solve(ProblemBatch([base, problem(g, 0.5, 0.0, T=1.0)]), (1.0,))
 
 
 # ---------------------------------------------------------------------------

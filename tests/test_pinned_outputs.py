@@ -125,10 +125,10 @@ def test_dual_solve_matches_pinned_outputs():
     )
     drift = build_drift(traj_eps, traj_eta)
     w_tau = Field(drift.grid, traj_eps.snapshots[-1].values - traj_eta.snapshots[-1].values)
-    dual = dual_solve(drift, 0.05, lp_dual_datum(w_tau, 2.0), T, dt_cfl=0.5)
+    (dual,) = dual_solve([drift], [0.05], [lp_dual_datum(w_tau, 2.0)], T, dt_cfl=0.5)
     n_steps, rho0 = PINNED_DUAL
     assert dual.n_steps == n_steps
-    np.testing.assert_allclose(_samples(dual.snapshot_at(0.0).values), rho0, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(_samples(dual.snapshots[0].values), rho0, rtol=1e-13, atol=0.0)
 
 
 # name: (problem, t, values[::8] in 1-D or values[::4, ::4] in 2-D, compared at (rtol, atol))
@@ -165,6 +165,6 @@ PINNED_ORACLE = {
 @pytest.mark.parametrize("name", sorted(PINNED_ORACLE))
 def test_hopf_lax_oracle_matches_pinned_outputs(name):
     problem, t, values, (rtol, atol) = PINNED_ORACLE[name]
-    u = hopf_lax_oracle(problem, t).values
+    u = hopf_lax_oracle(problem, (t,))[0].values
     step = 8 if u.ndim == 1 else 4
     np.testing.assert_allclose(u[(slice(None, None, step),) * u.ndim].ravel(), values, rtol=rtol, atol=atol)

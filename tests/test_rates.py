@@ -6,6 +6,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -45,7 +46,11 @@ def zero_h_plan(**kw):
         p_values=(2.0, math.inf),
         hamiltonian=ZERO_H1,
         u0=InitialData("cos"),
+        forcing=ZeroForcing(),
         T=1.0,
+        snapshot_times=tuple(np.linspace(0.0, 1.0, 16)),
+        reference="hopf_lax",
+        fine_factor=4,
         n_points=256,
     )
     args.update(kw)
@@ -145,6 +150,9 @@ def test_sweep_plan_validation(monkeypatch):
         zero_h_plan(n_points=100)
     with pytest.raises(ValueError, match="snapshot times"):
         zero_h_plan(snapshot_times=(0.0, 2.0))
+    with pytest.raises(PlanError, match="non-empty") as exc:  # no default set: the default experiment is config's
+        zero_h_plan(snapshot_times=())
+    assert exc.value.field == "snapshot_times"
     # the rules a config used to make alone; each names the plan field at fault
     for bad, name, rule in ((dict(T=0.0), "T", "T must be positive"), (dict(T=math.inf), "T", "T must be positive"),
                             (dict(reference="monotone", fine_factor=3), "fine_factor", "fine factor")):
@@ -153,7 +161,7 @@ def test_sweep_plan_validation(monkeypatch):
         assert exc.value.field == name
     plan = zero_h_plan()
     assert plan.epsilons[0] == max(plan.epsilons)
-    assert len(plan.snapshot_times) == 16 and plan.snapshot_times[-1] == 1.0
+    assert zero_h_plan(snapshot_times=(1.0, 0.25, 0.0, 0.25)).snapshot_times == (0.0, 0.25, 1.0)  # sorted, distinct
     assert plan.n_for(0.5, 0.1) == 256  # explicit n_points wins over the rule
 
 
@@ -367,9 +375,12 @@ def test_sweep_2d_path():
         p_values=(2.0,),
         hamiltonian=ZERO_H2,
         u0=InitialData("cos2d"),
+        forcing=ZeroForcing(),
         T=0.5,
-        n_points=32,
         snapshot_times=(0.0, 0.25, 0.5),
+        reference="hopf_lax",
+        fine_factor=4,
+        n_points=32,
     )
     result = run_sweep(plan)
     eps, err = result.errors_for(0.5, 2.0)
@@ -448,6 +459,22 @@ def test_emit_report_files_and_determinism(zero_h_sweep, tmp_path):
     assert rep_loaded["config"] == {"note": "x"}
     assert rep_loaded["one_sided"]["uniform"] is True
     assert rep_loaded["eval_n"] == {"0.5": 256}
+
+
+def test_plots_gp_conditions_select_their_slices_rows(tmp_path):
+    # each series' condition, read as gnuplot reads rates.csv, selects exactly the rows of its (s, p) slice;
+    # s = 0.333333333 written with %g (0.333333) would select none
+    plan = zero_h_plan(s_values=(0.25, 0.333333333, 0.5), n_points=64, snapshot_times=(0.0, 0.5, 1.0))
+    emit_report(run_sweep(plan), str(tmp_path))
+    rows = [line.split(",") for line in (tmp_path / "rates.csv").read_text().splitlines()[1:]]
+    conds = re.findall(r"\(stringcolumn\(2\) eq '([^']*)' && abs\(\$1 - ([^)]*)\) < 1e-12\)",
+                       (tmp_path / "plots.gp").read_text())
+    slices = [(s, p) for s in plan.s_values for p in plan.p_values]
+    assert len(conds) == len(slices) == 6
+    for (label, s_text), (s, p) in zip(conds, slices):
+        picked = [r for r in rows if r[1] == label and abs(float(r[0]) - float(s_text)) < 1e-12]
+        mine = [r for r in rows if r[0] == format_float(s) and r[1] == ("inf" if math.isinf(p) else f"{p:g}")]
+        assert picked == mine and len(mine) == 5, (s, p)
 
 
 @pytest.mark.parametrize("spread, slope, passed", [
