@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -128,9 +129,7 @@ def build_drift(
         raise ValueError("trajectories use different fractional orders")
     if pa.forcing != pb.forcing:
         raise ValueError("trajectories use different forcings")
-    if traj_eps.times.shape != traj_eta.times.shape or not np.allclose(
-        traj_eps.times, traj_eta.times, atol=1e-12
-    ):
+    if not np.array_equal(traj_eps.times, traj_eta.times):
         raise ValueError("trajectories must share snapshot times")
     grid = pa.grid
     ham = pa.hamiltonian
@@ -174,12 +173,15 @@ def build_drift(
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Backward transport solution rho(t) for t in [0, tau], rho(tau) = alpha."""
+    """Backward transport solution rho(t), rho(tau) = alpha.
+
+    times are the drift's own sample times up to tau, then tau unless it is
+    a sample: snapshots[i] is rho(times[i]), and snapshots[-1] is rho(tau).
+    """
 
     grid: TorusGrid
     eta: float
     s: float
-    tau: float
     times: np.ndarray
     snapshots: tuple[Field, ...]
     alpha: Field
@@ -216,7 +218,8 @@ def dual_solve(
     linear part includes the same smooth near-cutoff damping as the forward
     solver (see viscous_solve); it does not touch the k = 0 mode, so mass
     conservation is unaffected.  Snapshots land on the drift's sample times
-    in [0, tau], and on tau.
+    in [0, tau], and on tau, and carry those times exactly; a tau within
+    1e-12 (relative) of a sample is that sample.
 
     Row i of the DualBatch returned solves drifts[i] with diffusion etas[i]
     from the terminal datum data[i]; the drifts live on one grid and share
@@ -241,10 +244,10 @@ def dual_solve(
         raise ValueError("alpha lives on a different grid than the drift")
     if not (0.0 < tau <= dtimes[-1] * (1.0 + 1e-12)):
         raise ValueError(f"tau must lie in (0, {dtimes[-1]}], got {tau}")
-    tau = min(tau, float(dtimes[-1]))
     tsnap = dtimes[dtimes <= tau * (1.0 + 1e-12)]
     tsnap = np.append(tsnap, tau) if tsnap[-1] < tau * (1.0 - 1e-12) else tsnap
-    sigmas = np.sort(tau - tsnap)  # reversed-time landing points, ascending
+    tau = float(tsnap[-1])
+    sigmas = tau - tsnap[::-1]  # reversed-time landing points, ascending: landing k is tsnap[-1 - k]
 
     sp = grid.spectral
     # datum i belongs to the (drift, eta) group named by its first datum
@@ -290,13 +293,13 @@ def dual_solve(
             if ax:
                 np.add(nh, dst, out=nh)
 
-    out: dict[float, list[Field]] = {}
+    landed = [[] for _ in alphas]  # per row, its snapshots in landing order: tsnap descending
 
     def land(i: int, rh: np.ndarray, sigma: float) -> bool:
         vals = sp.inv(rh)
         if not np.all(np.isfinite(vals)):
             raise lost(sigma)
-        out.setdefault(tau - sigma, [None] * len(alphas))[i] = Field(grid, vals)
+        landed[i].append(Field(grid, vals))
         return True
 
     rh = sp.fwd(np.stack([a.values for a in alphas]))
@@ -306,17 +309,16 @@ def dual_solve(
         dt_rule=lambda ids: [dt0[group[i]] for i in ids], land=land, nonfinite=nonfinite,
     )
 
-    times = np.asarray(sorted(out.keys()))
     solutions = []
     for i, (a, mass0) in enumerate(zip(alphas, masses0)):
-        snapshots = tuple(out[t][i] for t in times)
+        snapshots = tuple(reversed(landed[i]))
         min_value = min(float(np.min(a.values)), *(float(np.min(f.values)) for f in snapshots))
         mass_end = float(sp.fwd(snapshots[0].values).flat[0].real) / grid.n_total
         mass_drift = abs(mass_end - mass0) / max(abs(mass0), 1e-300)
         if mass_drift > 1e-12:
             raise RuntimeError(f"dual solve lost mass: relative drift {mass_drift:.3e}")
         solutions.append(DualSolution(
-            grid=grid, eta=etas[i], s=drifts[i].s, tau=tau, times=times, snapshots=snapshots, alpha=a,
+            grid=grid, eta=etas[i], s=drifts[i].s, times=tsnap, snapshots=snapshots, alpha=a,
             min_value=min_value, mass_drift=mass_drift, n_steps=steps[i],
         ))
     batch = DualBatch(solutions)
@@ -356,28 +358,24 @@ class GronwallReport:
 
 
 def gronwall_check(dual: DualSolution, drift: DriftField, q: float) -> GronwallReport:
-    """Evaluate the L^q Gronwall inequality along a dual trajectory."""
+    """Evaluate the L^q Gronwall inequality along a dual trajectory.
+
+    The rate integral from t_i to tau is the trapezoid over the dual's own
+    times from t_i on: the drift's samples, then tau.
+    """
     if q <= 1.0:
         raise ValueError(f"q must exceed 1, got {q}")
-    dms = drift.div_minus_sup
-    dtimes = drift.times
+    times = dual.times
+    rate = np.interp(times, drift.times, drift.div_minus_sup)
     alpha_q = lp_norm(dual.alpha, q)
     norms = np.array([lp_norm(f, q) for f in dual.snapshots])
-    bounds = np.empty_like(norms)
-    for i, t in enumerate(dual.times):
-        mask = dtimes >= t - 1e-12
-        ts = np.concatenate(([t], dtimes[mask & (dtimes > t + 1e-12)]))
-        ts = ts[ts <= dual.tau + 1e-12]
-        if ts[-1] < dual.tau - 1e-12:
-            ts = np.append(ts, dual.tau)
-        vals = np.interp(ts, dtimes, dms)
-        integral = float(np.trapezoid(vals, ts))
-        bounds[i] = math.exp((q - 1.0) / q * integral) * alpha_q
+    bounds = np.array([math.exp((q - 1.0) / q * float(np.trapezoid(rate[i:], times[i:]))) * alpha_q
+                       for i in range(times.size)])
     ratios = (norms / np.maximum(bounds, 1e-300)) ** q
-    before = ratios[dual.times < dual.tau - 1e-12]
+    before = ratios[:-1]  # the last time is tau
     return GronwallReport(
         q=q,
-        times=dual.times.copy(),
+        times=times.copy(),
         norms_q=norms,
         bounds_q=bounds,
         ratios=ratios,
@@ -393,7 +391,10 @@ def duality_residual(dual: DualSolution, traj_eps: Trajectory, traj_eta: Traject
     Evaluates | I_tau - I_0 - (eps - eta) J | / (|I_tau| + 1e-14) where
     I_t = int w(t) rho(t) dx with w = u_eps - u_eta, and J is the trapezoid
     (in time) of int [-(-Delta)^s u_eps] rho dx over the dual snapshot
-    times.  Both trajectories must contain every dual snapshot time.
+    times.  The dual's times must start at t = 0 and be, exactly, the
+    first times of each trajectory (so tau must be one of their times); the
+    i-th dual snapshot pairs with the i-th snapshot of each trajectory, and
+    a ValueError names the first dual time a trajectory lacks there.
     """
     pa, pb = traj_eps.problem, traj_eta.problem
     if pa.grid != dual.grid or pb.grid != dual.grid:
@@ -402,23 +403,22 @@ def duality_residual(dual: DualSolution, traj_eps: Trajectory, traj_eta: Traject
         raise ValueError("dual diffusion eta does not match the second trajectory")
     if pa.s != pb.s or pa.s != dual.s:
         raise ValueError("fractional orders of trajectories and dual solution differ")
+    if dual.times[0] != 0.0:
+        raise ValueError("dual snapshots must include t = 0")
+    n = dual.times.size
+    for tr in (traj_eps, traj_eta):
+        lacked = [t for t, u in zip_longest(dual.times, tr.times[:n]) if t != u]
+        if lacked:
+            raise ValueError(f"a trajectory lacks the dual time t={float(lacked[0])!r} at its position; "
+                             "its times must begin with the dual's")
     grid = dual.grid
     hvol = grid.spacing**grid.dim
     eps_diff = pa.epsilon - pb.epsilon
+    ues, uhs, rhos = traj_eps.snapshots, traj_eta.snapshots, dual.snapshots
 
-    integrand = np.empty(dual.times.size)
-    pairings = {}
-    for i, t in enumerate(dual.times):
-        ue = traj_eps.snapshot_at(t)
-        uh = traj_eta.snapshot_at(t)
-        rho = dual.snapshots[i].values
-        minus_frac = -frac_laplacian(ue, dual.s).values
-        integrand[i] = float(np.sum(minus_frac * rho)) * hvol
-        pairings[i] = float(np.sum((ue.values - uh.values) * rho)) * hvol
-    i_tau = pairings[dual.times.size - 1]
-    i_zero = pairings[0] if abs(dual.times[0]) < 1e-12 else None
-    if i_zero is None:
-        raise ValueError("dual snapshots must include t = 0")
+    integrand = [float(np.sum(-frac_laplacian(ue, dual.s).values * rho.values)) * hvol
+                 for ue, rho in zip(ues, rhos)]
+    i_tau, i_zero = (float(np.sum((ues[i].values - uhs[i].values) * rhos[i].values)) * hvol for i in (n - 1, 0))
     j = float(np.trapezoid(integrand, dual.times))
     return abs(i_tau - i_zero - eps_diff * j) / (abs(i_tau) + 1e-14)
 

@@ -207,12 +207,6 @@ class Trajectory:
         return np.array([math.sqrt(float(np.max(sum(g * g for g in sp.gradient(sp.fwd(f.values))))))
                          for f in self.snapshots])
 
-    def snapshot_at(self, t: float) -> Field:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, self.problem.T):
-            raise KeyError(f"no snapshot stored at t={t}")
-        return self.snapshots[i]
-
 
 class ProblemBatch(tuple):
     """ProblemSpecs that viscous_solve marches together: they share grid, Hamiltonian, forcing and T."""

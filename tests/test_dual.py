@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from fracvisc.config import parse_config
 from fracvisc.dual import (
     DriftField,
     build_drift,
@@ -150,6 +151,17 @@ def test_build_drift_validation():
         build_drift(ta, te)
 
 
+def test_build_drift_rejects_times_within_a_relative_tolerance():
+    # times 5e-6 apart used to pass a check with numpy's default rtol of 1e-5,
+    # and the drift then paired u_eps(1) with u_eta(1.000005)
+    g = TorusGrid(1, 64)
+    x = g.nodes()[0]
+    ta = fake_trajectory(g, 0.2, [np.sin(x)] * 3, (0.0, 0.5, 1.0))
+    tb = fake_trajectory(g, 0.1, [np.sin(x)] * 3, (0.0, 0.5000025, 1.000005))
+    with pytest.raises(ValueError, match="snapshot times"):
+        build_drift(ta, tb)
+
+
 # ---------------------------------------------------------------------------
 # dual solver closed forms
 # ---------------------------------------------------------------------------
@@ -223,6 +235,51 @@ def test_dual_validation_and_snapshots():
     dual = solve_one(drift, 0.1, alpha, 1.0)
     assert np.array_equal(dual.times, (0.0, 1.0))  # the drift's sample times, ascending
     # terminal snapshot reproduces alpha exactly
+    assert np.max(np.abs(dual.snapshots[-1].values - alpha.values)) < 1e-12
+
+
+def gronwall_bounds_on_rebuilt_times(dual, drift, q, tau):
+    """gronwall_check's bounds as it took them when each dual time was rebuilt as
+    tau - (tau - t): the reference the exact-time integral is checked against."""
+    dms, dtimes = drift.div_minus_sup, drift.times
+    alpha_q = lp_norm(dual.alpha, q)
+    bounds = []
+    for t in tau - (tau - dual.times):
+        mask = dtimes >= t - 1e-12
+        ts = np.concatenate(([t], dtimes[mask & (dtimes > t + 1e-12)]))
+        ts = ts[ts <= tau + 1e-12]
+        if ts[-1] < tau - 1e-12:
+            ts = np.append(ts, tau)
+        integral = float(np.trapezoid(np.interp(ts, dtimes, dms), ts))
+        bounds.append(math.exp((q - 1.0) / q * integral) * alpha_q)
+    return np.array(bounds)
+
+
+@pytest.mark.parametrize("count, rebuilt_off", [(16, 5), (64, 16)])
+def test_dual_times_are_the_drifts_own(count, rebuilt_off):
+    # the dual lands on the drift's samples up to tau, then tau, and carries
+    # those very times; rebuilding them as tau - (tau - t) puts some an ulp off
+    g = TorusGrid(1, 64)
+    x = g.nodes()[0]
+    times = parse_config(f"snapshot_count = {count}").plan.snapshot_times  # T = 2
+    ua, ub = ([(1.0 + t) * np.sin(x + c) for t in times] for c in (0.0, 0.4))
+    drift = build_drift(fake_trajectory(g, 0.1, ua, times), fake_trajectory(g, 0.05, ub, times))
+    assert np.count_nonzero(2.0 - (2.0 - drift.times) != drift.times) == rebuilt_off
+    alpha = lp_dual_datum(Field(g, ua[-1] - ub[-1]), 2.0)
+    for tau, expect in ((2.0, drift.times), (0.75, np.append(drift.times[drift.times <= 0.75], 0.75))):
+        dual = solve_one(drift, 0.05, alpha, tau)
+        assert np.array_equal(dual.times, expect) and len(dual.snapshots) == expect.size
+        for q in (2.0, 4.0):
+            rep = gronwall_check(dual, drift, q)
+            ref = gronwall_bounds_on_rebuilt_times(dual, drift, q, tau)
+            exact = tau - (tau - dual.times) == dual.times
+            assert np.array_equal(rep.bounds_q[exact], ref[exact])
+            np.testing.assert_allclose(rep.bounds_q[~exact], ref[~exact], rtol=1e-14, atol=0.0)
+            assert rep.max_ratio_before_tau == float(np.max(rep.ratios[:-1]))
+    # a tau within 1e-12 (relative) of a sample is that sample: the dual ends on it, not one sample short
+    near = float(drift.times[8]) * (1.0 - 2e-13)
+    dual = solve_one(drift, 0.05, alpha, near)
+    assert np.array_equal(dual.times, drift.times[:9])
     assert np.max(np.abs(dual.snapshots[-1].values - alpha.values)) < 1e-12
 
 
@@ -366,6 +423,13 @@ def test_duality_residual_validation():
     dual_mid = dataclasses.replace(dual, times=dual.times[1:], snapshots=dual.snapshots[1:])
     with pytest.raises(ValueError, match="t = 0"):
         duality_residual(dual_mid, te, th)
+    # the dual's times must be, exactly, the first times of each trajectory
+    off_sample = solve_one(drift, 0.1, alpha, 0.45)  # lands on 0, 0.1, ..., 0.4 and 0.45
+    with pytest.raises(ValueError, match="t=0.45"):
+        duality_residual(off_sample, te, th)
+    short = dataclasses.replace(th, times=th.times[:3], snapshots=th.snapshots[:3])
+    with pytest.raises(ValueError, match=f"t={float(te.times[3])!r}"):
+        duality_residual(dual, te, short)
 
 
 def test_gronwall_bound_post_shock_pair():

@@ -557,8 +557,22 @@ def test_maximum_principle_no_spurious_trough():
        s=st.floats(0.25, 1.0), log2_eps=st.floats(-4.0, -1.0), T=st.floats(0.25, 2.0))
 def test_comparison_with_constants_on_random_band_limited_data(coeffs, lip, s, log2_eps, T):
     # constants solve the unforced problem (H(0) = 0), so min u0 <= u(t) <= max u0;
-    # modes 1..4 scaled to Lipschitz constant <= lip keep the front resolved at
-    # n = 64, where the bound holds to round-off (tolerance calibration in CHANGES.md)
+    # modes 1..4 scaled to Lipschitz constant <= lip, on n = 64, where the bound
+    # holds to round-off while the front stays resolved (tolerance calibration in
+    # CHANGES.md); not every draw keeps it resolved: see the test below
+    assert_bounded_by_constants(coeffs, lip, s, log2_eps, T)
+
+
+@pytest.mark.xfail(strict=True, reason="a front under the n = 64 grid breaks the bound, and no resolution "
+                                       "check flags it (ROADMAP items 1 and 15)")
+def test_comparison_with_constants_fails_where_the_front_is_not_resolved():
+    # u0 = 0.25 sin 4x at s = 1/4, eps = 2^-4, T = 2, a draw of the property test above:
+    # the n = 64 solve dips to -0.2772 below min u0 = -0.25 (-0.2663 at n = 128; the
+    # bound holds at n = 256 and 1024)
+    assert_bounded_by_constants([0.0] * 7 + [1.0], 1.0, 0.25, -4.0, 2.0)
+
+
+def assert_bounded_by_constants(coeffs, lip, s, log2_eps, T):
     g = TorusGrid(1, 64)
     x = g.nodes()[0]
     modes = list(zip((1, 2, 3, 4), coeffs[::2], coeffs[1::2]))
@@ -662,10 +676,9 @@ def test_snapshot_landing_and_lookup():
     traj = viscous_solve(problem(g, 0.5, 0.2, T=1.0), snapshot_times=times)
     assert np.allclose(traj.times, times, atol=0.0)
     assert traj.n_steps > 0
-    snap = traj.snapshot_at(0.3141)
-    assert snap is traj.snapshots[1]
-    with pytest.raises(KeyError):
-        traj.snapshot_at(0.77)
+    # a snapshot is read by position: times[i] is exactly the i-th requested time
+    assert traj.times[1] == 0.3141 and len(traj.snapshots) == len(times)
+    assert 0.77 not in traj.times
 
 
 def test_trajectory_derives_its_profiles_from_the_snapshots():
