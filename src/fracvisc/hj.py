@@ -244,14 +244,13 @@ def _quantize_speed(speed: float) -> float:
 
 
 def clean_snapshot_times(snapshot_times, T: float) -> np.ndarray:
-    """Sorted distinct snapshot times in [0, T], the last clamped to T."""
-    times = np.asarray(sorted(set(float(t) for t in snapshot_times)))
+    """Sorted distinct snapshot times in [0, T]; times up to T (1 + 1e-12) are clamped to T before the repeats go."""
+    times = np.asarray([float(t) for t in snapshot_times])
     if times.size == 0:
         raise ValueError("snapshot_times must be non-empty")
-    if times[0] < 0.0 or times[-1] > T * (1.0 + 1e-12):
+    if not 0.0 <= times.min() <= times.max() <= T * (1.0 + 1e-12):  # false for a NaN time too
         raise ValueError(f"snapshot times must lie in [0, {T}]")
-    times[-1] = min(times[-1], T)
-    return times
+    return np.asarray(sorted(set(np.minimum(times, T).tolist())))  # np.unique would import numpy.ma
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,9 @@ __all__ = [
     "RateFit",
     "fit_rate",
     "target_exponent",
-    "OneSidedReport",
+    "ONE_SIDED_SPREAD_MAX",
+    "ONE_SIDED_SLOPE_MIN",
+    "FIT_SLACK",
     "one_sided_check",
     "emit_report",
     "fit_entry",
@@ -423,6 +425,9 @@ def fit_rate(epsilons, errors) -> RateFit:
     )
 
 
+FIT_SLACK = 0.1  # a fit passes when its accepted exponent reaches target - FIT_SLACK
+
+
 def target_exponent(s: float, p: float) -> float | None:
     """Theoretical decay exponent of err(s, p, eps), None when not pinned."""
     if s < 0.5 or s == 0.5:
@@ -437,62 +442,38 @@ def target_exponent(s: float, p: float) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OneSidedReport:
-    """eps-uniformity of sup[-(-Delta)^(1/2) u_eps] and one-sided rates.
+ONE_SIDED_SPREAD_MAX = 0.2  # relative spread below which the one-sided bound counts as eps-uniform
+ONE_SIDED_SLOPE_MIN = 0.9  # the one-sided slope a uniform bound requires
 
-    When the bound sup_{t>0} sup_x of -(-Delta)^(1/2) u_eps stays
-    eps-uniform (relative spread below 20%), the one-sided sup error
-    max_t sup (u_eps - u)^+ is expected to decay linearly in eps.  The
-    bound leaves out t = 0, where the datum alone sets it.
+
+def one_sided_check(result: SweepResult) -> dict | None:
+    """report.json's one_sided entry: eps-uniformity of sup[-(-Delta)^(1/2) u_eps] and the one-sided rate.
+
+    When the bound sup_{t>0} sup_x of -(-Delta)^(1/2) u_eps stays eps-uniform
+    (relative spread below ONE_SIDED_SPREAD_MAX), the one-sided sup error
+    max_t sup (u_eps - u)^+ is expected to decay linearly in eps: the check
+    passes unless the bound is uniform and the slope of that error (None
+    when some error vanishes) falls below ONE_SIDED_SLOPE_MIN.  The bound
+    leaves out t = 0, where the datum alone sets it.  None when fewer than
+    3 s = 1/2 cells finished.
     """
-
-    epsilons: np.ndarray
-    bounds: np.ndarray
-    spread: float
-    uniform: bool
-    errors: np.ndarray
-    fit: RateFit | None
-
-    def passes(self) -> bool:
-        """True unless the bound is eps-uniform and the one-sided slope falls below 0.9."""
-        if not self.uniform:
-            return True
-        return self.fit is not None and self.fit.exponent >= 0.9
-
-
-def one_sided_check(result: SweepResult) -> OneSidedReport:
-    """Assemble the one-sided diagnostics that a sweep records at s = 1/2."""
-    eps_list, bounds, errors = [], [], []
-    for eps in result.plan.epsilons:
-        cell = result.cells.get((0.5, eps))
-        if cell is None or cell.one_sided_bound is None:
-            continue
-        eps_list.append(eps)
-        bounds.append(cell.one_sided_bound)
-        errors.append(cell.one_sided_error)
-    if len(eps_list) < 3:
-        raise ValueError(
-            "one_sided_check needs at least 3 cells with recorded one-sided data; "
-            "run the sweep with s = 0.5"
-        )
-    eps_arr = np.asarray(eps_list)
-    b_arr = np.asarray(bounds)
-    e_arr = np.asarray(errors)
-    bmax = float(np.max(np.abs(b_arr)))
-    spread = float((np.max(b_arr) - np.min(b_arr)) / max(bmax, 1e-300))
-    uniform = spread < 0.20
-    fit = None
-    if np.all(e_arr > 0):
-        fit = fit_rate(eps_arr, e_arr)
-    return OneSidedReport(
-        epsilons=eps_arr,
-        bounds=b_arr,
-        spread=spread,
-        uniform=uniform,
-        errors=e_arr,
-        fit=fit,
-    )
+    eps = [e for e in result.plan.epsilons if (0.5, e) in result.cells]
+    if len(eps) < 3:
+        return None
+    bounds = np.array([result.cells[(0.5, e)].one_sided_bound for e in eps])
+    errors = np.array([result.cells[(0.5, e)].one_sided_error for e in eps])
+    spread = float((np.max(bounds) - np.min(bounds)) / max(float(np.max(np.abs(bounds))), 1e-300))
+    uniform = spread < ONE_SIDED_SPREAD_MAX
+    slope = fit_rate(eps, errors).exponent if np.all(errors > 0) else None
+    return {
+        "epsilons": eps,
+        "bounds": bounds.tolist(),
+        "spread": spread,
+        "uniform": uniform,
+        "errors": errors.tolist(),
+        "slope": slope,
+        "passed": not uniform or (slope is not None and slope >= ONE_SIDED_SLOPE_MIN),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +511,7 @@ def fit_entry(s: float, p: float, eps: np.ndarray, err: np.ndarray) -> tuple[str
     }
     if target is not None:
         allow_log = s == 0.5 and math.isinf(p)
-        entry["passed"] = bool(fit.accepted_exponent(allow_log) >= target - 0.1)
+        entry["passed"] = bool(fit.accepted_exponent(allow_log) >= target - FIT_SLACK)
     return key, entry
 
 
@@ -538,13 +519,14 @@ def emit_report(
     result: SweepResult,
     out_dir: str,
     config_echo: dict | None = None,
-    one_sided: OneSidedReport | None = None,
+    one_sided: dict | None = None,
 ) -> dict:
     """Write rates.csv, report.json and plots.gp into out_dir.
 
     rates.csv is a pure function of the sweep result (fixed row order and
     17-significant-digit floats), so repeated identical sweeps produce
-    byte-identical files.  Returns the report dictionary.
+    byte-identical files.  one_sided is one_sided_check's entry, stored as
+    given.  Returns the report dictionary.
     """
     os.makedirs(out_dir, exist_ok=True)
     plan = result.plan
@@ -580,15 +562,7 @@ def emit_report(
         },
     }
     if one_sided is not None:
-        report["one_sided"] = {
-            "epsilons": [float(e) for e in one_sided.epsilons],
-            "bounds": [float(b) for b in one_sided.bounds],
-            "spread": one_sided.spread,
-            "uniform": one_sided.uniform,
-            "errors": [float(e) for e in one_sided.errors],
-            "slope": None if one_sided.fit is None else one_sided.fit.exponent,
-            "passed": one_sided.passes(),
-        }
+        report["one_sided"] = one_sided
     if config_echo is not None:
         report["config"] = config_echo
     write_json(os.path.join(out_dir, "report.json"), report)

@@ -437,17 +437,15 @@ def test_criterion_09_duality_identity(criterion):
 
 
 def test_criterion_10_one_sided_conditional(criterion, sweep_half):
-    report = one_sided_check(sweep_half)
-    slope = None if report.fit is None else report.fit.exponent
-    ok = report.passes()
-    if report.uniform:
+    entry = one_sided_check(sweep_half)  # report.json's one_sided entry, verdict included
+    if entry["uniform"]:
         detail = (
-            f"bound spread {report.spread:.4f} < 0.20, condition active; "
-            f"one-sided sup slope {slope:.3f} (floor 0.9)"
+            f"bound spread {entry['spread']:.4f} < 0.20, condition active; "
+            f"one-sided sup slope {entry['slope']:.3f} (floor 0.9)"
         )
     else:
-        detail = f"bound spread {report.spread:.4f} >= 0.20, condition vacuous"
-    criterion(10, "one-sided-conditional", ok, detail)
+        detail = f"bound spread {entry['spread']:.4f} >= 0.20, condition vacuous"
+    criterion(10, "one-sided-conditional", entry["passed"], detail)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line driver and config parsing: exit
 codes, emitted files, determinism of reruns, and error reporting."""
 
+import dataclasses
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracvisc
+from fracvisc import cli
 from fracvisc.cli import COMMANDS, _snapshot_csv, env_threads, main
 from fracvisc.config import ConfigError, parse_config
 from fracvisc.hamiltonians import make_hamiltonian
@@ -263,11 +265,27 @@ def test_cli_one_sided(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "os"
     assert main(["sweep", "--config", cfg, "--output", str(out)]) == 0
-    assert "sweep: one-sided bound spread" in capsys.readouterr().err
     one_sided = json.loads((out / "report.json").read_text())["one_sided"]
     assert one_sided["uniform"] is True and one_sided["passed"] is True
     assert one_sided["slope"] is not None and one_sided["slope"] > 0.85
     assert len(one_sided["epsilons"]) == 5
+
+
+@pytest.mark.parametrize("text, bound, verdict", [
+    (BASE, "uniform", "passed"),
+    # CI's bump sweep: under-resolved at n = 256, its one-sided error decays with slope 0.70
+    ("u0 = bump\nn_points = 256\nsnapshot_count = 5\nepsilon_list = geometric:0.0625,0.5,5\n",
+     "uniform", "FAILED (uniform bound but slope < 0.9)"),
+    # zero H with one snapshot after t = 0: the bounds exp(-eps) spread by more than half
+    (BASE + "n_points = 64\nepsilon_list = 0.8,0.4,0.2,0.1,0.05\nsnapshot_count = 2\n",
+     ">= 0.2, rate check not applicable", "passed"),
+], ids=["passed", "slow", "spread"])
+def test_cli_sweep_logs_the_one_sided_verdict(tmp_path, capsys, text, bound, verdict):
+    assert main(["sweep", "--config", write_cfg(tmp_path, text), "--output", str(tmp_path / "s")]) == 0
+    entry = json.loads((tmp_path / "s" / "report.json").read_text())["one_sided"]
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("sweep: one-sided")]
+    assert lines == [f"sweep: one-sided bound spread {entry['spread']:.3f} ({bound}), "
+                     f"slope {entry['slope']:.3f}: {verdict}"]
 
 
 def test_cli_two_mode_sweep_fits_every_norm(tmp_path):
@@ -402,6 +420,28 @@ def test_cli_dual_check_runs_every_check_at_large_q(tmp_path):
     assert main(["dual-check", "--config", cfg, "--output", str(out)]) == 0
     checks = json.loads((out / "dual_report.json").read_text())["checks"]
     assert [(c["eta"], c["q"]) for c in checks] == [(0.05, 2.0), (0.05, 256.0), (0.025, 2.0), (0.025, 256.0)]
+
+
+def test_cli_dual_check_records_the_order_it_ran_at(tmp_path):
+    # dual-check runs at the smallest s alone; each check says which
+    cfg = write_cfg(tmp_path, "n_points = 64\nT = 0.5\nsnapshot_count = 3\ns_list = 0.25,0.5\n"
+                              "epsilon_list = 0.1,0.05,0.025\np_list = 2\n")
+    assert main(["dual-check", "--config", cfg, "--output", str(tmp_path / "d")]) == 0
+    rep = json.loads((tmp_path / "d" / "dual_report.json").read_text())
+    assert rep["config"]["s_list"] == "0.25,0.5"
+    assert [c["s"] for c in rep["checks"]] == [0.25, 0.25]
+
+
+@pytest.mark.parametrize("name", ["duality_residual", "gronwall_check"])
+def test_cli_dual_check_fails_on_a_check_past_its_threshold(tmp_path, monkeypatch, capsys, name):
+    # a residual of 0.05 > 0.02, or a Gronwall ratio of 1.5 > 1.01, in every check: exit 1
+    real = getattr(cli, name)
+    fake = {"duality_residual": lambda *args: 0.05,
+            "gronwall_check": lambda *args: dataclasses.replace(real(*args), max_ratio=1.5)}[name]
+    monkeypatch.setattr(cli, name, fake)
+    cfg = write_cfg(tmp_path, "n_points = 64\nT = 0.5\nsnapshot_count = 3\nepsilon_list = 0.1,0.05,0.025\np_list = 2\n")
+    assert main(["dual-check", "--config", cfg, "--output", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "dual-check: FAILED thresholds (ratio <= 1.01, residual <= 0.02)"
 
 
 def test_cli_dual_check_reports_the_ratio_before_tau(tmp_path, capsys):

@@ -25,6 +25,7 @@ from fracvisc.hj import (
     TrajectoryBatch,
     ZeroForcing,
     _riccati_bound,
+    clean_snapshot_times,
     hopf_lax_oracle,
     monotone_reference,
     viscous_solve,
@@ -679,6 +680,17 @@ def test_snapshot_landing_and_lookup():
     # a snapshot is read by position: times[i] is exactly the i-th requested time
     assert traj.times[1] == 0.3141 and len(traj.snapshots) == len(times)
     assert 0.77 not in traj.times
+
+
+def test_snapshot_times_past_T_within_tolerance_land_once():
+    # a time within T (1 + 1e-12) of T is clamped to T before the repeats go, so the march lands there once;
+    # a NaN time lies in no interval
+    times = (0.5, 1.0, 1.0 + 1e-13)
+    assert clean_snapshot_times(times, 1.0).tolist() == [0.5, 1.0]
+    with pytest.raises(ValueError, match="must lie in"):
+        clean_snapshot_times((0.5, math.nan), 1.0)
+    traj = viscous_solve(problem(TorusGrid(1, 64), 0.5, 0.2, T=1.0), snapshot_times=times)
+    assert traj.times.tolist() == [0.5, 1.0] and len(traj.snapshots) == 2
 
 
 def test_trajectory_derives_its_profiles_from_the_snapshots():

@@ -3,6 +3,7 @@ plan validation, rate fitting, sweep execution on closed-form problems and
 deterministic report emission."""
 
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +19,6 @@ from fracvisc.rates import (
     GRID_MAX,
     GRID_MIN,
     InitialData,
-    OneSidedReport,
     PlanError,
     RateFit,
     SweepPlan,
@@ -162,6 +162,7 @@ def test_sweep_plan_validation(monkeypatch):
     plan = zero_h_plan()
     assert plan.epsilons[0] == max(plan.epsilons)
     assert zero_h_plan(snapshot_times=(1.0, 0.25, 0.0, 0.25)).snapshot_times == (0.0, 0.25, 1.0)  # sorted, distinct
+    assert zero_h_plan(snapshot_times=(0.0, 1.0, 1.0 + 1e-13)).snapshot_times == (0.0, 1.0)  # clamped, then distinct
     assert plan.n_for(0.5, 0.1) == 256  # explicit n_points wins over the rule
 
 
@@ -348,13 +349,14 @@ def test_sweep_computes_one_reference_per_evaluation_grid(monkeypatch):
 
 
 def test_one_sided_check_on_heat_flows(zero_h_sweep):
-    report = one_sided_check(zero_h_sweep)
+    entry = one_sided_check(zero_h_sweep)
+    assert sorted(entry) == ["bounds", "epsilons", "errors", "passed", "slope", "spread", "uniform"]
     # sup_{t>0} sup_x [-(-Delta)^(1/2) u_eps] = exp(-eps / 15), from the first snapshot t = 1/15
-    bounds = np.exp(-report.epsilons / 15.0)
-    np.testing.assert_allclose(report.bounds, bounds, rtol=1e-10)
-    assert report.uniform and report.spread == pytest.approx(1.0 - bounds.min() / bounds.max(), rel=1e-8)
-    assert report.fit is not None and report.passes()
-    assert report.epsilons.size == 5
+    bounds = np.exp(-np.array(entry["epsilons"]) / 15.0)
+    np.testing.assert_allclose(entry["bounds"], bounds, rtol=1e-10)
+    assert entry["uniform"] is True and entry["spread"] == pytest.approx(1.0 - bounds.min() / bounds.max(), rel=1e-8)
+    assert entry["slope"] is not None and entry["passed"] is True
+    assert entry["epsilons"] == list(zero_h_sweep.plan.epsilons)
 
 
 def test_one_sided_bound_leaves_out_the_datum():
@@ -362,9 +364,14 @@ def test_one_sided_bound_leaves_out_the_datum():
     # while every t = 0 value is the datum's, 1, so only the t > 0 part can spread
     plan = zero_h_plan(epsilons=tuple(0.8 * 2.0**-k for k in range(5)), T=1.0, snapshot_times=(0.0, 1.0),
                        n_points=64)
-    report = one_sided_check(run_sweep(plan))
-    np.testing.assert_allclose(report.bounds, np.exp(-report.epsilons), rtol=1e-10)
-    assert report.spread > 0.2 and not report.uniform and report.passes()
+    entry = one_sided_check(run_sweep(plan))
+    np.testing.assert_allclose(entry["bounds"], np.exp(-np.array(entry["epsilons"])), rtol=1e-10)
+    assert entry["spread"] > 0.2 and entry["uniform"] is False and entry["passed"] is True
+
+
+def test_one_sided_check_needs_three_cells(zero_h_sweep):
+    two = dict(list(zero_h_sweep.cells.items())[:2])
+    assert one_sided_check(dataclasses.replace(zero_h_sweep, cells=two)) is None
 
 
 def test_sweep_2d_path():
@@ -477,21 +484,25 @@ def test_plots_gp_conditions_select_their_slices_rows(tmp_path):
         assert picked == mine and len(mine) == 5, (s, p)
 
 
-@pytest.mark.parametrize("spread, slope, passed", [
-    (0.05, 0.5, False),  # uniform bound, slope below 0.9
-    (0.05, None, False),  # uniform bound, no fit
-    (0.5, 0.5, True),  # the bound spreads, so the rate check does not apply
+@pytest.mark.parametrize("bounds, errors, passed", [
+    ((1.0,) * 5, "sqrt", False),  # uniform bound, slope 1/2 below 0.9
+    ((1.0,) * 5, "one zero", False),  # uniform bound, no fit
+    ((1.0, 0.8, 0.6, 0.5, 0.5), "sqrt", True),  # the bound spreads by 1/2, so the rate check does not apply
 ], ids=["uniform-slow", "uniform-no-fit", "not-uniform"])
-def test_emit_report_one_sided_pass_flag(zero_h_sweep, tmp_path, spread, slope, passed):
-    fit = None if slope is None else RateFit(exponent=slope, prefactor=1.0, residual_power=0.01, prefactor_log=1.0,
-                                             residual_power_log=0.1, preferred="power", n_used=5)
-    eps = np.array(zero_h_sweep.plan.epsilons)
-    one_sided = OneSidedReport(epsilons=eps, bounds=np.ones_like(eps), spread=spread, uniform=spread < 0.2,
-                               errors=np.sqrt(eps), fit=fit)
-    emit_report(zero_h_sweep, str(tmp_path), one_sided=one_sided)
+def test_emit_report_one_sided_pass_flag(zero_h_sweep, tmp_path, bounds, errors, passed):
+    eps = zero_h_sweep.plan.epsilons
+    errs = np.sqrt(eps) if errors == "sqrt" else np.array([0.0] + [1.0] * 4)
+    cells = {(0.5, e): dataclasses.replace(zero_h_sweep.cells[(0.5, e)], one_sided_bound=b, one_sided_error=float(x))
+             for e, b, x in zip(eps, bounds, errs)}
+    result = dataclasses.replace(zero_h_sweep, cells=cells)
+    emit_report(result, str(tmp_path), one_sided=one_sided_check(result))
     entry = json.loads((tmp_path / "report.json").read_text())["one_sided"]
     assert entry["passed"] is passed
-    assert entry["slope"] == slope and entry["spread"] == spread
+    assert entry["spread"] == pytest.approx(1.0 - min(bounds) / max(bounds), abs=1e-15)
+    if errors == "sqrt":
+        assert entry["slope"] == pytest.approx(0.5, rel=1e-12)
+    else:
+        assert entry["slope"] is None
 
 
 def test_format_float_canonical():
